@@ -35,6 +35,7 @@ from .errors import (
     DataError,
     GestureRecError,
     ModelFileError,
+    NonFiniteFeatureError,
     NumericError,
     SingularSystemError,
     VersionMismatchError,
@@ -90,6 +91,7 @@ __all__ = [
     "GestureSample",
     "GradientBoostingClassifier",
     "ModelFileError",
+    "NonFiniteFeatureError",
     "NumericError",
     "RidgeClassifier",
     "SingularSystemError",

@@ -5,7 +5,10 @@ greedy regression tree per class to that class's residual (one-hot minus
 softmax probability); leaf values are a single Newton step
 ``sum(residual) / sum(p * (1 - p))`` over the leaf's rows, and enter the
 score with a ``learning_rate`` factor. The training log-loss is checked
-to be non-increasing stage over stage while fitting.
+to be non-increasing stage over stage while fitting. A fit sorts the
+training rows once (``cart.presort``) for all its trees, and takes each
+row's score update from the leaf the tree builder put it in, so rows
+are never routed through a fitted tree.
 
 Trees are depth-limited and rectangular, so prediction flattens the
 whole ensemble into index arrays and routes samples with ``max_depth``
@@ -18,7 +21,8 @@ import numpy as np
 
 from ..errors import NumericError
 from ..features import FEATURE_ORDER_VERSION
-from .cart import Node, apply_tree, build_regression_tree
+from .cart import Node, apply_tree, build_regression_tree, presort
+from ._rows import feature_rows
 
 __all__ = ["GradientBoostingClassifier"]
 
@@ -161,6 +165,8 @@ class GradientBoostingClassifier:
 
         scores = np.tile(self.initial_scores_, (n, 1))
         loss = _log_loss(scores, y_idx)
+        order = presort(X)
+        fitted = np.empty(n)
         self.stages_ = []
         for stage in range(self.n_stages):
             p = _softmax(scores)
@@ -176,11 +182,11 @@ class GradientBoostingClassifier:
                         return 0.0
                     return r_c[idx].sum() / denom
 
-                tree = build_regression_tree(X, r_c, self.max_depth, newton_leaf)
-                stage_trees.append(tree)
-                scores[:, c] += self.learning_rate * np.array(
-                    [apply_tree(tree, x) for x in X]
+                tree = build_regression_tree(
+                    X, r_c, self.max_depth, newton_leaf, order=order, fitted=fitted
                 )
+                stage_trees.append(tree)
+                scores[:, c] += self.learning_rate * fitted
             self.stages_.append(stage_trees)
             new_loss = _log_loss(scores, y_idx)
             if new_loss > loss + _LOSS_SLACK:
@@ -199,14 +205,7 @@ class GradientBoostingClassifier:
     def decision_function(self, X) -> np.ndarray:
         if self.initial_scores_ is None:
             raise ValueError("classifier is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        single = X.ndim == 1
-        if single:
-            X = X[None, :]
-        if X.shape[1] != self.n_features_:
-            raise ValueError(
-                f"expected {self.n_features_} features, got {X.shape[1]}"
-            )
+        X, single = feature_rows(X, self.n_features_)
         k = len(self.classes_)
         out = np.tile(self.initial_scores_, (X.shape[0], 1))
         for i, x in enumerate(X):

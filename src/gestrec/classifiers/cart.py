@@ -8,6 +8,16 @@ feature exactly, maximizing the least-squares gain with midpoint
 thresholds, up to a fixed depth; leaf values come from a caller-supplied
 function of the leaf's row indices.
 
+The regression builder sorts nothing per node. ``presort`` orders the
+rows once per feature with a stable sort, and each child takes its
+parent's per-feature order with the other side's rows filtered out.
+Filtering keeps relative order, so within a node equal values stay in
+ascending row index: exactly the order a stable sort of the node's own
+rows gives. Cumulative sums, gains and tie-breaks, and so the trees,
+are bit-identical to sorting at every node. A boosting fit shares one
+``presort`` across all its trees (the SLIQ pre-sorted attribute lists,
+Mehta et al., EDBT 1996).
+
 The split predicate is ``x[feature] <= threshold`` goes left, everywhere.
 """
 
@@ -22,6 +32,7 @@ __all__ = [
     "apply_tree",
     "build_random_split_tree",
     "build_regression_tree",
+    "presort",
     "tree_depth",
     "node_to_dict",
     "node_from_dict",
@@ -124,11 +135,22 @@ def build_random_split_tree(
     return grow(np.arange(X.shape[0]))
 
 
+def presort(X: np.ndarray) -> np.ndarray:
+    """Stable per-feature sort of the rows of ``X``, shape ``(d, n)``.
+
+    Row ``f`` lists the row indices of ``X`` in ascending order of
+    ``X[:, f]``, equal values in ascending row index.
+    """
+    return np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
+
+
 def build_regression_tree(
     X: np.ndarray,
     r: np.ndarray,
     max_depth: int,
     leaf_value,
+    order: np.ndarray | None = None,
+    fitted: np.ndarray | None = None,
 ) -> Node:
     """Grow an exact greedy least-squares regression tree.
 
@@ -137,49 +159,85 @@ def build_regression_tree(
     squared-error decrease, with the threshold at the midpoint. Ties
     keep the lowest feature index and, within a feature, the smallest
     split position. Nodes with no strictly positive gain, or at
-    ``max_depth``, become leaves with value ``leaf_value(row_indices)``.
-    """
+    ``max_depth``, become leaves with value ``leaf_value(row_indices)``,
+    the row indices ascending.
 
-    def grow(idx: np.ndarray, depth: int) -> Node:
+    ``order`` is ``presort(X)``; pass it to reuse one sort across the
+    trees of a fit. When ``fitted`` is given, each training row's leaf
+    value is written to it.
+    """
+    n_rows, d = X.shape
+    if order is None:
+        order = presort(X)
+    # Gather sorted values as flat positions into the transposed matrix.
+    XT = np.ascontiguousarray(X.T).ravel()
+    offsets = (np.arange(d) * n_rows)[:, None]
+    goes_left = np.zeros(n_rows, dtype=bool)
+    counts = np.arange(1, n_rows, dtype=np.float64)
+    features = np.arange(d)
+
+    def make_leaf(node: Node, idx: np.ndarray) -> None:
+        node.value = float(leaf_value(idx))
+        if fitted is not None:
+            fitted[idx] = node.value
+
+    # Depth-first with an explicit stack: a recursive closure would hold
+    # this tree's buffers in a reference cycle until a full collection.
+    # Row indices stay ascending in every node.
+    root = Node()
+    stack = [(root, np.arange(n_rows), order, 0)]
+    while stack:
+        node, idx, node_order, depth = stack.pop()
         n = idx.size
         if depth >= max_depth or n < 2:
-            return Node(value=float(leaf_value(idx)))
+            make_leaf(node, idx)
+            continue
 
-        rows = X[idx]
-        targets = r[idx]
-        order = np.argsort(rows, axis=0, kind="stable")
-        sorted_vals = np.take_along_axis(rows, order, axis=0)
-        cs = np.cumsum(targets[order], axis=0)
-        total = cs[-1, 0]
+        sorted_vals = XT[node_order + offsets]
+        cs = r[node_order].cumsum(axis=1)
+        total = cs[0, -1]
 
         # Gain of splitting after sorted position i (n_left = i + 1):
-        # sum_L^2/n_L + sum_R^2/n_R - total^2/n, maximized.
-        n_left = np.arange(1, n, dtype=np.float64)[:, None]
-        sums_l = cs[:-1]
-        gains = sums_l**2 / n_left + (total - sums_l) ** 2 / (n - n_left)
+        # sum_L^2/n_L + sum_R^2/n_R - total^2/n, maximized. total is a
+        # float64 scalar: its square must not come from an array op, or
+        # it can differ by one ulp and flip the sign of a near-zero gain.
+        n_left = counts[: n - 1]
+        sums_l = cs[:, :-1]
+        gains = sums_l**2 / n_left
+        gains += (total - sums_l) ** 2 / (n - n_left)
         gains -= total**2 / n
-        gains[sorted_vals[:-1] == sorted_vals[1:]] = -np.inf
+        np.putmask(gains, sorted_vals[:, :-1] == sorted_vals[:, 1:], -np.inf)
 
-        per_feat_pos = np.argmax(gains, axis=0)
-        per_feat_gain = gains[per_feat_pos, np.arange(rows.shape[1])]
-        f = int(np.argmax(per_feat_gain))
+        per_feat_pos = gains.argmax(axis=1)
+        per_feat_gain = gains[features, per_feat_pos]
+        f = int(per_feat_gain.argmax())
         if not per_feat_gain[f] > 0.0:
-            return Node(value=float(leaf_value(idx)))
+            make_leaf(node, idx)
+            continue
         i = int(per_feat_pos[f])
-        v1 = sorted_vals[i, f]
-        v2 = sorted_vals[i + 1, f]
+        v1 = sorted_vals[f, i]
+        v2 = sorted_vals[f, i + 1]
         thr = (v1 + v2) / 2.0
         if thr >= v2:  # midpoint rounded up between adjacent floats
             thr = v1
-        mask = rows[:, f] <= thr
-        return Node(
-            feature=f,
-            threshold=float(thr),
-            left=grow(idx[mask], depth + 1),
-            right=grow(idx[~mask], depth + 1),
-        )
-
-    return grow(np.arange(X.shape[0]), 0)
+        mask = X[idx, f] <= thr
+        n_l = int(mask.sum())
+        if depth + 1 < max_depth:
+            # Filtering keeps each feature's order, so ties stay in
+            # ascending row index, as a stable sort of the child gives.
+            goes_left[idx] = mask
+            kept = goes_left[node_order]
+            left_order = node_order[kept].reshape(d, n_l)
+            right_order = node_order[~kept].reshape(d, n - n_l)
+        else:
+            left_order = right_order = None
+        node.feature = f
+        node.threshold = float(thr)
+        node.left = Node()
+        node.right = Node()
+        stack.append((node.right, idx[~mask], right_order, depth + 1))
+        stack.append((node.left, idx[mask], left_order, depth + 1))
+    return root
 
 
 def node_to_dict(node: Node) -> dict:

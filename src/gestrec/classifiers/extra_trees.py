@@ -15,6 +15,7 @@ import numpy as np
 
 from ..features import FEATURE_ORDER_VERSION
 from .cart import Node, apply_tree, build_random_split_tree
+from ._rows import feature_rows
 
 __all__ = ["ExtraTreesClassifier", "DEFAULT_K_FEATURES"]
 
@@ -95,14 +96,7 @@ class ExtraTreesClassifier:
     def predict_proba(self, X) -> np.ndarray:
         if not self.trees_:
             raise ValueError("classifier is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        single = X.ndim == 1
-        if single:
-            X = X[None, :]
-        if X.shape[1] != self.n_features_:
-            raise ValueError(
-                f"expected {self.n_features_} features, got {X.shape[1]}"
-            )
+        X, single = feature_rows(X, self.n_features_)
         probs = np.zeros((X.shape[0], len(self.classes_)))
         for i, x in enumerate(X):
             acc = probs[i]

@@ -14,6 +14,7 @@ import numpy as np
 from ..dsp import DEGENERATE_VARIANCE
 from ..errors import SingularSystemError
 from ..features import FEATURE_ORDER_VERSION
+from ._rows import feature_rows
 
 __all__ = ["RidgeClassifier"]
 
@@ -83,14 +84,7 @@ class RidgeClassifier:
     def decision_function(self, X) -> np.ndarray:
         if self.weights_ is None:
             raise ValueError("classifier is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        single = X.ndim == 1
-        if single:
-            X = X[None, :]
-        if X.shape[1] != self.n_features_:
-            raise ValueError(
-                f"expected {self.n_features_} features, got {X.shape[1]}"
-            )
+        X, single = feature_rows(X, self.n_features_)
         Z = (X - self.mean_) / self.std_
         scores = Z @ self.weights_[:, :-1].T + self.weights_[:, -1]
         return scores[0] if single else scores

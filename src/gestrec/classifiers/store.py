@@ -78,10 +78,33 @@ def save_model(model, path) -> Path:
     return path
 
 
+def _check_trees(path, trees, n_features: int, leaf_ok, expected: str) -> None:
+    """Raise ModelFileError at the first node that predict could not route
+    or read: a split outside the feature range, or a leaf value for which
+    ``leaf_ok`` is false."""
+    for i, root in enumerate(trees):
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if node.left is not None:
+                if not 0 <= node.feature < n_features:
+                    raise ModelFileError(
+                        f"{path}: tree {i} splits on feature {node.feature}, "
+                        f"outside [0, {n_features})"
+                    )
+                stack += (node.left, node.right)
+            elif not leaf_ok(node.value):
+                raise ModelFileError(
+                    f"{path}: tree {i} has leaf value {node.value!r}, "
+                    f"expected {expected}"
+                )
+
+
 def load_model(path, expect_feature_version: int | None = None):
     """Reconstruct a classifier from a model file.
 
-    Raises ModelFileError on missing/corrupt/foreign files and
+    Raises ModelFileError on missing, corrupt or foreign files and on
+    trees that predict could not use (the message names the tree), and
     VersionMismatchError when ``expect_feature_version`` is given and
     disagrees with the file.
     """
@@ -114,6 +137,14 @@ def load_model(path, expect_feature_version: int | None = None):
                 seed=int(hyper["seed"]),
             )
             model.trees_ = [node_from_dict(t) for t in params["trees"]]
+            k = len(classes)
+            _check_trees(
+                path,
+                model.trees_,
+                n_features,
+                lambda v: isinstance(v, np.ndarray) and v.shape == (k,),
+                f"{k} class probabilities",
+            )
         elif kind == "gradient_boosting":
             model = GradientBoostingClassifier(
                 n_stages=int(hyper["n_stages"]),
@@ -131,6 +162,13 @@ def load_model(path, expect_feature_version: int | None = None):
                 raise ModelFileError(
                     f"{path}: stage layout does not match n_stages x n_classes"
                 )
+            _check_trees(
+                path,
+                [t for stage in model.stages_ for t in stage],
+                n_features,
+                lambda v: isinstance(v, float) and np.isfinite(v),
+                "a finite float",
+            )
         elif kind == "ridge":
             model = RidgeClassifier(
                 alpha=float(hyper["alpha"]), seed=int(hyper["seed"])

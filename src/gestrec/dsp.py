@@ -29,6 +29,8 @@ __all__ = [
 # and moment-shape features return 0 instead of dividing by ~0.
 DEGENERATE_VARIANCE = 1e-24
 
+_TINY = np.finfo(np.float64).tiny  # smallest normal float64
+
 
 def _as_series(x, min_len: int = 1) -> np.ndarray:
     if np.iscomplexobj(x):
@@ -167,14 +169,24 @@ def cross_corr_feature(a, b) -> float:
     The maximum over lags makes the feature insensitive to the relative
     timing of the two axes, i.e. to gesture speed. Returns 0 when either
     signal is all-zero.
+
+    The feature is scale-free. When the energy product ``ea * eb`` is 0,
+    subnormal or not finite, both series are first scaled to unit peak,
+    so tiny and huge signals give the value of their unit-scale shapes;
+    every other input is computed unscaled.
     """
     a = _as_series(a, min_len=2)
     b = _as_series(b, min_len=2)
     if a.size != b.size:
         raise ValueError(f"length mismatch: {a.size} != {b.size}")
-    ea = float(np.sum(a**2))
-    eb = float(np.sum(b**2))
-    if ea == 0.0 or eb == 0.0:
-        return 0.0
+    norm = float(np.sum(a**2)) * float(np.sum(b**2))
+    if not _TINY <= norm < np.inf:
+        peak_a = np.abs(a).max()
+        peak_b = np.abs(b).max()
+        if peak_a == 0.0 or peak_b == 0.0:
+            return 0.0
+        a = a / peak_a
+        b = b / peak_b
+        norm = float(np.sum(a**2)) * float(np.sum(b**2))
     lagged = np.correlate(a, b, mode="full")  # all overlaps, tau in (-n, n)
-    return float(lagged.max()) / np.sqrt(ea * eb)
+    return float(lagged.max()) / np.sqrt(norm)

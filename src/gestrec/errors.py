@@ -39,3 +39,17 @@ class SingularSystemError(GestureRecError):
 class NumericError(GestureRecError):
     """Raised when a numeric sanity check fails during fitting or
     evaluation (e.g. a non-decreasing training loss)."""
+
+
+class NonFiniteFeatureError(GestureRecError):
+    """Raised when a feature vector given to ``predict`` holds nan or inf.
+
+    ``row`` is the index of the first bad vector in a batch (0 for a
+    single vector) and ``feature`` the index of its first bad value.
+    """
+
+    def __init__(self, row: int, feature: int, value: float, single: bool):
+        where = f"feature {feature}" if single else f"row {row}, feature {feature}"
+        super().__init__(f"non-finite feature value at {where}: {value!r}")
+        self.row = row
+        self.feature = feature

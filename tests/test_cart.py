@@ -1,9 +1,13 @@
 """Tree-builder tests: exact greedy regression splits vs a brute-force
-oracle, and structural invariants of the randomized classification trees."""
+oracle, bit-identity of the pre-sorted builder with a per-node sort, and
+structural invariants of the randomized classification trees."""
+
+import hashlib
 
 import numpy as np
 import pytest
 
+from gestrec import GradientBoostingClassifier, save_model
 from gestrec.classifiers.cart import (
     Node,
     apply_tree,
@@ -11,6 +15,7 @@ from gestrec.classifiers.cart import (
     build_regression_tree,
     node_from_dict,
     node_to_dict,
+    presort,
     tree_depth,
 )
 
@@ -121,6 +126,106 @@ class TestRegressionTree:
         assert tree.threshold < hi
         assert apply_tree(tree, np.array([lo])) == pytest.approx(0.0)
         assert apply_tree(tree, np.array([hi])) == pytest.approx(1.0)
+
+
+def reference_regression_tree(X, r, max_depth, leaf_value):
+    """The regression builder with a stable argsort of the node's own rows
+    at every node: the definition the pre-sorted builder must match bit
+    for bit."""
+
+    def grow(idx, depth):
+        n = idx.size
+        if depth >= max_depth or n < 2:
+            return Node(value=float(leaf_value(idx)))
+        rows = X[idx]
+        order = np.argsort(rows, axis=0, kind="stable")
+        sorted_vals = np.take_along_axis(rows, order, axis=0)
+        cs = np.cumsum(r[idx][order], axis=0)
+        total = cs[-1, 0]
+        n_left = np.arange(1, n, dtype=np.float64)[:, None]
+        sums_l = cs[:-1]
+        gains = sums_l**2 / n_left + (total - sums_l) ** 2 / (n - n_left)
+        gains -= total**2 / n
+        gains[sorted_vals[:-1] == sorted_vals[1:]] = -np.inf
+        pos = np.argmax(gains, axis=0)
+        best = gains[pos, np.arange(rows.shape[1])]
+        f = int(np.argmax(best))
+        if not best[f] > 0.0:
+            return Node(value=float(leaf_value(idx)))
+        v1, v2 = sorted_vals[pos[f], f], sorted_vals[pos[f] + 1, f]
+        thr = (v1 + v2) / 2.0
+        if thr >= v2:
+            thr = v1
+        mask = rows[:, f] <= thr
+        return Node(f, float(thr), grow(idx[mask], depth + 1), grow(idx[~mask], depth + 1))
+
+    return grow(np.arange(X.shape[0]), 0)
+
+
+def sum_leaf(r):
+    """Order-sensitive leaf value: a pairwise sum of the leaf's rows."""
+
+    def value(idx):
+        return float(np.sum(r[idx]) / (idx.size + 1.0))
+
+    return value
+
+
+class TestPresortedBuilderIsBitIdentical:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_heavy_ties(self, seed):
+        # Rounded columns with few distinct values (and both signs of
+        # zero): tie order decides every cumulative sum.
+        rng = np.random.default_rng(seed)
+        n, d = 90, 7
+        X = rng.normal(size=(n, d)).round(1) * rng.integers(1, 4, size=d)
+        X[:, 0] = rng.integers(0, 3, size=n)
+        r = rng.choice([0.1, 0.7, -0.3, 1e-3], size=n)
+        for depth in (1, 3, 5):
+            want = reference_regression_tree(X, r, depth, sum_leaf(r))
+            got = build_regression_tree(X, r, depth, sum_leaf(r))
+            assert node_to_dict(got) == node_to_dict(want)
+
+    def test_near_zero_gains(self):
+        # Nearly constant targets: every true gain is ~0, and rounding in
+        # the sums decides the sign, so any change in summation order or
+        # in how total**2 / n is formed shows up as a different tree.
+        splits = 0
+        for seed in range(16):
+            rng = np.random.default_rng(100 + seed)
+            X = rng.integers(0, 4, size=(64, 5)).astype(np.float64)
+            r = 0.1 + rng.choice([0.0, 1e-16, -1e-16, 3e-17], size=64)
+            want = reference_regression_tree(X, r, 4, sum_leaf(r))
+            got = build_regression_tree(X, r, 4, sum_leaf(r))
+            assert node_to_dict(got) == node_to_dict(want)
+            splits += got.feature >= 0
+        assert splits >= 4, "too few fits split at all to test anything"
+
+    def test_shared_presort_and_fitted_values(self):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(70, 6)).round(1)
+        order = presort(X)
+        fitted = np.full(70, np.nan)
+        for depth in (2, 3):
+            r = rng.normal(size=70)
+            tree = build_regression_tree(X, r, depth, sum_leaf(r), order, fitted)
+            want = reference_regression_tree(X, r, depth, sum_leaf(r))
+            assert node_to_dict(tree) == node_to_dict(want)
+            routed = np.array([apply_tree(tree, x) for x in X])
+            assert np.array_equal(fitted, routed)
+
+    def test_presort_is_stable_per_feature(self):
+        X = np.array([[1.0, 0.0], [0.0, -0.0], [1.0, 0.0], [0.0, 2.0]])
+        assert presort(X).tolist() == [[1, 3, 0, 2], [0, 1, 2, 3]]
+
+    def test_gb_model_file_digest(self, small_matrix, tmp_path):
+        # Recorded with the per-node-sort builder; a default gb fit on
+        # the small fixture must still write the very same file.
+        model = GradientBoostingClassifier().fit(small_matrix.X, small_matrix.gestures)
+        path = save_model(model, tmp_path / "gb.json")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "f7b4b59c49875c4dad393a65f2783f02838b2da276c2861e03ac04eda90dd42f"
+        )
 
 
 class TestRandomSplitTree:

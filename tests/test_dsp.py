@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.signal
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -287,7 +287,33 @@ class TestCrossCorrFeature:
         assert dsp.cross_corr_feature(b, a) == 0.0
 
     @given(finite_series)
+    @example(np.full(4, 5.8e-155))  # ea * eb underflows to 0: was inf
+    @example(np.full(4, 1e200))  # ea and eb overflow: was nan
     @settings(max_examples=40, deadline=None)
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_cauchy_schwarz_bound(self, a):
         b = a[::-1].copy()
         assert dsp.cross_corr_feature(a, b) <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("scale", [5.8e-155, 1e-160, 1e-300, 1e160, 1e200])
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_extreme_scales_give_the_unit_scale_value(self, scale):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=40)
+        a /= np.abs(a).max()
+        b = rng.normal(size=40)
+        b /= np.abs(b).max()
+        want = dsp.cross_corr_feature(a, b)
+        got = dsp.cross_corr_feature(a * scale, b * scale)
+        assert np.isfinite(got)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_in_range_values_keep_their_bits(self):
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=50) * 3.0
+        b = rng.normal(size=50) * 3.0
+        lagged = np.correlate(a, b, mode="full")
+        want = float(lagged.max()) / np.sqrt(
+            float(np.sum(a**2)) * float(np.sum(b**2))
+        )
+        assert dsp.cross_corr_feature(a, b) == want

@@ -140,6 +140,57 @@ class TestCorruption:
             load_model(path)
 
 
+class TestTreeStructure:
+    """Well-formed JSON whose trees predict could not use is rejected at
+    load, with the file and the tree named."""
+
+    def _saved(self, model, blob_data, tmp_path):
+        X, y = blob_data(seed=25)
+        path = tmp_path / "m.json"
+        save_model(model.fit(X, y), path)
+        return path, json.loads(path.read_text())
+
+    @staticmethod
+    def _first_leaf(tree):
+        while "f" in tree:
+            tree = tree["l"]
+        return tree
+
+    @pytest.mark.parametrize("feature", [99, -1])
+    def test_split_feature_out_of_range_et(self, blob_data, tmp_path, feature):
+        path, doc = self._saved(ExtraTreesClassifier(n_trees=4, seed=1), blob_data, tmp_path)
+        doc["params"]["trees"][2]["f"] = feature
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFileError, match=rf"m\.json: tree 2 splits on feature {feature}"):
+            load_model(path)
+
+    def test_split_feature_out_of_range_gb(self, blob_data, tmp_path):
+        path, doc = self._saved(GradientBoostingClassifier(n_stages=3), blob_data, tmp_path)
+        doc["params"]["stages"][1][0]["f"] = 99
+        path.write_text(json.dumps(doc))
+        # Trees are numbered stage by stage: stage 1, class 0 of 3 is tree 3.
+        with pytest.raises(ModelFileError, match=r"m\.json: tree 3 splits on feature 99"):
+            load_model(path)
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_et_leaf_width_must_match_classes(self, blob_data, tmp_path, width):
+        path, doc = self._saved(ExtraTreesClassifier(n_trees=4, seed=1), blob_data, tmp_path)
+        self._first_leaf(doc["params"]["trees"][1])["p"] = [1.0 / width] * width
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFileError, match=r"tree 1 has leaf value .*, expected 3 class probabilities"):
+            load_model(path)
+
+    @pytest.mark.parametrize("leaf", [{"v": float("nan")}, {"v": float("inf")}, {"p": [0.5, 0.5]}])
+    def test_gb_leaf_must_be_a_finite_float(self, blob_data, tmp_path, leaf):
+        path, doc = self._saved(GradientBoostingClassifier(n_stages=3), blob_data, tmp_path)
+        tree = self._first_leaf(doc["params"]["stages"][0][2])
+        tree.clear()
+        tree.update(leaf)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFileError, match="tree 2 has leaf value .*, expected a finite float"):
+            load_model(path)
+
+
 class TestVersionGate:
     def test_matching_version_accepted(self, blob_data, tmp_path):
         X, y = blob_data(seed=24)
