@@ -6,9 +6,10 @@ softmax probability); leaf values are a single Newton step
 ``sum(residual) / sum(p * (1 - p))`` over the leaf's rows, and enter the
 score with a ``learning_rate`` factor. The training log-loss is checked
 to be non-increasing stage over stage while fitting. A fit sorts the
-training rows once (``cart.presort``) for all its trees, and takes each
-row's score update from the leaf the tree builder put it in, so rows
-are never routed through a fitted tree.
+training rows once, and allocates the tree builder's scratch buffers
+once, for all its trees (``cart.RegressionTreeBuilder``), and takes
+each row's score update from the leaf the tree builder put it in, so
+rows are never routed through a fitted tree.
 
 Trees are depth-limited and rectangular, so prediction flattens the
 whole ensemble into index arrays and routes samples with ``max_depth``
@@ -21,7 +22,7 @@ import numpy as np
 
 from ..errors import NumericError
 from ..features import FEATURE_ORDER_VERSION
-from .cart import Node, apply_tree, build_regression_tree, presort
+from .cart import Node, RegressionTreeBuilder, apply_tree
 from ._rows import feature_rows
 
 __all__ = ["GradientBoostingClassifier"]
@@ -165,7 +166,7 @@ class GradientBoostingClassifier:
 
         scores = np.tile(self.initial_scores_, (n, 1))
         loss = _log_loss(scores, y_idx)
-        order = presort(X)
+        builder = RegressionTreeBuilder(X)
         fitted = np.empty(n)
         self.stages_ = []
         for stage in range(self.n_stages):
@@ -182,9 +183,7 @@ class GradientBoostingClassifier:
                         return 0.0
                     return r_c[idx].sum() / denom
 
-                tree = build_regression_tree(
-                    X, r_c, self.max_depth, newton_leaf, order=order, fitted=fitted
-                )
+                tree = builder.build(r_c, self.max_depth, newton_leaf, fitted)
                 stage_trees.append(tree)
                 scores[:, c] += self.learning_rate * fitted
             self.stages_.append(stage_trees)

@@ -15,8 +15,9 @@ Filtering keeps relative order, so within a node equal values stay in
 ascending row index: exactly the order a stable sort of the node's own
 rows gives. Cumulative sums, gains and tie-breaks, and so the trees,
 are bit-identical to sorting at every node. A boosting fit shares one
-``presort`` across all its trees (the SLIQ pre-sorted attribute lists,
-Mehta et al., EDBT 1996).
+``RegressionTreeBuilder``, and so one ``presort`` and one set of
+scratch buffers, across all its trees (the SLIQ pre-sorted attribute
+lists, Mehta et al., EDBT 1996).
 
 The split predicate is ``x[feature] <= threshold`` goes left, everywhere.
 """
@@ -29,6 +30,7 @@ import numpy as np
 
 __all__ = [
     "Node",
+    "RegressionTreeBuilder",
     "apply_tree",
     "build_random_split_tree",
     "build_regression_tree",
@@ -144,6 +146,166 @@ def presort(X: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
 
 
+class RegressionTreeBuilder:
+    """Exact greedy least-squares trees over one training matrix.
+
+    The builder sorts the rows once (``presort``) and allocates its
+    scratch buffers once, at the size of the root node; every tree it
+    builds, whatever its targets, reuses both. Per node, the gathered
+    values, cumulative sums, gains and masks go into views of those
+    buffers and the child orders into one buffer per depth; only the
+    boolean selection that filters a child's order is a fresh array.
+    Fresh ``(d, n)`` temporaries at every node made the allocator hand
+    memory back to the system and fault it in again, node after node,
+    so a fit's time followed the kernel's page-fault cost.
+
+    Each tree is grown depth-first, so at most one node per depth has
+    child orders in use at any time; the children of a node at depth
+    ``k`` are written side by side into the buffer of depth ``k + 1``.
+    """
+
+    def __init__(self, X: np.ndarray, order: np.ndarray | None = None):
+        n, d = X.shape
+        self.X = X
+        self.order = presort(X) if order is None else order
+        # Sorted values are gathered as flat positions into X transposed.
+        self._XT = np.ascontiguousarray(X.T).ravel()
+        self._offsets = (np.arange(d) * n)[:, None]
+        self._counts = np.arange(1, n, dtype=np.float64)
+        self._goes_left = np.zeros(n, dtype=bool)
+        size = d * n
+        self._pos = np.empty(size, dtype=np.intp)
+        self._vals = np.empty(size)
+        self._rs = np.empty(size)
+        self._cs = np.empty(size)
+        self._gains = np.empty(size)
+        self._ties = np.empty(size, dtype=bool)
+        self._kept = np.empty(size, dtype=bool)
+        self._child_orders: list[np.ndarray] = []
+        self._by_size: dict[int, tuple] = {}
+
+    def _views(self, n: int) -> tuple:
+        """The scratch buffers shaped for a node of ``n >= 2`` rows, made
+        once per node size."""
+        views = self._by_size.get(n)
+        if views is None:
+            d = self.X.shape[1]
+            k, m = d * n, d * (n - 1)
+            views = (
+                self._pos[:k].reshape(d, n),
+                self._vals[:k].reshape(d, n),
+                self._rs[:k].reshape(d, n),
+                self._cs[:k].reshape(d, n),
+                self._gains[:m].reshape(d, n - 1),
+                # The gathered targets are spent once summed, so their
+                # buffer takes the right-hand gain term.
+                self._rs[:m].reshape(d, n - 1),
+                self._ties[:m].reshape(d, n - 1),
+                self._kept[:k].reshape(d, n),
+                self._counts[: n - 1],  # n_left = 1 .. n - 1
+                self._counts[n - 2 :: -1],  # n - n_left
+            )
+            self._by_size[n] = views
+        return views
+
+    def _level(self, depth: int) -> np.ndarray:
+        while len(self._child_orders) < depth:
+            self._child_orders.append(np.empty(self.order.size, dtype=np.intp))
+        return self._child_orders[depth - 1]
+
+    def build(
+        self,
+        r: np.ndarray,
+        max_depth: int,
+        leaf_value,
+        fitted: np.ndarray | None = None,
+    ) -> Node:
+        """One tree fitted to targets ``r``; see ``build_regression_tree``."""
+        r = np.asarray(r, dtype=np.float64)  # the scratch buffers are float64
+        X, XT, offsets = self.X, self._XT, self._offsets
+        n_rows, d = X.shape
+        goes_left = self._goes_left
+
+        def make_leaf(node: Node, idx: np.ndarray) -> None:
+            node.value = float(leaf_value(idx))
+            if fitted is not None:
+                fitted[idx] = node.value
+
+        # Depth-first with an explicit stack: a recursive closure would hold
+        # this tree's nodes in a reference cycle until a full collection.
+        # Row indices stay ascending in every node.
+        root = Node()
+        stack = [(root, np.arange(n_rows), self.order, 0)]
+        while stack:
+            node, idx, node_order, depth = stack.pop()
+            n = idx.size
+            if depth >= max_depth or n < 2:
+                make_leaf(node, idx)
+                continue
+
+            pos, sorted_vals, rs, cs, gains, right, ties, kept, n_left, n_right = (
+                self._views(n)
+            )
+            # mode="clip" writes straight into out ("raise" would buffer);
+            # every index is in range, so nothing is clipped.
+            np.add(node_order, offsets, out=pos)
+            XT.take(pos, out=sorted_vals, mode="clip")
+            r.take(node_order, out=rs, mode="clip")
+            rs.cumsum(axis=1, out=cs)
+            total = cs[0, -1]
+
+            # Gain of splitting after sorted position i (n_left = i + 1):
+            # sum_L^2/n_L + sum_R^2/n_R - total^2/n, maximized. total is a
+            # float64 scalar: its square must not come from an array op, or
+            # it can differ by one ulp and flip the sign of a near-zero gain.
+            sums_l = cs[:, :-1]
+            np.square(sums_l, out=gains)
+            gains /= n_left
+            np.subtract(total, sums_l, out=right)
+            np.square(right, out=right)
+            right /= n_right
+            gains += right
+            gains -= total**2 / n
+            np.equal(sorted_vals[:, :-1], sorted_vals[:, 1:], out=ties)
+            np.putmask(gains, ties, -np.inf)
+
+            # The first maximum in row-major order: the lowest feature, and
+            # within it the smallest split position, among equal gains.
+            best = int(gains.argmax())
+            if not gains.item(best) > 0.0:
+                make_leaf(node, idx)
+                continue
+            f, i = divmod(best, n - 1)
+            v1 = sorted_vals[f, i]
+            v2 = sorted_vals[f, i + 1]
+            thr = (v1 + v2) / 2.0
+            if thr >= v2:  # midpoint rounded up between adjacent floats
+                thr = v1
+            mask = X[idx, f] <= thr
+            n_l = int(mask.sum())
+            if depth + 1 < max_depth:
+                # Filtering keeps each feature's order, so ties stay in
+                # ascending row index, as a stable sort of the child gives.
+                goes_left[idx] = mask
+                goes_left.take(node_order, out=kept, mode="clip")
+                flat, kept_flat = node_order.ravel(), kept.ravel()
+                child = self._level(depth + 1)
+                left_order = child[: d * n_l].reshape(d, n_l)
+                right_order = child[d * n_l : d * n].reshape(d, n - n_l)
+                left_order.ravel()[:] = flat[kept_flat]
+                np.logical_not(kept_flat, out=kept_flat)
+                right_order.ravel()[:] = flat[kept_flat]
+            else:
+                left_order = right_order = None
+            node.feature = f
+            node.threshold = float(thr)
+            node.left = Node()
+            node.right = Node()
+            stack.append((node.right, idx[~mask], right_order, depth + 1))
+            stack.append((node.left, idx[mask], left_order, depth + 1))
+        return root
+
+
 def build_regression_tree(
     X: np.ndarray,
     r: np.ndarray,
@@ -162,82 +324,11 @@ def build_regression_tree(
     ``max_depth``, become leaves with value ``leaf_value(row_indices)``,
     the row indices ascending.
 
-    ``order`` is ``presort(X)``; pass it to reuse one sort across the
-    trees of a fit. When ``fitted`` is given, each training row's leaf
-    value is written to it.
+    ``order`` is ``presort(X)``. When ``fitted`` is given, each training
+    row's leaf value is written to it. To build many trees over the same
+    ``X``, make one ``RegressionTreeBuilder`` and call its ``build``.
     """
-    n_rows, d = X.shape
-    if order is None:
-        order = presort(X)
-    # Gather sorted values as flat positions into the transposed matrix.
-    XT = np.ascontiguousarray(X.T).ravel()
-    offsets = (np.arange(d) * n_rows)[:, None]
-    goes_left = np.zeros(n_rows, dtype=bool)
-    counts = np.arange(1, n_rows, dtype=np.float64)
-    features = np.arange(d)
-
-    def make_leaf(node: Node, idx: np.ndarray) -> None:
-        node.value = float(leaf_value(idx))
-        if fitted is not None:
-            fitted[idx] = node.value
-
-    # Depth-first with an explicit stack: a recursive closure would hold
-    # this tree's buffers in a reference cycle until a full collection.
-    # Row indices stay ascending in every node.
-    root = Node()
-    stack = [(root, np.arange(n_rows), order, 0)]
-    while stack:
-        node, idx, node_order, depth = stack.pop()
-        n = idx.size
-        if depth >= max_depth or n < 2:
-            make_leaf(node, idx)
-            continue
-
-        sorted_vals = XT[node_order + offsets]
-        cs = r[node_order].cumsum(axis=1)
-        total = cs[0, -1]
-
-        # Gain of splitting after sorted position i (n_left = i + 1):
-        # sum_L^2/n_L + sum_R^2/n_R - total^2/n, maximized. total is a
-        # float64 scalar: its square must not come from an array op, or
-        # it can differ by one ulp and flip the sign of a near-zero gain.
-        n_left = counts[: n - 1]
-        sums_l = cs[:, :-1]
-        gains = sums_l**2 / n_left
-        gains += (total - sums_l) ** 2 / (n - n_left)
-        gains -= total**2 / n
-        np.putmask(gains, sorted_vals[:, :-1] == sorted_vals[:, 1:], -np.inf)
-
-        per_feat_pos = gains.argmax(axis=1)
-        per_feat_gain = gains[features, per_feat_pos]
-        f = int(per_feat_gain.argmax())
-        if not per_feat_gain[f] > 0.0:
-            make_leaf(node, idx)
-            continue
-        i = int(per_feat_pos[f])
-        v1 = sorted_vals[f, i]
-        v2 = sorted_vals[f, i + 1]
-        thr = (v1 + v2) / 2.0
-        if thr >= v2:  # midpoint rounded up between adjacent floats
-            thr = v1
-        mask = X[idx, f] <= thr
-        n_l = int(mask.sum())
-        if depth + 1 < max_depth:
-            # Filtering keeps each feature's order, so ties stay in
-            # ascending row index, as a stable sort of the child gives.
-            goes_left[idx] = mask
-            kept = goes_left[node_order]
-            left_order = node_order[kept].reshape(d, n_l)
-            right_order = node_order[~kept].reshape(d, n - n_l)
-        else:
-            left_order = right_order = None
-        node.feature = f
-        node.threshold = float(thr)
-        node.left = Node()
-        node.right = Node()
-        stack.append((node.right, idx[~mask], right_order, depth + 1))
-        stack.append((node.left, idx[mask], left_order, depth + 1))
-    return root
+    return RegressionTreeBuilder(X, order).build(r, max_depth, leaf_value, fitted)
 
 
 def node_to_dict(node: Node) -> dict:

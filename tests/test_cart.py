@@ -10,6 +10,7 @@ import pytest
 from gestrec import GradientBoostingClassifier, save_model
 from gestrec.classifiers.cart import (
     Node,
+    RegressionTreeBuilder,
     apply_tree,
     build_random_split_tree,
     build_regression_tree,
@@ -213,6 +214,21 @@ class TestPresortedBuilderIsBitIdentical:
             assert node_to_dict(tree) == node_to_dict(want)
             routed = np.array([apply_tree(tree, x) for x in X])
             assert np.array_equal(fitted, routed)
+
+    def test_one_builder_reused_across_trees(self):
+        # A boosting fit builds every tree from one builder: whatever an
+        # earlier tree left in the scratch buffers must not reach a later
+        # one, at any depth or target.
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(80, 5)).round(1)
+        builder = RegressionTreeBuilder(X)
+        fitted = np.full(80, np.nan)
+        for depth in (5, 1, 3, 6, 2, 4):
+            r = rng.normal(size=80)
+            tree = builder.build(r, depth, sum_leaf(r), fitted)
+            want = reference_regression_tree(X, r, depth, sum_leaf(r))
+            assert node_to_dict(tree) == node_to_dict(want)
+            assert np.array_equal(fitted, [apply_tree(tree, x) for x in X])
 
     def test_presort_is_stable_per_feature(self):
         X = np.array([[1.0, 0.0], [0.0, -0.0], [1.0, 0.0], [0.0, 2.0]])
