@@ -11,9 +11,10 @@ once, for all its trees (``cart.RegressionTreeBuilder``), and takes
 each row's score update from the leaf the tree builder put it in, so
 rows are never routed through a fitted tree.
 
-Trees are depth-limited and rectangular, so prediction flattens the
-whole ensemble into index arrays and routes samples with ``max_depth``
-vectorized gather steps instead of per-node pointer chasing.
+Prediction flattens all stage trees, stage by stage and class by class,
+into one ``cart.Forest``. It routes every row through every tree in at
+most ``max_depth`` vectorized steps, and the leaf values of each class
+are summed in stage order.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import numpy as np
 
 from ..errors import NumericError
 from ..features import FEATURE_ORDER_VERSION
-from .cart import Node, RegressionTreeBuilder, apply_tree
-from ._rows import feature_rows
+from .cart import Forest, Node, RegressionTreeBuilder
+from ._rows import feature_rows, training_rows
 
 __all__ = ["GradientBoostingClassifier"]
 
@@ -42,66 +43,6 @@ def _log_loss(scores: np.ndarray, y_idx: np.ndarray) -> float:
     z = scores - scores.max(axis=1, keepdims=True)
     log_p = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     return float(-log_p[np.arange(len(y_idx)), y_idx].mean())
-
-
-class _FlatTrees:
-    """All stage trees as padded arrays for vectorized routing.
-
-    Leaves point to themselves, so stepping ``max_depth`` times parks
-    every sample at its leaf regardless of the leaf's actual depth.
-    """
-
-    def __init__(self, trees: list[Node], max_depth: int):
-        flat = [self._flatten(t) for t in trees]
-        width = max(len(f) for f in flat)
-        t = len(flat)
-        self.feature = np.zeros((t, width), dtype=np.intp)
-        self.threshold = np.zeros((t, width))
-        self.left = np.zeros((t, width), dtype=np.intp)
-        self.right = np.zeros((t, width), dtype=np.intp)
-        self.value = np.zeros((t, width))
-        self.steps = max_depth
-        self.n_trees = t
-        for i, nodes in enumerate(flat):
-            for j, (f, thr, l, r, v) in enumerate(nodes):
-                self.feature[i, j] = max(f, 0)
-                self.threshold[i, j] = thr
-                self.left[i, j] = l
-                self.right[i, j] = r
-                self.value[i, j] = v
-        # Flat (tree, node) -> row offsets so routing can gather once.
-        base = np.arange(t, dtype=np.intp) * width
-        self._feature = self.feature.ravel()
-        self._threshold = self.threshold.ravel()
-        self._left = (self.left + base[:, None]).ravel()
-        self._right = (self.right + base[:, None]).ravel()
-        self._value = self.value.ravel()
-        self._start = base
-
-    @staticmethod
-    def _flatten(root: Node) -> list[tuple]:
-        nodes: list[tuple] = []
-
-        def visit(node: Node) -> int:
-            j = len(nodes)
-            nodes.append(None)
-            if node.feature < 0:
-                nodes[j] = (-1, 0.0, j, j, float(node.value))
-            else:
-                l = visit(node.left)
-                r = visit(node.right)
-                nodes[j] = (node.feature, node.threshold, l, r, 0.0)
-            return j
-
-        visit(root)
-        return nodes
-
-    def apply_one(self, x: np.ndarray) -> np.ndarray:
-        pos = self._start
-        for _ in range(self.steps):
-            go_left = x[self._feature[pos]] <= self._threshold[pos]
-            pos = np.where(go_left, self._left[pos], self._right[pos])
-        return self._value[pos]
 
 
 class GradientBoostingClassifier:
@@ -144,16 +85,11 @@ class GradientBoostingClassifier:
         self.n_features_: int | None = None
         self.initial_scores_: np.ndarray | None = None
         self.stages_: list[list[Node]] = []
-        self._flat: _FlatTrees | None = None
+        self._forest: Forest | None = None
 
     def fit(self, X, y) -> "GradientBoostingClassifier":
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y)
-        if X.ndim != 2 or X.shape[0] != y.shape[0]:
-            raise ValueError("X must be (n, d) with one label per row")
+        X, y = training_rows(X, y)
         n = X.shape[0]
-        if n < 2:
-            raise ValueError("need at least 2 training rows")
         self.classes_, y_idx = np.unique(y, return_inverse=True)
         self.n_features_ = X.shape[1]
         k = len(self.classes_)
@@ -199,19 +135,12 @@ class GradientBoostingClassifier:
 
     def _rebuild_flat(self):
         trees = [t for stage in self.stages_ for t in stage]
-        self._flat = _FlatTrees(trees, self.max_depth)
+        self._forest = Forest(trees)
 
     def decision_function(self, X) -> np.ndarray:
-        if self.initial_scores_ is None:
-            raise ValueError("classifier is not fitted")
         X, single = feature_rows(X, self.n_features_)
-        k = len(self.classes_)
-        out = np.tile(self.initial_scores_, (X.shape[0], 1))
-        for i, x in enumerate(X):
-            leaf_vals = self._flat.apply_one(x)
-            out[i] += self.learning_rate * leaf_vals.reshape(self.n_stages, k).sum(
-                axis=0
-            )
+        sums = self._forest.sums(X, width=len(self.classes_))
+        out = self.initial_scores_ + self.learning_rate * sums
         return out[0] if single else out
 
     def staged_scores(self, X) -> np.ndarray:
@@ -220,15 +149,14 @@ class GradientBoostingClassifier:
         Exposes the additive recursion itself so it can be checked
         stage by stage against an independent reference.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        k = len(self.classes_)
-        scores = np.tile(self.initial_scores_, (X.shape[0], 1))
-        out = np.empty((self.n_stages, X.shape[0], k))
-        for s, stage in enumerate(self.stages_):
-            for c, tree in enumerate(stage):
-                scores[:, c] += self.learning_rate * np.array(
-                    [apply_tree(tree, x) for x in X]
-                )
+        X, _ = feature_rows(X, self.n_features_)
+        n, k = X.shape[0], len(self.classes_)
+        leaves = self._forest.sums(X, width=self.n_stages * k)
+        leaves = leaves.reshape(n, self.n_stages, k)
+        scores = np.tile(self.initial_scores_, (n, 1))
+        out = np.empty((self.n_stages, n, k))
+        for s in range(self.n_stages):
+            scores += self.learning_rate * leaves[:, s]
             out[s] = scores
         return out
 

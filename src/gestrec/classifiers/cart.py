@@ -19,6 +19,12 @@ are bit-identical to sorting at every node. A boosting fit shares one
 scratch buffers, across all its trees (the SLIQ pre-sorted attribute
 lists, Mehta et al., EDBT 1996).
 
+Prediction routes rows through a ``Forest``: every tree of an ensemble
+flattened into preorder arrays, with rows routed in blocks, one gather
+per step across all trees at once. Both ensembles predict through it;
+``apply_tree`` walks ``Node`` pointers one row at a time and is kept as
+the reference that the forest must match bit for bit.
+
 The split predicate is ``x[feature] <= threshold`` goes left, everywhere.
 """
 
@@ -29,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "Forest",
     "Node",
     "RegressionTreeBuilder",
     "apply_tree",
@@ -53,10 +60,97 @@ class Node:
 
 
 def apply_tree(node: Node, x: np.ndarray):
-    """Route one sample to its leaf and return the leaf value."""
+    """Route one sample to its leaf and return the leaf value.
+
+    The one-row reference for ``Forest``; the classifiers predict through
+    a ``Forest``.
+    """
     while node.feature >= 0:
         node = node.left if x[node.feature] <= node.threshold else node.right
     return node.value
+
+
+# Rows routed together by ``Forest.sums``. The routing scratch holds one
+# entry per (tree, row) of a block, so its size does not grow with the
+# batch: a check that predicts thousands of rows at once would otherwise
+# add tens of MB to the peak memory.
+ROUTE_BLOCK = 32
+
+
+class Forest:
+    """A list of trees as flat preorder arrays, routing rows in blocks.
+
+    Node ``j`` splits on ``feature[j]`` at ``threshold[j]``; its children
+    are ``child[2 * j]`` (left) and ``child[2 * j + 1]`` (right), and
+    ``roots[i]`` is the root of tree ``i``. A leaf is its own child on
+    both sides, so ``steps`` routing steps (the depth of the deepest leaf)
+    park every row at its leaf in every tree. ``value[j]`` is a leaf's
+    value: a float, or a class-probability vector.
+    """
+
+    def __init__(self, trees: list[Node]):
+        # Count first, then fill preallocated arrays: per-node Python lists
+        # would cost more memory than the arrays themselves.
+        n_nodes = steps = 0
+        stack = [(root, 0) for root in trees]
+        while stack:
+            node, depth = stack.pop()
+            n_nodes += 1
+            if node.feature < 0:
+                steps = max(steps, depth)
+                leaf = node
+            else:
+                stack += ((node.left, depth + 1), (node.right, depth + 1))
+        self.steps = steps
+        self.roots = np.empty(len(trees), dtype=np.intp)
+        self.feature = np.zeros(n_nodes, dtype=np.intp)
+        self.threshold = np.zeros(n_nodes)
+        self.child = np.empty(2 * n_nodes, dtype=np.intp)
+        self.value = np.zeros((n_nodes,) + np.shape(leaf.value))
+        j = 0
+        for i, root in enumerate(trees):
+            self.roots[i] = j
+            stack = [(root, -1)]  # (node, slot of its index in child)
+            while stack:
+                node, slot = stack.pop()
+                if slot >= 0:
+                    self.child[slot] = j
+                if node.feature < 0:
+                    self.child[2 * j] = self.child[2 * j + 1] = j
+                    self.value[j] = node.value
+                else:
+                    self.feature[j] = node.feature
+                    self.threshold[j] = node.threshold
+                    stack += ((node.right, 2 * j + 1), (node.left, 2 * j))
+                j += 1
+
+    def sums(self, X: np.ndarray, width: int = 1) -> np.ndarray:
+        """Per row of the finite matrix ``X``, the sum of its leaf values in
+        tree order, tree ``i`` adding to column ``i % width``.
+
+        The result has shape ``(len(X), width)`` plus the shape of a leaf
+        value. With ``width`` equal to the number of trees, it is each
+        tree's leaf value.
+        """
+        n_trees = self.roots.size
+        if n_trees % width:
+            raise ValueError(f"{n_trees} trees do not form groups of {width}")
+        leaf_shape = self.value.shape[1:]
+        out = np.empty((X.shape[0], width) + leaf_shape)
+        for start in range(0, X.shape[0], ROUTE_BLOCK):
+            rows = X[start : start + ROUTE_BLOCK]
+            b = rows.shape[0]
+            flat = rows.ravel()
+            offsets = np.arange(b) * X.shape[1]
+            pos = np.repeat(self.roots[:, None], b, axis=1)  # (tree, row)
+            for _ in range(self.steps):
+                x = flat.take(self.feature.take(pos) + offsets)
+                # X is finite, so ">" is exactly "not <=": True goes right.
+                pos = self.child.take(2 * pos + (x > self.threshold.take(pos)))
+            leaves = self.value[pos].reshape((-1, width, b) + leaf_shape)
+            # cumsum adds in tree order; sum may pair the terms up.
+            out[start : start + b] = leaves.cumsum(axis=0)[-1].swapaxes(0, 1)
+        return out
 
 
 def tree_depth(node: Node) -> int:

@@ -4,7 +4,9 @@ Each of the ``n_trees`` trees is grown on the full training set (no
 bootstrap); randomness enters only through the per-node attribute subset
 and the one uniform threshold drawn per candidate attribute. Prediction
 averages the trees' leaf probability vectors and takes the argmax, ties
-resolving to the lowest class index.
+resolving to the lowest class index. A fit (or a model load) flattens
+the trees into one ``cart.Forest``, which routes every row through all
+trees in a few vectorized steps and sums the leaf vectors in tree order.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from ..features import FEATURE_ORDER_VERSION
-from .cart import Node, apply_tree, build_random_split_tree
-from ._rows import feature_rows
+from .cart import Forest, Node, build_random_split_tree
+from ._rows import feature_rows, training_rows
 
 __all__ = ["ExtraTreesClassifier", "DEFAULT_K_FEATURES"]
 
@@ -66,14 +68,10 @@ class ExtraTreesClassifier:
         self.classes_: np.ndarray | None = None
         self.n_features_: int | None = None
         self.trees_: list[Node] = []
+        self._forest: Forest | None = None
 
     def fit(self, X, y) -> "ExtraTreesClassifier":
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y)
-        if X.ndim != 2 or X.shape[0] != y.shape[0]:
-            raise ValueError("X must be (n, d) with one label per row")
-        if X.shape[0] < 2:
-            raise ValueError("need at least 2 training rows")
+        X, y = training_rows(X, y)
         self.classes_, y_idx = np.unique(y, return_inverse=True)
         self.n_features_ = X.shape[1]
         n_classes = len(self.classes_)
@@ -91,18 +89,15 @@ class ExtraTreesClassifier:
         else:
             with ThreadPoolExecutor(max_workers=self.jobs) as pool:
                 self.trees_ = list(pool.map(grow, streams))
+        self._rebuild_flat()
         return self
 
+    def _rebuild_flat(self):
+        self._forest = Forest(self.trees_)
+
     def predict_proba(self, X) -> np.ndarray:
-        if not self.trees_:
-            raise ValueError("classifier is not fitted")
         X, single = feature_rows(X, self.n_features_)
-        probs = np.zeros((X.shape[0], len(self.classes_)))
-        for i, x in enumerate(X):
-            acc = probs[i]
-            for tree in self.trees_:
-                acc += apply_tree(tree, x)
-        probs /= self.n_trees
+        probs = self._forest.sums(X)[:, 0] / self.n_trees
         return probs[0] if single else probs
 
     def predict(self, X):

@@ -14,7 +14,7 @@ import numpy as np
 from ..dsp import DEGENERATE_VARIANCE
 from ..errors import SingularSystemError
 from ..features import FEATURE_ORDER_VERSION
-from ._rows import feature_rows
+from ._rows import feature_rows, training_rows
 
 __all__ = ["RidgeClassifier"]
 
@@ -44,13 +44,8 @@ class RidgeClassifier:
         self.weights_: np.ndarray | None = None  # (n_classes, d + 1), bias last
 
     def fit(self, X, y) -> "RidgeClassifier":
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y)
-        if X.ndim != 2 or X.shape[0] != y.shape[0]:
-            raise ValueError("X must be (n, d) with one label per row")
+        X, y = training_rows(X, y)
         n, d = X.shape
-        if n < 2:
-            raise ValueError("need at least 2 training rows")
         self.classes_, y_idx = np.unique(y, return_inverse=True)
         if len(self.classes_) < 2:
             raise ValueError("need at least 2 distinct labels")
@@ -82,8 +77,6 @@ class RidgeClassifier:
         return self
 
     def decision_function(self, X) -> np.ndarray:
-        if self.weights_ is None:
-            raise ValueError("classifier is not fitted")
         X, single = feature_rows(X, self.n_features_)
         Z = (X - self.mean_) / self.std_
         scores = Z @ self.weights_[:, :-1].T + self.weights_[:, -1]

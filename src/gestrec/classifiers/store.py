@@ -103,8 +103,9 @@ def _check_trees(path, trees, n_features: int, leaf_ok, expected: str) -> None:
 def load_model(path, expect_feature_version: int | None = None):
     """Reconstruct a classifier from a model file.
 
-    Raises ModelFileError on missing, corrupt or foreign files and on
-    trees that predict could not use (the message names the tree), and
+    Raises ModelFileError on missing, corrupt or foreign files, on a tree
+    count that does not match the hyperparameters, and on trees that
+    predict could not use (the message names the tree), and
     VersionMismatchError when ``expect_feature_version`` is given and
     disagrees with the file.
     """
@@ -137,6 +138,11 @@ def load_model(path, expect_feature_version: int | None = None):
                 seed=int(hyper["seed"]),
             )
             model.trees_ = [node_from_dict(t) for t in params["trees"]]
+            if len(model.trees_) != model.n_trees:
+                raise ModelFileError(
+                    f"{path}: {len(model.trees_)} trees, expected n_trees = "
+                    f"{model.n_trees}"
+                )
             k = len(classes)
             _check_trees(
                 path,
@@ -145,6 +151,7 @@ def load_model(path, expect_feature_version: int | None = None):
                 lambda v: isinstance(v, np.ndarray) and v.shape == (k,),
                 f"{k} class probabilities",
             )
+            model._rebuild_flat()
         elif kind == "gradient_boosting":
             model = GradientBoostingClassifier(
                 n_stages=int(hyper["n_stages"]),
@@ -169,6 +176,7 @@ def load_model(path, expect_feature_version: int | None = None):
                 lambda v: isinstance(v, float) and np.isfinite(v),
                 "a finite float",
             )
+            model._rebuild_flat()
         elif kind == "ridge":
             model = RidgeClassifier(
                 alpha=float(hyper["alpha"]), seed=int(hyper["seed"])
@@ -186,8 +194,6 @@ def load_model(path, expect_feature_version: int | None = None):
     model.classes_ = classes
     model.n_features_ = n_features
     model.feature_order_version = version
-    if isinstance(model, GradientBoostingClassifier):
-        model._rebuild_flat()
     if expect_feature_version is not None and version != expect_feature_version:
         raise VersionMismatchError(
             f"{path}: model feature order v{version}, expected "

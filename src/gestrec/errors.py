@@ -42,10 +42,12 @@ class NumericError(GestureRecError):
 
 
 class NonFiniteFeatureError(GestureRecError):
-    """Raised when a feature vector given to ``predict`` holds nan or inf.
+    """Raised when a feature vector given to ``fit`` or ``predict`` holds
+    nan or inf.
 
-    ``row`` is the index of the first bad vector in a batch (0 for a
-    single vector) and ``feature`` the index of its first bad value.
+    ``row`` is the index of the first bad vector in a batch or training
+    matrix (0 for a single vector) and ``feature`` the index of its first
+    bad value.
     """
 
     def __init__(self, row: int, feature: int, value: float, single: bool):

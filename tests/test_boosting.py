@@ -221,12 +221,11 @@ class TestPredictContract:
 
         X, y = blob_data(n_classes=3, n_per=25, spread=1.0, seed=10)
         model = GradientBoostingClassifier(n_stages=8, max_depth=3).fit(X, y)
-        for x in X[:20]:
-            flat = model._flat.apply_one(x)
-            slow = np.array([
-                apply_tree(t, x) for stage in model.stages_ for t in stage
-            ])
-            assert np.array_equal(flat, slow)
+        trees = [t for stage in model.stages_ for t in stage]
+        flat = model._forest.sums(X[:20], width=len(trees))
+        for x, leaves in zip(X[:20], flat):
+            slow = np.array([apply_tree(t, x) for t in trees])
+            assert np.array_equal(leaves, slow)
 
     def test_feature_count_checked(self, blob_data):
         X, y = blob_data(seed=11)

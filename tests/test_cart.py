@@ -1,14 +1,17 @@
-"""Tree-builder tests: exact greedy regression splits vs a brute-force
-oracle, bit-identity of the pre-sorted builder with a per-node sort, and
-structural invariants of the randomized classification trees."""
+"""Tree tests: exact greedy regression splits vs a brute-force oracle,
+bit-identity of the pre-sorted builder with a per-node sort, structural
+invariants of the randomized classification trees, and the flat
+``Forest`` router against one-row ``apply_tree`` routing."""
 
 import hashlib
 
 import numpy as np
 import pytest
 
-from gestrec import GradientBoostingClassifier, save_model
+from gestrec import ExtraTreesClassifier, GradientBoostingClassifier, save_model
 from gestrec.classifiers.cart import (
+    ROUTE_BLOCK,
+    Forest,
     Node,
     RegressionTreeBuilder,
     apply_tree,
@@ -336,3 +339,78 @@ class TestNodeSerialization:
         assert node_to_dict(Node(value=0.5)) == {"v": 0.5}
         d = node_to_dict(Node(value=np.array([0.25, 0.75])))
         assert d == {"p": [0.25, 0.75]}
+
+
+class TestForest:
+    """The router equals sequential ``apply_tree`` sums in tree order, bit
+    for bit, for one row and for blocks of rows."""
+
+    # One row, and more rows than one block with a ragged last block.
+    ROW_COUNTS = [1, 2 * ROUTE_BLOCK + 5]
+
+    @pytest.mark.parametrize("n_rows", ROW_COUNTS)
+    def test_et_equals_sequential_reference(self, blob_data, n_rows):
+        X, y = blob_data(n_classes=4, n_per=20, spread=1.5, seed=41)
+        model = ExtraTreesClassifier(n_trees=30, seed=3).fit(X, y)
+        Q = np.random.default_rng(5).normal(0.0, 3.0, size=(n_rows, X.shape[1]))
+        want = np.zeros((n_rows, 4))
+        for acc, q in zip(want, Q):
+            for tree in model.trees_:
+                acc += apply_tree(tree, q)
+        want /= model.n_trees
+        assert np.array_equal(model.predict_proba(Q), want)
+        assert np.array_equal(model.predict_proba(Q[0]), want[0])
+
+    @pytest.mark.parametrize("n_rows", ROW_COUNTS)
+    def test_gb_equals_sequential_reference(self, blob_data, n_rows):
+        X, y = blob_data(n_classes=3, n_per=20, spread=1.5, seed=42)
+        model = GradientBoostingClassifier(n_stages=25, max_depth=3).fit(X, y)
+        Q = np.random.default_rng(6).normal(0.0, 3.0, size=(n_rows, X.shape[1]))
+        sums = np.zeros((n_rows, 3))
+        for acc, q in zip(sums, Q):
+            for stage in model.stages_:
+                for c, tree in enumerate(stage):
+                    acc[c] += apply_tree(tree, q)
+        want = model.initial_scores_ + model.learning_rate * sums
+        assert np.array_equal(model.decision_function(Q), want)
+        assert np.array_equal(model.decision_function(Q[0]), want[0])
+
+    def test_root_leaves_mixed_with_deep_trees(self):
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(60, 4))
+        r = rng.normal(size=60)
+        deep = build_regression_tree(X, r, 6, mean_leaf(r))
+        shallow = build_regression_tree(X, -r, 1, mean_leaf(-r))
+        trees = [Node(value=1.5), deep, Node(value=-0.25), shallow]
+        forest = Forest(trees)
+        assert forest.steps == tree_depth(deep) > tree_depth(shallow) == 1
+        Q = rng.normal(size=(ROUTE_BLOCK + 3, 4))
+        Q[:5, deep.feature] = deep.threshold  # a tie goes left
+        per_tree = forest.sums(Q, width=len(trees))
+        assert np.array_equal(
+            per_tree, [[apply_tree(t, q) for t in trees] for q in Q]
+        )
+        # Width 2: trees 0 and 2 (the root leaves) add to column 0.
+        pairs = forest.sums(Q, width=2)
+        assert np.array_equal(pairs[:, 0], np.full(len(Q), 1.5 + -0.25))
+        assert np.array_equal(pairs[:, 1], per_tree[:, 1] + per_tree[:, 3])
+
+    def test_one_row_of_scalar_leaves_adds_in_tree_order(self):
+        # One row, width 1 and float leaves make a 1-D reduction, which
+        # numpy's sum would add pairwise, not in tree order.
+        values = np.random.default_rng(8).normal(size=100) * np.logspace(-3, 3, 100)
+        want = 0.0
+        for v in values:
+            want += v
+        forest = Forest([Node(value=float(v)) for v in values])
+        assert forest.sums(np.zeros((1, 1))).item() == want
+
+    def test_only_root_leaves_need_no_steps(self):
+        forest = Forest([Node(value=np.array([0.25, 0.75]))] * 3)
+        assert forest.steps == 0
+        assert np.array_equal(forest.sums(np.zeros((2, 5))), [[[0.75, 2.25]]] * 2)
+
+    def test_width_must_divide_the_tree_count(self):
+        forest = Forest([Node(value=1.0)] * 3)
+        with pytest.raises(ValueError, match="groups of 2"):
+            forest.sums(np.zeros((1, 2)), width=2)

@@ -93,6 +93,7 @@ class TestPredictContract:
             Node(value=np.array([0.5, 0.5])),
             Node(value=np.array([0.5, 0.5])),
         ]
+        model._rebuild_flat()
         assert model.predict(np.zeros(3)) == 2
 
     def test_single_sample_shapes(self, blob_data):

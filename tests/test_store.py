@@ -172,6 +172,14 @@ class TestTreeStructure:
         with pytest.raises(ModelFileError, match=r"m\.json: tree 3 splits on feature 99"):
             load_model(path)
 
+    @pytest.mark.parametrize("kept", [2, 0])
+    def test_et_tree_count_must_match_n_trees(self, blob_data, tmp_path, kept):
+        path, doc = self._saved(ExtraTreesClassifier(n_trees=4, seed=1), blob_data, tmp_path)
+        doc["params"]["trees"] = doc["params"]["trees"][:kept]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFileError, match=rf"m\.json: {kept} trees, expected n_trees = 4"):
+            load_model(path)
+
     @pytest.mark.parametrize("width", [2, 4])
     def test_et_leaf_width_must_match_classes(self, blob_data, tmp_path, width):
         path, doc = self._saved(ExtraTreesClassifier(n_trees=4, seed=1), blob_data, tmp_path)
