@@ -14,6 +14,7 @@ trees are translated into this form by pattern-configured adapters.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import re
 import warnings
@@ -52,6 +53,19 @@ MANIFEST_HEADER = ["user", "gesture", "trial", "day", "file"]
 SAMPLE_HEADER = ["gx", "gy", "gz"]
 
 
+def check_readings(readings) -> np.ndarray:
+    """Readings as an (n, 3) float64 array; ValueError unless n >= 4 and
+    every value is finite."""
+    r = np.asarray(readings, dtype=np.float64)
+    if r.ndim != 2 or r.shape[1] != 3:
+        raise ValueError(f"readings must have shape (n, 3), got {r.shape}")
+    if r.shape[0] < MIN_READINGS:
+        raise ValueError(f"sample too short: {r.shape[0]} readings < {MIN_READINGS}")
+    if not np.isfinite(r).all():
+        raise ValueError("readings contain non-finite values")
+    return r
+
+
 @dataclass(frozen=True)
 class GestureSample:
     """One variable-length tri-axial gesture recording."""
@@ -63,16 +77,7 @@ class GestureSample:
     day: int | None = None
 
     def __post_init__(self):
-        r = np.asarray(self.readings, dtype=np.float64)
-        if r.ndim != 2 or r.shape[1] != 3:
-            raise ValueError(f"readings must have shape (n, 3), got {r.shape}")
-        if r.shape[0] < MIN_READINGS:
-            raise ValueError(
-                f"sample too short: {r.shape[0]} readings < {MIN_READINGS}"
-            )
-        if not np.isfinite(r).all():
-            raise ValueError("readings contain non-finite values")
-        r = r.copy()
+        r = check_readings(self.readings).copy()
         r.flags.writeable = False
         object.__setattr__(self, "readings", r)
         for name in ("user", "gesture", "trial"):
@@ -233,34 +238,62 @@ def strip_timestamps(
 
 
 def _read_sample_csv(path: Path) -> np.ndarray:
+    """Readings of a sample CSV as an (n, 3) float64 array.
+
+    The file is read once. When it holds no carriage return and every
+    non-empty line after the header holds three plain fields, it is
+    converted in one ``np.array`` call (numpy parses each field as
+    ``float`` does). Anything else, such as a malformed value, a wrong
+    field count, quoted fields or carriage returns, goes through ``csv``
+    line by line, which reports the ``path:line`` of the first bad line.
+    """
     if not path.is_file():
         raise DataError("sample file not found", path=path)
-    triples: list[AxisTriple] = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        text = fh.read()
+    head, _, body = text.partition("\n")
+    if "\r" not in text and head.split(",") == SAMPLE_HEADER:
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("empty sample file", path=path) from None
-        if [h.strip() for h in header] != SAMPLE_HEADER:
-            raise DataError(
-                f"bad sample header {header!r}, expected {SAMPLE_HEADER}",
-                path=path,
-                line=1,
+            rows = np.array(
+                [line.split(",") for line in body.split("\n") if line],
+                dtype=np.float64,
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise DataError(
-                    f"expected 3 columns, got {len(row)}", path=path, line=lineno
-                )
-            try:
-                triples.append((float(row[0]), float(row[1]), float(row[2])))
-            except ValueError:
-                raise DataError(
-                    f"malformed g-value in {row!r}", path=path, line=lineno
-                ) from None
+        except ValueError:
+            pass
+        else:
+            if rows.size == 0:
+                return rows.reshape(0, 3)
+            if rows.ndim == 2 and rows.shape[1] == 3:
+                return rows
+    return _parse_sample_rows(path, text)
+
+
+def _parse_sample_rows(path: Path, text: str) -> np.ndarray:
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError("empty sample file", path=path) from None
+    if [h.strip() for h in header] != SAMPLE_HEADER:
+        raise DataError(
+            f"bad sample header {header!r}, expected {SAMPLE_HEADER}",
+            path=path,
+            line=1,
+        )
+    triples: list[AxisTriple] = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 3:
+            raise DataError(
+                f"expected 3 columns, got {len(row)}", path=path, line=lineno
+            )
+        try:
+            triples.append((float(row[0]), float(row[1]), float(row[2])))
+        except ValueError:
+            raise DataError(
+                f"malformed g-value in {row!r}", path=path, line=lineno
+            ) from None
     return np.array(triples, dtype=np.float64).reshape(len(triples), 3)
 
 

@@ -1,9 +1,32 @@
 """Numerical kernels for gesture feature extraction.
 
 Discrete Fourier transform, analytic signal, statistical moments, Pearson
-and lagged cross-correlation, spectral energy. All functions are pure,
-deterministic, and operate on 1-D float64 series of natural (unpadded)
-length; sequences are never windowed, resampled or altered.
+and lagged cross-correlation, spectral energy. All functions are pure and
+deterministic; sequences are never windowed, resampled or altered.
+
+The kernels work along the last axis: one call takes a stack of rows of
+equal length, such as the three axes of a recording stored as a
+contiguous ``(3, n)`` array, and gives one value per row. They trust
+their input; ``features.feature_set`` checks a recording once and then
+calls each kernel once per gesture. Rows reduce along the contiguous
+last axis, where numpy sums each row pairwise exactly as it sums a 1-D
+series, so a row's value has the bits of the 1-D call on that row.
+
+The 1-D functions (``mean``, ``skew``, ``pearson_corr``,
+``cross_corr_feature``, ...) check their series and call the same
+kernels on it.
+
+Numeric contract. Skewness, kurtosis and Pearson correlation are
+scale-free. Each row has a scale: its peak magnitude, or that of the
+series it was derived from (a Hilbert transform takes its axis's). A
+row is centred as it is when its scale is at most ``MAX_SCALE`` and its
+variance at least ``DEGENERATE_VARIANCE * max(1, scale**2)``; such rows
+keep their exact bits. Any other row is centred after dividing it by
+its scale, and there variance below ``DEGENERATE_VARIANCE`` marks a
+constant row, whose values are 0. So rows of any magnitude give the
+values of their unit-peak shapes, and no power of a centred value can
+overflow. The cross-correlation feature follows the same pattern on its
+energy product.
 """
 
 from __future__ import annotations
@@ -14,20 +37,33 @@ __all__ = [
     "dft",
     "idft",
     "spectral_energy",
+    "spectral_energies",
+    "analytic_weights",
     "analytic_signal",
     "hilbert_imag",
     "mean",
     "minimum",
     "maximum",
+    "centred_rows",
+    "skews",
+    "kurtoses",
+    "pearsons",
     "skew",
     "kurtosis",
     "pearson_corr",
+    "max_cross_corr",
     "cross_corr_feature",
 ]
 
-# Variance below this is treated as zero (constant signal): correlation
-# and moment-shape features return 0 instead of dividing by ~0.
+# Variance below this, on a series scaled to unit peak, is treated as
+# zero (constant signal): correlation and moment-shape features return 0
+# instead of dividing by ~0.
 DEGENERATE_VARIANCE = 1e-24
+
+# Rows whose scale exceeds this are centred at unit peak: below it, the
+# third and fourth powers of the centred values, m2**1.5 and m2**2 stay
+# far from the float64 limit.
+MAX_SCALE = 1e75
 
 _TINY = np.finfo(np.float64).tiny  # smallest normal float64
 
@@ -43,6 +79,14 @@ def _as_series(x, min_len: int = 1) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError("series contains non-finite values")
     return a
+
+
+def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    a = _as_series(a, min_len=2)
+    b = _as_series(b, min_len=2)
+    if a.size != b.size:
+        raise ValueError(f"length mismatch: {a.size} != {b.size}")
+    return a, b
 
 
 def dft(x) -> np.ndarray:
@@ -63,27 +107,26 @@ def idft(X) -> np.ndarray:
     return np.fft.ifft(X)
 
 
+def spectral_energies(spectra: np.ndarray) -> np.ndarray:
+    """(1/n) * sum_k |X_k|^2 of each row of DFT spectra."""
+    return np.sum(np.abs(spectra) ** 2, axis=-1) / spectra.shape[-1]
+
+
 def spectral_energy(x) -> float:
     """Spectral energy (1/n) * sum_k |X_k|^2.
 
     With the 1/n normalization this equals the time-domain sum of
     squares (Parseval), which anchors an independent oracle.
     """
-    x = _as_series(x)
-    X = np.fft.fft(x)
-    return float(np.sum(np.abs(X) ** 2) / x.size)
+    return float(spectral_energies(np.fft.fft(_as_series(x))))
 
 
-def analytic_signal(x) -> np.ndarray:
-    """Analytic signal via spectral weighting: idft(dft(x) * w).
+def analytic_weights(n: int) -> np.ndarray:
+    """Spectral weights w of the analytic signal idft(dft(x) * w).
 
     w_0 = 1; w_k = 2 for 0 < k < n/2; w_{n/2} = 1 when n is even; 0 for
-    k > n/2. The real part equals the input and the negative-frequency
-    half of the spectrum is zeroed.
+    k > n/2.
     """
-    x = _as_series(x, min_len=2)
-    n = x.size
-    X = np.fft.fft(x)
     w = np.zeros(n)
     half = n // 2
     if n % 2 == 0:
@@ -92,7 +135,17 @@ def analytic_signal(x) -> np.ndarray:
     else:
         w[0] = 1.0
         w[1 : half + 1] = 2.0
-    return np.fft.ifft(X * w)
+    return w
+
+
+def analytic_signal(x) -> np.ndarray:
+    """Analytic signal via spectral weighting: idft(dft(x) * w).
+
+    The real part equals the input and the negative-frequency half of
+    the spectrum is zeroed (see ``analytic_weights``).
+    """
+    x = _as_series(x, min_len=2)
+    return np.fft.ifft(np.fft.fft(x) * analytic_weights(x.size))
 
 
 def hilbert_imag(x) -> np.ndarray:
@@ -113,9 +166,66 @@ def maximum(x) -> float:
     return float(np.max(_as_series(x)))
 
 
-def _central_moments(x: np.ndarray, upto: int) -> list[float]:
-    d = x - x.mean()
-    return [float(np.mean(d**k)) for k in range(2, upto + 1)]
+def centred_rows(rows: np.ndarray, scale: np.ndarray):
+    """Mean, centred rows and population variance m2 of each row.
+
+    ``scale`` holds each row's peak magnitude, or that of the series the
+    row was derived from. A row that fails the numeric contract (module
+    docstring) is centred, and its variance taken, after dividing it by
+    its scale; its mean is always the raw one. The higher moments taken
+    from the centred rows (``skews``, ``kurtoses``) then cannot overflow.
+    """
+    mu = rows.mean(axis=-1)
+    d = rows - mu[..., None]
+    m2 = (d**2).mean(axis=-1)
+    floor = DEGENERATE_VARIANCE * np.maximum(1.0, np.minimum(scale, MAX_SCALE)) ** 2
+    redo = ~((scale <= MAX_SCALE) & (m2 >= floor))
+    if redo.any():
+        # An all-zero row has scale 0 and stays all-zero.
+        unit = rows[redo] / np.where(scale[redo] > 0.0, scale[redo], 1.0)[..., None]
+        du = unit - unit.mean(axis=-1)[..., None]
+        d[redo] = du
+        m2[redo] = (du**2).mean(axis=-1)
+    return mu, d, m2
+
+
+def skews(d, m2) -> list[float]:
+    """Moment skewness g1 = m3 / m2^1.5 of each centred row with variance
+    m2; 0 for a (near-)constant row."""
+    m3 = (d**3).mean(axis=-1)
+    return [
+        0.0 if v < DEGENERATE_VARIANCE else t / v**1.5
+        for v, t in zip(m2.tolist(), m3.tolist())
+    ]
+
+
+def kurtoses(d, m2) -> list[float]:
+    """Excess kurtosis g2 = m4 / m2^2 - 3 of each centred row with
+    variance m2; 0 for a (near-)constant row."""
+    m4 = (d**4).mean(axis=-1)
+    return [
+        0.0 if v < DEGENERATE_VARIANCE else f / v**2 - 3.0
+        for v, f in zip(m2.tolist(), m4.tolist())
+    ]
+
+
+def pearsons(da, db, va, vb) -> list[float]:
+    """Product-moment correlation of each pair of centred rows (da[i],
+    db[i]) with variances va[i], vb[i]; 0 when either side is
+    (near-)constant."""
+    cov = np.mean(da * db, axis=-1)
+    return [
+        0.0 if a < DEGENERATE_VARIANCE or b < DEGENERATE_VARIANCE
+        else c / np.sqrt(a * b)
+        for c, a, b in zip(cov.tolist(), va.tolist(), vb.tolist())
+    ]
+
+
+def _centred(*series):
+    rows = np.stack(series)
+    # Beyond MAX_SCALE the raw moments overflow and are then recomputed.
+    with np.errstate(over="ignore"):
+        return centred_rows(rows, np.abs(rows).max(axis=-1))
 
 
 def skew(x) -> float:
@@ -123,11 +233,8 @@ def skew(x) -> float:
 
     Returns 0 for (near-)constant series.
     """
-    x = _as_series(x, min_len=3)
-    m2, m3 = _central_moments(x, 3)
-    if m2 < DEGENERATE_VARIANCE:
-        return 0.0
-    return m3 / m2**1.5
+    _, d, m2 = _centred(_as_series(x, min_len=3))
+    return skews(d, m2)[0]
 
 
 def kurtosis(x) -> float:
@@ -135,11 +242,8 @@ def kurtosis(x) -> float:
 
     Returns 0 for (near-)constant series.
     """
-    x = _as_series(x, min_len=4)
-    m2, _, m4 = _central_moments(x, 4)
-    if m2 < DEGENERATE_VARIANCE:
-        return 0.0
-    return m4 / m2**2 - 3.0
+    _, d, m2 = _centred(_as_series(x, min_len=4))
+    return kurtoses(d, m2)[0]
 
 
 def pearson_corr(a, b) -> float:
@@ -148,17 +252,24 @@ def pearson_corr(a, b) -> float:
     Returns 0 when either side has (near-)zero variance; constant axes
     occur in one-dimensional gestures and must not fail extraction.
     """
-    a = _as_series(a, min_len=2)
-    b = _as_series(b, min_len=2)
-    if a.size != b.size:
-        raise ValueError(f"length mismatch: {a.size} != {b.size}")
-    da = a - a.mean()
-    db = b - b.mean()
-    va = float(np.mean(da**2))
-    vb = float(np.mean(db**2))
-    if va < DEGENERATE_VARIANCE or vb < DEGENERATE_VARIANCE:
-        return 0.0
-    return float(np.mean(da * db)) / np.sqrt(va * vb)
+    _, d, m2 = _centred(*_pair(a, b))
+    return pearsons(d[:1], d[1:], m2[:1], m2[1:])[0]
+
+
+def max_cross_corr(a: np.ndarray, b: np.ndarray, ea: float, eb: float) -> float:
+    """``cross_corr_feature`` of two checked, equal-length rows whose
+    sums of squares ``ea`` and ``eb`` are already known."""
+    norm = ea * eb
+    if not _TINY <= norm < np.inf:
+        peak_a = np.abs(a).max()
+        peak_b = np.abs(b).max()
+        if peak_a == 0.0 or peak_b == 0.0:
+            return 0.0
+        a = a / peak_a
+        b = b / peak_b
+        norm = float(np.sum(a**2)) * float(np.sum(b**2))
+    lagged = np.correlate(a, b, mode="full")  # all overlaps, tau in (-n, n)
+    return float(lagged.max()) / np.sqrt(norm)
 
 
 def cross_corr_feature(a, b) -> float:
@@ -175,18 +286,5 @@ def cross_corr_feature(a, b) -> float:
     so tiny and huge signals give the value of their unit-scale shapes;
     every other input is computed unscaled.
     """
-    a = _as_series(a, min_len=2)
-    b = _as_series(b, min_len=2)
-    if a.size != b.size:
-        raise ValueError(f"length mismatch: {a.size} != {b.size}")
-    norm = float(np.sum(a**2)) * float(np.sum(b**2))
-    if not _TINY <= norm < np.inf:
-        peak_a = np.abs(a).max()
-        peak_b = np.abs(b).max()
-        if peak_a == 0.0 or peak_b == 0.0:
-            return 0.0
-        a = a / peak_a
-        b = b / peak_b
-        norm = float(np.sum(a**2)) * float(np.sum(b**2))
-    lagged = np.correlate(a, b, mode="full")  # all overlaps, tau in (-n, n)
-    return float(lagged.max()) / np.sqrt(norm)
+    a, b = _pair(a, b)
+    return max_cross_corr(a, b, float(np.sum(a**2)), float(np.sum(b**2)))

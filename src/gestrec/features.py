@@ -8,6 +8,11 @@ values (mean, skewness, spectral energy, minimum and maximum of each
 axis's Hilbert transform). Classifiers and model files are only
 interchangeable when they agree on this order, so it carries an explicit
 version number.
+
+``feature_set`` computes all 33 values in one pass over a contiguous
+``(3, n)`` copy of the readings, checked once, calling each row-wise
+``dsp`` kernel once per gesture. ``time_features``, ``freq_features``
+and ``hilbert_features`` return slices of that pass.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp
-from .data import Dataset, GestureSample
+from .data import Dataset, GestureSample, check_readings
 from .errors import DataError
 
 __all__ = [
@@ -58,14 +63,71 @@ FEATURE_NAMES: tuple[str, ...] = tuple(
 N_FEATURES = len(FEATURE_NAMES)
 
 
-def _axes(sample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _name(sample) -> str:
     if isinstance(sample, GestureSample):
-        r = sample.readings
-    else:
-        r = np.asarray(sample, dtype=np.float64)
-        if r.ndim != 2 or r.shape[1] != 3:
-            raise ValueError(f"expected an (n, 3) reading array, got {r.shape}")
-    return r[:, 0], r[:, 1], r[:, 2]
+        day = "" if sample.day is None else f", day={sample.day}"
+        return (f"sample (user={sample.user}, gesture={sample.gesture},"
+                f" trial={sample.trial}{day})")
+    return f"recording of {len(sample)} readings"
+
+
+def _values(r: np.ndarray) -> np.ndarray:
+    """The 33 values of a contiguous (3, n) array of readings, one row
+    per axis: every row reduces along its contiguous last axis."""
+    n = r.shape[1]
+    spectra = np.fft.fft(r)
+    # Rows 0-2 are the axes, rows 3-5 their Hilbert transforms.
+    rows = np.concatenate((r, np.fft.ifft(spectra * dsp.analytic_weights(n)).imag))
+    low, high = rows.min(axis=-1), rows.max(axis=-1)
+    peak = np.maximum(high[:3], -low[:3])
+    mu, d, m2 = dsp.centred_rows(rows, np.concatenate((peak, peak)))
+    skew = dsp.skews(d, m2)
+    nxt = [1, 2, 0]  # pairs xy, yz, zx
+    sq = np.sum(r**2, axis=-1).tolist()
+    return np.array(
+        mu[:3].tolist()
+        + skew[:3]
+        + dsp.kurtoses(d[:3], m2[:3])
+        + dsp.pearsons(d[:3], d[nxt], m2[:3], m2[nxt])
+        + [dsp.max_cross_corr(r[i], r[j], sq[i], sq[j]) for i, j in enumerate(nxt)]
+        + dsp.spectral_energies(spectra).tolist()
+        + mu[3:].tolist()
+        + skew[3:]
+        + dsp.spectral_energies(np.fft.fft(rows[3:])).tolist()
+        + low[3:].tolist()
+        + high[3:].tolist(),
+        dtype=np.float64,
+    )
+
+
+def feature_set(sample) -> np.ndarray:
+    """Full 33-value feature vector in the frozen FEATURE_NAMES order.
+
+    One pass over the (3, n) readings. One centred array per axis and per
+    Hilbert transform gives the means, skewness, kurtosis and Pearson
+    values; one row-wise sum of squares gives the cross-correlation
+    norms; one batched FFT gives the spectral energies and feeds the
+    Hilbert transforms, which one batched inverse FFT produces and one
+    more batched FFT turns into their energies.
+
+    Raises ValueError for a raw array that is not (n, 3), n >= 4 and
+    finite. Input domain: readings whose peak magnitude is 0 or within
+    [1e-150, 1e150], at most 10 000 of them, give 33 finite values. Any
+    other recording gives finite values or raises DataError naming the
+    sample. The scale-free values follow the numeric contract in ``dsp``.
+    """
+    # The only input check: a GestureSample was checked when it was made.
+    r = sample.readings if isinstance(sample, GestureSample) else check_readings(sample)
+    # Out-of-domain readings overflow; the result is checked below.
+    with np.errstate(all="ignore"):
+        out = _values(r.T.copy())
+    if not np.isfinite(out).all():
+        bad = [FEATURE_NAMES[i] for i in np.flatnonzero(~np.isfinite(out))]
+        raise DataError(
+            f"{_name(sample)}: non-finite feature values ({', '.join(bad)});"
+            " readings are outside the input domain"
+        )
+    return out
 
 
 def time_features(sample) -> np.ndarray:
@@ -78,18 +140,9 @@ def time_features(sample) -> np.ndarray:
 
     Returns
     -------
-    ndarray of shape (15,)
+    ndarray of shape (15,), a slice of ``feature_set``
     """
-    x, y, z = _axes(sample)
-    pairs = ((x, y), (y, z), (z, x))
-    return np.array(
-        [dsp.mean(a) for a in (x, y, z)]
-        + [dsp.skew(a) for a in (x, y, z)]
-        + [dsp.kurtosis(a) for a in (x, y, z)]
-        + [dsp.pearson_corr(a, b) for a, b in pairs]
-        + [dsp.cross_corr_feature(a, b) for a, b in pairs],
-        dtype=np.float64,
-    )
+    return feature_set(sample)[:15]
 
 
 def freq_features(sample) -> np.ndarray:
@@ -97,10 +150,9 @@ def freq_features(sample) -> np.ndarray:
 
     Returns
     -------
-    ndarray of shape (3,)
+    ndarray of shape (3,), a slice of ``feature_set``
     """
-    x, y, z = _axes(sample)
-    return np.array([dsp.spectral_energy(a) for a in (x, y, z)], dtype=np.float64)
+    return feature_set(sample)[15:18]
 
 
 def hilbert_features(sample) -> np.ndarray:
@@ -113,25 +165,9 @@ def hilbert_features(sample) -> np.ndarray:
 
     Returns
     -------
-    ndarray of shape (15,)
+    ndarray of shape (15,), a slice of ``feature_set``
     """
-    x, y, z = _axes(sample)
-    h = [dsp.hilbert_imag(a) for a in (x, y, z)]
-    return np.array(
-        [dsp.mean(v) for v in h]
-        + [dsp.skew(v) for v in h]
-        + [dsp.spectral_energy(v) for v in h]
-        + [dsp.minimum(v) for v in h]
-        + [dsp.maximum(v) for v in h],
-        dtype=np.float64,
-    )
-
-
-def feature_set(sample) -> np.ndarray:
-    """Full 33-value feature vector in the frozen FEATURE_NAMES order."""
-    return np.concatenate(
-        [time_features(sample), freq_features(sample), hilbert_features(sample)]
-    )
+    return feature_set(sample)[18:]
 
 
 @dataclass(frozen=True)

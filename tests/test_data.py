@@ -227,6 +227,34 @@ class TestManifestRoundTrip:
         with pytest.raises(DataError, match=r"s\.csv:3"):
             load_manifest(p)
 
+    @pytest.mark.parametrize("bad,line,what", [
+        ("0.5,1e-3x,2", 603, "malformed g-value"),
+        ("0.5,1.0", 603, "expected 3 columns, got 2"),
+        ("0.5,1.0,2.0,3.0", 603, "expected 3 columns, got 4"),
+        ("0.5,,2", 603, "malformed g-value"),
+    ])
+    def test_bad_line_deep_in_a_long_file_is_reported(self, tmp_path, bad, line, what):
+        rows = [f"{i * 0.01!r},{-i * 0.5!r},{i / 3!r}" for i in range(1200)]
+        rows[600] = bad  # file line 603: header, one blank line, then row 600
+        (tmp_path / "s.csv").write_text("gx,gy,gz\n\n" + "\n".join(rows) + "\n")
+        p = tmp_path / "m.csv"
+        p.write_text("user,gesture,trial,day,file\n1,1,1,,s.csv\n")
+        with pytest.raises(DataError, match=rf"s\.csv:{line}: {what}"):
+            load_manifest(p)
+
+    @pytest.mark.parametrize("text", [
+        "gx,gy,gz\r\n1.5,2,3\r\n-4,5e-3,6\r\n0,0,1\r\n7,8,9\r\n",
+        'gx,gy,gz\n"1.5",2,3\n-4,"5e-3",6\n0,0,1\n7,8,9\n',
+        "gx, gy ,gz\n1.5, 2,3 \n\n-4,5e-3,6\n0,0,1\n7,8,9",
+    ], ids=["crlf", "quoted", "spaces"])
+    def test_csv_forms_parse_as_plain_ones(self, tmp_path, text):
+        (tmp_path / "s.csv").write_bytes(text.encode())
+        p = tmp_path / "m.csv"
+        p.write_text("user,gesture,trial,day,file\n1,1,1,,s.csv\n")
+        got = load_manifest(p).samples[0].readings
+        want = np.array([[1.5, 2, 3], [-4, 5e-3, 6], [0, 0, 1], [7, 8, 9]])
+        assert got.tobytes() == want.tobytes()
+
 
 class TestUwaveAdapter:
     def test_loads_tree(self, make_uwave_tree):

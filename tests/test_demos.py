@@ -1,4 +1,4 @@
-"""The demos that fit and predict trees run to completion."""
+"""The demos of the kernels, the features and the trees run to completion."""
 
 import os
 import subprocess
@@ -10,7 +10,12 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["04_classifiers.py", "06_timing_benchmark.py"])
+@pytest.mark.parametrize("demo", [
+    "02_dsp_kernels.py",
+    "03_feature_extraction.py",
+    "04_classifiers.py",
+    "06_timing_benchmark.py",
+])
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(

@@ -214,6 +214,28 @@ class TestMoments:
         assert dsp.minimum(x) == -1.0
         assert dsp.maximum(x) == 4.0
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-100, 1e-20, 1e80, 1e200])
+    def test_shape_is_scale_free(self, scale):
+        rng = np.random.default_rng(6)
+        x = rng.gamma(2.0, size=40)
+        assert dsp.skew(x * scale) == pytest.approx(dsp.skew(x), rel=1e-9)
+        assert dsp.kurtosis(x * scale) == pytest.approx(dsp.kurtosis(x), rel=1e-9)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-20, 1.0, 1e20, 1e200])
+    def test_constant_series_is_degenerate_at_any_scale(self, scale):
+        x = np.full(16, 2.5 * scale)
+        assert dsp.skew(x) == dsp.kurtosis(x) == 0.0
+
+    def test_rows_equal_one_dimensional_calls(self):
+        rng = np.random.default_rng(8)
+        rows = rng.normal(size=(4, 37)) * [[1.0], [3.0], [1e-30], [1e90]]
+        rows[2] = 0.0
+        _, d, m2 = dsp.centred_rows(rows, np.abs(rows).max(axis=-1))
+        assert dsp.skews(d, m2) == [dsp.skew(r) for r in rows]
+        assert dsp.kurtoses(d, m2) == [dsp.kurtosis(r) for r in rows]
+        energies = dsp.spectral_energies(np.fft.fft(rows))
+        assert energies.tolist() == [dsp.spectral_energy(r) for r in rows]
+
     def test_length_preconditions(self):
         with pytest.raises(ValueError):
             dsp.skew([1.0, 2.0])
@@ -246,6 +268,15 @@ class TestPearson:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             dsp.pearson_corr([1.0, 2.0, 3.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-20, 1e80, 1e200])
+    def test_scale_free_and_finite(self, scale):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=50)
+        b = 0.3 * a + rng.normal(size=50)
+        want = dsp.pearson_corr(a, b)
+        assert dsp.pearson_corr(a * scale, b) == pytest.approx(want, rel=1e-9)
+        assert dsp.pearson_corr(a * scale, b * scale) == pytest.approx(want, rel=1e-9)
 
     @given(finite_series)
     @settings(max_examples=40, deadline=None)

@@ -3,15 +3,25 @@
 The oracle below recomputes all 33 values from their definitions using
 scipy and plain numpy (corrcoef, stats moments, scipy.signal.hilbert,
 explicit lag loops), sharing no code with the package's kernels.
+
+``reference_feature_set`` keeps the earlier extractor: 36 calls of
+1-D kernels, one axis (or axis pair) at a time, each re-checking and
+re-centring its series. The one-pass ``feature_set`` must give its
+bits exactly.
 """
+
+import hashlib
+import warnings
 
 import numpy as np
 import pytest
 import scipy.signal
 import scipy.stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gestrec import GestureSample
-from gestrec.data import Dataset
+from gestrec import EASY_SPEC, GestureSample, SynthSpec, generate
+from gestrec.data import Dataset, DatasetMeta
 from gestrec.errors import DataError
 from gestrec.features import (
     FEATURE_NAMES,
@@ -92,6 +102,92 @@ def oracle_features(readings) -> np.ndarray:
     vals += [float(np.min(v)) for v in h]
     vals += [float(np.max(v)) for v in h]
     return np.array(vals)
+
+
+# ------------------------------------------- the earlier 36-call extractor
+
+
+def _ref_series(x, min_len=1):
+    a = np.asarray(x, dtype=np.float64)
+    assert a.ndim == 1 and a.size >= min_len and np.isfinite(a).all()
+    return a
+
+
+def _ref_moments(x, upto):
+    d = x - x.mean()
+    return [float(np.mean(d**k)) for k in range(2, upto + 1)]
+
+
+def _ref_skew(x):
+    m2, m3 = _ref_moments(_ref_series(x, 3), 3)
+    return 0.0 if m2 < 1e-24 else m3 / m2**1.5
+
+
+def _ref_kurtosis(x):
+    m2, _, m4 = _ref_moments(_ref_series(x, 4), 4)
+    return 0.0 if m2 < 1e-24 else m4 / m2**2 - 3.0
+
+
+def _ref_pearson(a, b):
+    a, b = _ref_series(a, 2), _ref_series(b, 2)
+    da, db = a - a.mean(), b - b.mean()
+    va, vb = float(np.mean(da**2)), float(np.mean(db**2))
+    if va < 1e-24 or vb < 1e-24:
+        return 0.0
+    return float(np.mean(da * db)) / np.sqrt(va * vb)
+
+
+def _ref_xcorr(a, b):
+    a, b = _ref_series(a, 2), _ref_series(b, 2)
+    norm = float(np.sum(a**2)) * float(np.sum(b**2))
+    if not np.finfo(np.float64).tiny <= norm < np.inf:
+        if np.abs(a).max() == 0.0 or np.abs(b).max() == 0.0:
+            return 0.0
+        a, b = a / np.abs(a).max(), b / np.abs(b).max()
+        norm = float(np.sum(a**2)) * float(np.sum(b**2))
+    return float(np.correlate(a, b, mode="full").max()) / np.sqrt(norm)
+
+
+def _ref_energy(x):
+    x = _ref_series(x)
+    return float(np.sum(np.abs(np.fft.fft(x)) ** 2) / x.size)
+
+
+def _ref_hilbert(x):
+    x = _ref_series(x, 2)
+    n = x.size
+    w = np.zeros(n)
+    half = n // 2
+    if n % 2 == 0:
+        w[0] = w[half] = 1.0
+        w[1:half] = 2.0
+    else:
+        w[0] = 1.0
+        w[1 : half + 1] = 2.0
+    return np.fft.ifft(np.fft.fft(x) * w).imag
+
+
+def reference_feature_set(readings) -> np.ndarray:
+    """The 33 values as the earlier extractor made them: 36 kernel calls."""
+    r = np.asarray(readings, dtype=np.float64)
+    x, y, z = r[:, 0], r[:, 1], r[:, 2]
+    axes = (x, y, z)
+    pairs = ((x, y), (y, z), (z, x))
+    h = [_ref_hilbert(a) for a in axes]
+    return np.array(
+        [float(np.mean(_ref_series(a))) for a in axes]
+        + [_ref_skew(a) for a in axes]
+        + [_ref_kurtosis(a) for a in axes]
+        + [_ref_pearson(a, b) for a, b in pairs]
+        + [_ref_xcorr(a, b) for a, b in pairs]
+        + [_ref_energy(a) for a in axes]
+        + [float(np.mean(_ref_series(v))) for v in h]
+        + [_ref_skew(v) for v in h]
+        + [_ref_energy(v) for v in h]
+        + [float(np.min(_ref_series(v))) for v in h]
+        + [float(np.max(_ref_series(v))) for v in h],
+        dtype=np.float64,
+    )
 
 
 def random_sample(n=40, seed=0, user=1, gesture=1, trial=1):
@@ -217,3 +313,181 @@ class TestFeatureCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
             load_features(tmp_path / "nope.csv")
+
+
+# --------------------------------------------------- the one-pass extractor
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def one_dimensional(n=50, seed=3):
+    """Motion on x only: y holds still under gravity, z reads exactly 0."""
+    rng = np.random.default_rng(seed)
+    r = np.zeros((n, 3))
+    r[:, 0] = np.sin(np.arange(n) / 4.0) + 0.1 * rng.normal(size=n)
+    r[:, 1] = 1.0
+    return r
+
+
+def _spec(**changes):
+    fields = {f: getattr(EASY_SPEC, f) for f in EASY_SPEC.__dataclass_fields__}
+    return SynthSpec(**{**fields, **changes})
+
+
+SERVE_SPEC = _spec(users=2, samples_per_gesture_per_user=2)
+LONG_SPEC = _spec(users=1, gestures=4, samples_per_gesture_per_user=2,
+                  length_range=(400, 1200))
+# No noise: inactive axes are constant, so every degenerate path runs.
+QUIET_SPEC = SynthSpec(users=2, gestures=4, samples_per_gesture_per_user=2, seed=6)
+
+# sha256 of extract_all(generate(spec)).X, recorded with the 36-call
+# extractor before the one-pass rewrite.
+PINNED = [
+    (SynthSpec(users=2, gestures=4, samples_per_gesture_per_user=3,
+               length_range=(40, 120), user_speed_jitter=0.2, noise_sigma=0.1,
+               user_style_offset=0.3, seed=5),
+     "0c3ea6d6ef0bf9cfa81afefeffd101732791f61f3c8f65642d6029d9f828f88e"),
+    (SynthSpec(users=2, gestures=4, samples_per_gesture_per_user=2,
+               length_range=(40, 120), seed=6),
+     "4637cb625edda16de4ed5eeadb8e0742b14c75d833d692a24c050b18860b3b1d"),
+    (SynthSpec(users=2, gestures=3, samples_per_gesture_per_user=1,
+               length_range=(400, 1200), noise_sigma=0.15, seed=29),
+     "ba55d39a352210d0479e018c415f86e96c11497d1507bd76b97eebce50b29425"),
+]
+
+
+class TestOnePassIsBitIdentical:
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 16, 17, 74, 75, 128, 255])
+    def test_odd_and_even_lengths(self, n):
+        rng = np.random.default_rng(n)
+        r = rng.normal(scale=1.5, size=(n, 3)) + [0.0, 0.0, 1.0]
+        assert same_bits(feature_set(r), reference_feature_set(r))
+
+    def test_shortest_recording(self):
+        r = np.array([[0.5, -1.0, 1.0], [2.0, 0.25, 0.9],
+                      [-1.5, 0.5, 1.1], [0.0, 3.0, 1.0]])
+        assert same_bits(feature_set(r), reference_feature_set(r))
+
+    @pytest.mark.parametrize("value", [0.0, 1.0, -0.3, 9.81])
+    def test_constant_axis(self, value):
+        rng = np.random.default_rng(2)
+        r = rng.normal(size=(60, 3))
+        r[:, 2] = value
+        got = feature_set(r)
+        assert same_bits(got, reference_feature_set(r))
+        names = dict(zip(FEATURE_NAMES, got))
+        assert names["skew_z"] == names["kurt_z"] == names["hskew_z"] == 0.0
+        assert names["pearson_yz"] == names["pearson_zx"] == 0.0
+
+    def test_one_dimensional_gesture(self):
+        r = one_dimensional()
+        assert same_bits(feature_set(r), reference_feature_set(r))
+
+    @pytest.mark.parametrize("spec", [SERVE_SPEC, LONG_SPEC, QUIET_SPEC],
+                             ids=["serve-length", "long", "noise-free"])
+    def test_synthetic_corpora(self, spec):
+        for s in generate(spec).samples:
+            want = reference_feature_set(s.readings)
+            assert same_bits(feature_set(s), want)
+            assert same_bits(feature_set(s.readings), want)
+
+    def test_blocks_are_slices_of_the_pass(self):
+        s = random_sample(n=33)
+        full = feature_set(s)
+        assert same_bits(time_features(s), full[:15])
+        assert same_bits(freq_features(s), full[15:18])
+        assert same_bits(hilbert_features(s), full[18:])
+
+    @pytest.mark.parametrize("spec,digest", PINNED, ids=["noisy", "noise-free", "long"])
+    def test_extract_all_digest(self, spec, digest):
+        X = extract_all(generate(spec)).X
+        assert hashlib.sha256(X.tobytes()).hexdigest() == digest
+
+
+class TestBoundaryCheck:
+    def test_raw_array_shape(self):
+        with pytest.raises(ValueError, match="shape"):
+            feature_set(np.zeros((10, 2)))
+        with pytest.raises(ValueError, match="shape"):
+            feature_set(np.zeros(30))
+
+    def test_raw_array_length(self):
+        with pytest.raises(ValueError, match="too short"):
+            feature_set(np.ones((3, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_raw_array_finite(self, bad):
+        r = np.ones((8, 3))
+        r[5, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            feature_set(r)
+
+    def test_readings_are_not_modified(self):
+        r = np.random.default_rng(0).normal(size=(20, 3))
+        before = r.copy()
+        feature_set(r)
+        assert same_bits(r, before)
+
+
+# Values that do not change when a recording is scaled, and those that
+# scale with it (linearly, or with its square).
+SCALE_FREE = [i for i, n in enumerate(FEATURE_NAMES)
+              if n.split("_")[0] in ("skew", "kurt", "pearson", "xcorr", "hskew")]
+SQUARED = [i for i, n in enumerate(FEATURE_NAMES) if "energy" in n]
+LINEAR = [i for i in range(N_FEATURES) if i not in SCALE_FREE + SQUARED]
+
+
+def _easy_recordings():
+    easy = generate(_spec(users=1, samples_per_gesture_per_user=1)).samples
+    return [easy[0].readings, easy[5].readings, one_dimensional()]
+
+
+RECORDINGS = _easy_recordings()
+
+
+class TestNumericContract:
+    """In the input domain (peak magnitude 0 or within [1e-150, 1e150])
+    a scaled recording gives finite values: the scale-free ones equal the
+    unscaled recording's, the others scale with it. Outside the domain
+    the result is finite or a DataError that names the recording."""
+
+    @given(scale=st.floats(min_value=-150.0, max_value=150.0).map(lambda e: 10.0**e),
+           which=st.sampled_from(range(len(RECORDINGS))))
+    @example(scale=1e100, which=0)  # was a bare OverflowError (m2**2)
+    @example(scale=1e155, which=0)  # was 18 non-finite values
+    @example(scale=1e-100, which=0)  # was 12 zeros: absolute variance floor
+    @example(scale=1e-20, which=0)  # variance 1e-40, non-degenerate shape
+    @example(scale=1e150, which=2)  # a still axis stays degenerate
+    @settings(max_examples=60, deadline=None)
+    def test_scaled_recording(self, scale, which):
+        r = RECORDINGS[which]
+        base = feature_set(r)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                got = feature_set(r * scale)
+            except DataError as exc:
+                assert np.abs(r).max() * scale > 1e150
+                assert f"recording of {len(r)} readings" in str(exc)
+                return
+        assert np.isfinite(got).all()
+        np.testing.assert_allclose(got[SCALE_FREE], base[SCALE_FREE],
+                                   rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(got[LINEAR] / scale, base[LINEAR],
+                                   rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(got[SQUARED] / scale**2, base[SQUARED],
+                                   rtol=1e-9, atol=1e-9)
+
+    def test_out_of_domain_names_the_sample(self):
+        s = GestureSample(user=2, gesture=5, trial=7, readings=RECORDINGS[0] * 1e155)
+        with pytest.raises(DataError, match=r"user=2, gesture=5, trial=7.*energy_x"):
+            feature_set(s)
+        with pytest.raises(DataError, match=r"user=2, gesture=5, trial=7"):
+            extract_all(Dataset(DatasetMeta(2, 5, 7, 1), (s,)))
+
+    def test_tiny_recording_is_not_silently_zero(self):
+        base = feature_set(RECORDINGS[0])
+        got = feature_set(RECORDINGS[0] * 1e-100)
+        assert np.count_nonzero(got[SCALE_FREE]) == np.count_nonzero(base[SCALE_FREE])
