@@ -12,9 +12,9 @@ calls each kernel once per gesture. Rows reduce along the contiguous
 last axis, where numpy sums each row pairwise exactly as it sums a 1-D
 series, so a row's value has the bits of the 1-D call on that row.
 
-The 1-D functions (``mean``, ``skew``, ``pearson_corr``,
-``cross_corr_feature``, ...) check their series and call the same
-kernels on it.
+The 1-D functions (``skew``, ``pearson_corr``, ``spectral_energy``,
+``cross_corr_feature``, ...) check their series with ``_as_series`` and
+call the same kernels on it.
 
 Numeric contract. Skewness, kurtosis and Pearson correlation are
 scale-free. Each row has a scale: its peak magnitude, or that of the

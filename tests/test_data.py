@@ -227,19 +227,19 @@ class TestManifestRoundTrip:
         with pytest.raises(DataError, match=r"s\.csv:3"):
             load_manifest(p)
 
-    @pytest.mark.parametrize("bad,line,what", [
-        ("0.5,1e-3x,2", 603, "malformed g-value"),
-        ("0.5,1.0", 603, "expected 3 columns, got 2"),
-        ("0.5,1.0,2.0,3.0", 603, "expected 3 columns, got 4"),
-        ("0.5,,2", 603, "malformed g-value"),
+    @pytest.mark.parametrize("bad,what", [
+        ("0.5,1e-3x,2", "malformed g-value"),
+        ("0.5,1.0", "expected 3 columns, got 2"),
+        ("0.5,1.0,2.0,3.0", "expected 3 columns, got 4"),
+        ("0.5,,2", "malformed g-value"),
     ])
-    def test_bad_line_deep_in_a_long_file_is_reported(self, tmp_path, bad, line, what):
+    def test_bad_line_deep_in_a_long_file_is_reported(self, tmp_path, bad, what):
         rows = [f"{i * 0.01!r},{-i * 0.5!r},{i / 3!r}" for i in range(1200)]
         rows[600] = bad  # file line 603: header, one blank line, then row 600
         (tmp_path / "s.csv").write_text("gx,gy,gz\n\n" + "\n".join(rows) + "\n")
         p = tmp_path / "m.csv"
         p.write_text("user,gesture,trial,day,file\n1,1,1,,s.csv\n")
-        with pytest.raises(DataError, match=rf"s\.csv:{line}: {what}"):
+        with pytest.raises(DataError, match=rf"s\.csv:603: {what}"):
             load_manifest(p)
 
     @pytest.mark.parametrize("text", [
