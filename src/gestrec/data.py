@@ -261,8 +261,6 @@ def _read_sample_csv(path: Path) -> np.ndarray:
         except ValueError:
             pass
         else:
-            if rows.size == 0:
-                return rows.reshape(0, 3)
             if rows.ndim == 2 and rows.shape[1] == 3:
                 return rows
     return _parse_sample_rows(path, text)

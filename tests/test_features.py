@@ -491,3 +491,24 @@ class TestNumericContract:
         base = feature_set(RECORDINGS[0])
         got = feature_set(RECORDINGS[0] * 1e-100)
         assert np.count_nonzero(got[SCALE_FREE]) == np.count_nonzero(base[SCALE_FREE])
+
+    def test_jittered_still_axis_is_degenerate(self):
+        # A still axis near 9.81 with 1e-11 jitter: its variance, and its
+        # Hilbert transform's, is above DEGENERATE_VARIANCE but below
+        # DEGENERATE_VARIANCE * peak**2. In this band the floor relative
+        # to the peak gives 0 on purpose, where the earlier extractor
+        # computed skew, kurtosis and Pearson values of the jitter: a
+        # still axis must stay degenerate at every scale, so that its
+        # Hilbert noise never reads as a shape.
+        r = RECORDINGS[0].copy()
+        r[:, 1] = 9.81 + 1e-11 * np.sin(np.arange(len(r)))
+        y = r[:, 1]
+        assert 1e-24 <= np.var(y) < 1e-24 * np.abs(y).max() ** 2
+        got = feature_set(r)
+        old = reference_feature_set(r)
+        band = [FEATURE_NAMES.index(n)
+                for n in ("skew_y", "kurt_y", "pearson_xy", "pearson_yz", "hskew_y")]
+        assert got[band].tolist() == [0.0] * 5
+        assert np.count_nonzero(old[band]) == 5
+        rest = [i for i in range(N_FEATURES) if i not in band]
+        assert same_bits(got[rest], old[rest])
