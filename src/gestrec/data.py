@@ -241,27 +241,27 @@ def _read_sample_csv(path: Path) -> np.ndarray:
     """Readings of a sample CSV as an (n, 3) float64 array.
 
     The file is read once. When it holds no carriage return and every
-    non-empty line after the header holds three plain fields, it is
-    converted in one ``np.array`` call (numpy parses each field as
-    ``float`` does). Anything else, such as a malformed value, a wrong
-    field count, quoted fields or carriage returns, goes through ``csv``
-    line by line, which reports the ``path:line`` of the first bad line.
+    non-empty line after the header holds three plain numbers, numpy's
+    C reader (``np.loadtxt``) converts it in one call. Anything else,
+    such as a malformed value, a wrong field count, quoted fields or
+    carriage returns, goes through ``csv`` line by line, which parses
+    each field as ``float`` does and reports the ``path:line`` of the
+    first bad line.
     """
     if not path.is_file():
         raise DataError("sample file not found", path=path)
     with open(path, newline="", encoding="utf-8") as fh:
         text = fh.read()
     head, _, body = text.partition("\n")
-    if "\r" not in text and head.split(",") == SAMPLE_HEADER:
+    # loadtxt warns on a body without data; csv gives the (0, 3) array.
+    if "\r" not in text and head.split(",") == SAMPLE_HEADER and body.strip():
         try:
-            rows = np.array(
-                [line.split(",") for line in body.split("\n") if line],
-                dtype=np.float64,
-            )
+            rows = np.loadtxt(body.split("\n"), delimiter=",", comments=None,
+                              dtype=np.float64, ndmin=2)
         except ValueError:
             pass
         else:
-            if rows.ndim == 2 and rows.shape[1] == 3:
+            if rows.shape[1] == 3:
                 return rows
     return _parse_sample_rows(path, text)
 

@@ -16,6 +16,16 @@ The 1-D functions (``skew``, ``pearson_corr``, ``spectral_energy``,
 ``cross_corr_feature``, ...) check their series with ``_as_series`` and
 call the same kernels on it.
 
+Portable arithmetic. The array arithmetic is IEEE products and sums,
+FFTs and ``sqrt``: moments come from products of the centred values
+(``d*d``, ``(d*d)*d``, ``(d*d)*(d*d)``), power spectra are
+``re*re + im*im``, and the cross-correlation forms ``A*conj(B)`` from
+separate real products. numpy picks its vectorised ``pow``, complex
+``abs`` and complex multiply loops by CPU, and their last bits differ
+between its SIMD targets (baseline, AVX2, AVX-512); a product or a sum
+rounds the same way on every target. The scalar ``m2**1.5`` and
+``m2**2`` stay on Python floats.
+
 Numeric contract. Skewness, kurtosis and Pearson correlation are
 scale-free. Each row has a scale: its peak magnitude, or that of the
 series it was derived from (a Hilbert transform takes its axis's). A
@@ -37,7 +47,9 @@ __all__ = [
     "dft",
     "idft",
     "spectral_energy",
+    "power_spectra",
     "spectral_energies",
+    "hilbert_power",
     "analytic_weights",
     "analytic_signal",
     "hilbert_imag",
@@ -51,7 +63,7 @@ __all__ = [
     "skew",
     "kurtosis",
     "pearson_corr",
-    "max_cross_corr",
+    "max_cross_corrs",
     "cross_corr_feature",
 ]
 
@@ -107,9 +119,29 @@ def idft(X) -> np.ndarray:
     return np.fft.ifft(X)
 
 
-def spectral_energies(spectra: np.ndarray) -> np.ndarray:
-    """(1/n) * sum_k |X_k|^2 of each row of DFT spectra."""
-    return np.sum(np.abs(spectra) ** 2, axis=-1) / spectra.shape[-1]
+def power_spectra(spectra: np.ndarray) -> np.ndarray:
+    """|X_k|^2 of each row of DFT spectra, as re*re + im*im."""
+    re, im = spectra.real, spectra.imag
+    return re * re + im * im
+
+
+def spectral_energies(power: np.ndarray) -> np.ndarray:
+    """(1/n) * sum_k P_k of each row of power spectra P = |X|^2."""
+    return np.sum(power, axis=-1) / power.shape[-1]
+
+
+def hilbert_power(power: np.ndarray) -> np.ndarray:
+    """Power spectra of the Hilbert transforms of rows whose power
+    spectra are ``power``.
+
+    The transform's spectrum is -i*sign(k)*X_k: it keeps every |X_k|
+    except at k = 0 and, for even n, k = n/2, where it is 0.
+    """
+    h = power.copy()
+    h[..., 0] = 0.0
+    if h.shape[-1] % 2 == 0:
+        h[..., h.shape[-1] // 2] = 0.0
+    return h
 
 
 def spectral_energy(x) -> float:
@@ -118,7 +150,7 @@ def spectral_energy(x) -> float:
     With the 1/n normalization this equals the time-domain sum of
     squares (Parseval), which anchors an independent oracle.
     """
-    return float(spectral_energies(np.fft.fft(_as_series(x))))
+    return float(spectral_energies(power_spectra(np.fft.fft(_as_series(x)))))
 
 
 def analytic_weights(n: int) -> np.ndarray:
@@ -167,7 +199,8 @@ def maximum(x) -> float:
 
 
 def centred_rows(rows: np.ndarray, scale: np.ndarray):
-    """Mean, centred rows and population variance m2 of each row.
+    """Mean, centred rows d, their squares d*d and population variance
+    m2 of each row.
 
     ``scale`` holds each row's peak magnitude, or that of the series the
     row was derived from. A row that fails the numeric contract (module
@@ -177,7 +210,8 @@ def centred_rows(rows: np.ndarray, scale: np.ndarray):
     """
     mu = rows.mean(axis=-1)
     d = rows - mu[..., None]
-    m2 = (d**2).mean(axis=-1)
+    d2 = d * d
+    m2 = d2.mean(axis=-1)
     floor = DEGENERATE_VARIANCE * np.maximum(1.0, np.minimum(scale, MAX_SCALE)) ** 2
     redo = ~((scale <= MAX_SCALE) & (m2 >= floor))
     if redo.any():
@@ -185,24 +219,25 @@ def centred_rows(rows: np.ndarray, scale: np.ndarray):
         unit = rows[redo] / np.where(scale[redo] > 0.0, scale[redo], 1.0)[..., None]
         du = unit - unit.mean(axis=-1)[..., None]
         d[redo] = du
-        m2[redo] = (du**2).mean(axis=-1)
-    return mu, d, m2
+        d2[redo] = du * du
+        m2[redo] = d2[redo].mean(axis=-1)
+    return mu, d, d2, m2
 
 
-def skews(d, m2) -> list[float]:
-    """Moment skewness g1 = m3 / m2^1.5 of each centred row with variance
-    m2; 0 for a (near-)constant row."""
-    m3 = (d**3).mean(axis=-1)
+def skews(d, d2, m2) -> list[float]:
+    """Moment skewness g1 = m3 / m2^1.5 of each centred row d with
+    squares d2 and variance m2; 0 for a (near-)constant row."""
+    m3 = (d2 * d).mean(axis=-1)
     return [
         0.0 if v < DEGENERATE_VARIANCE else t / v**1.5
         for v, t in zip(m2.tolist(), m3.tolist())
     ]
 
 
-def kurtoses(d, m2) -> list[float]:
+def kurtoses(d2, m2) -> list[float]:
     """Excess kurtosis g2 = m4 / m2^2 - 3 of each centred row with
-    variance m2; 0 for a (near-)constant row."""
-    m4 = (d**4).mean(axis=-1)
+    squares d2 and variance m2; 0 for a (near-)constant row."""
+    m4 = (d2 * d2).mean(axis=-1)
     return [
         0.0 if v < DEGENERATE_VARIANCE else f / v**2 - 3.0
         for v, f in zip(m2.tolist(), m4.tolist())
@@ -233,8 +268,8 @@ def skew(x) -> float:
 
     Returns 0 for (near-)constant series.
     """
-    _, d, m2 = _centred(_as_series(x, min_len=3))
-    return skews(d, m2)[0]
+    _, d, d2, m2 = _centred(_as_series(x, min_len=3))
+    return skews(d, d2, m2)[0]
 
 
 def kurtosis(x) -> float:
@@ -242,8 +277,8 @@ def kurtosis(x) -> float:
 
     Returns 0 for (near-)constant series.
     """
-    _, d, m2 = _centred(_as_series(x, min_len=4))
-    return kurtoses(d, m2)[0]
+    _, _, d2, m2 = _centred(_as_series(x, min_len=4))
+    return kurtoses(d2, m2)[0]
 
 
 def pearson_corr(a, b) -> float:
@@ -252,24 +287,51 @@ def pearson_corr(a, b) -> float:
     Returns 0 when either side has (near-)zero variance; constant axes
     occur in one-dimensional gestures and must not fail extraction.
     """
-    _, d, m2 = _centred(*_pair(a, b))
+    _, d, _, m2 = _centred(*_pair(a, b))
     return pearsons(d[:1], d[1:], m2[:1], m2[1:])[0]
 
 
-def max_cross_corr(a: np.ndarray, b: np.ndarray, ea: float, eb: float) -> float:
-    """``cross_corr_feature`` of two checked, equal-length rows whose
-    sums of squares ``ea`` and ``eb`` are already known."""
-    norm = ea * eb
-    if not _TINY <= norm < np.inf:
-        peak_a = np.abs(a).max()
-        peak_b = np.abs(b).max()
-        if peak_a == 0.0 or peak_b == 0.0:
-            return 0.0
-        a = a / peak_a
-        b = b / peak_b
-        norm = float(np.sum(a**2)) * float(np.sum(b**2))
-    lagged = np.correlate(a, b, mode="full")  # all overlaps, tau in (-n, n)
-    return float(lagged.max()) / np.sqrt(norm)
+def max_cross_corrs(rows: np.ndarray, first, second, energies) -> list[float]:
+    """``cross_corr_feature`` of each pair of rows (rows[first[p]],
+    rows[second[p]]) of a checked ``(k, n)`` array whose row sums of
+    squares are ``energies``.
+
+    One batched rFFT of all rows, zero-padded to a power of two
+    L >= 2n - 1 so that no lag wraps around, gives every pair's lagged
+    sums. A pair whose energy product is 0, subnormal or not finite is
+    correlated on unit-peak copies of its rows, which join the batch.
+    """
+    first, second = list(first), list(second)
+    norm = [energies[i] * energies[j] for i, j in zip(first, second)]
+    zero = set()
+    for p, v in enumerate(norm):
+        if _TINY <= v < np.inf:
+            continue
+        x, y = rows[first[p]], rows[second[p]]
+        peak_x, peak_y = np.abs(x).max(), np.abs(y).max()
+        if peak_x == 0.0 or peak_y == 0.0:
+            zero.add(p)
+            continue
+        unit = np.stack((x / peak_x, y / peak_y))
+        first[p], second[p] = len(rows), len(rows) + 1
+        rows = np.concatenate((rows, unit))
+        norm[p] = float(np.sum(unit[0] ** 2)) * float(np.sum(unit[1] ** 2))
+    n = rows.shape[-1]
+    size = 1 << (2 * n - 2).bit_length()
+    spectra = np.fft.rfft(rows, size)
+    a, b = spectra[first], spectra[second]
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    # A * conj(B) from real products: sum_j a_{j+tau} b_j at index tau.
+    cross = np.empty_like(a)
+    np.add(ar * br, ai * bi, out=cross.real)
+    np.subtract(ai * br, ar * bi, out=cross.imag)
+    lagged = np.fft.irfft(cross, size)
+    # Lags 0..n-1 lead, -(n-1)..-1 close the row; the rest is padding.
+    best = np.maximum(lagged[:, :n].max(axis=-1), lagged[:, size - n + 1 :].max(axis=-1))
+    return [
+        0.0 if p in zero else c / np.sqrt(v)
+        for p, (c, v) in enumerate(zip(best.tolist(), norm))
+    ]
 
 
 def cross_corr_feature(a, b) -> float:
@@ -286,5 +348,5 @@ def cross_corr_feature(a, b) -> float:
     so tiny and huge signals give the value of their unit-scale shapes;
     every other input is computed unscaled.
     """
-    a, b = _pair(a, b)
-    return max_cross_corr(a, b, float(np.sum(a**2)), float(np.sum(b**2)))
+    rows = np.stack(_pair(a, b))
+    return max_cross_corrs(rows, [0], [1], np.sum(rows**2, axis=-1).tolist())[0]

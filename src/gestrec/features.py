@@ -12,7 +12,10 @@ version number.
 ``feature_set`` computes all 33 values in one pass over a contiguous
 ``(3, n)`` copy of the readings, checked once, calling each row-wise
 ``dsp`` kernel once per gesture. ``time_features``, ``freq_features``
-and ``hilbert_features`` return slices of that pass.
+and ``hilbert_features`` return slices of that pass. The pass uses the
+portable arithmetic of ``dsp`` (products, sums, FFTs and ``sqrt``), so
+its values, and the models fitted on them, do not depend on the SIMD
+target numpy picks for the CPU.
 """
 
 from __future__ import annotations
@@ -80,20 +83,20 @@ def _values(r: np.ndarray) -> np.ndarray:
     rows = np.concatenate((r, np.fft.ifft(spectra * dsp.analytic_weights(n)).imag))
     low, high = rows.min(axis=-1), rows.max(axis=-1)
     peak = np.maximum(high[:3], -low[:3])
-    mu, d, m2 = dsp.centred_rows(rows, np.concatenate((peak, peak)))
-    skew = dsp.skews(d, m2)
+    mu, d, d2, m2 = dsp.centred_rows(rows, np.concatenate((peak, peak)))
+    skew = dsp.skews(d, d2, m2)
     nxt = [1, 2, 0]  # pairs xy, yz, zx
-    sq = np.sum(r**2, axis=-1).tolist()
+    power = dsp.power_spectra(spectra)
     return np.array(
         mu[:3].tolist()
         + skew[:3]
-        + dsp.kurtoses(d[:3], m2[:3])
+        + dsp.kurtoses(d2[:3], m2[:3])
         + dsp.pearsons(d[:3], d[nxt], m2[:3], m2[nxt])
-        + [dsp.max_cross_corr(r[i], r[j], sq[i], sq[j]) for i, j in enumerate(nxt)]
-        + dsp.spectral_energies(spectra).tolist()
+        + dsp.max_cross_corrs(r, range(3), nxt, np.sum(r**2, axis=-1).tolist())
+        + dsp.spectral_energies(power).tolist()
         + mu[3:].tolist()
         + skew[3:]
-        + dsp.spectral_energies(np.fft.fft(rows[3:])).tolist()
+        + dsp.spectral_energies(dsp.hilbert_power(power)).tolist()
         + low[3:].tolist()
         + high[3:].tolist(),
         dtype=np.float64,
@@ -104,11 +107,12 @@ def feature_set(sample) -> np.ndarray:
     """Full 33-value feature vector in the frozen FEATURE_NAMES order.
 
     One pass over the (3, n) readings. One centred array per axis and per
-    Hilbert transform gives the means, skewness, kurtosis and Pearson
-    values; one row-wise sum of squares gives the cross-correlation
-    norms; one batched FFT gives the spectral energies and feeds the
-    Hilbert transforms, which one batched inverse FFT produces and one
-    more batched FFT turns into their energies.
+    Hilbert transform, and its squares, give the means, skewness,
+    kurtosis and Pearson values. One batched FFT gives the axis power
+    spectra, and with them the spectral energies of the axes and of
+    their Hilbert transforms, which one batched inverse FFT produces.
+    One zero-padded rFFT and inverse rFFT of the axes give the lagged
+    sums of all three cross-correlations.
 
     Raises ValueError for a raw array that is not (n, 3), n >= 4 and
     finite. Input domain: readings whose peak magnitude is 0 or within

@@ -8,6 +8,8 @@ import pytest
 
 from gestrec.data import (
     SONY_ADAPTER,
+    _parse_sample_rows,
+    _read_sample_csv,
     UWAVE_ADAPTER,
     AdapterConfig,
     Dataset,
@@ -254,6 +256,58 @@ class TestManifestRoundTrip:
         got = load_manifest(p).samples[0].readings
         want = np.array([[1.5, 2, 3], [-4, 5e-3, 6], [0, 0, 1], [7, 8, 9]])
         assert got.tobytes() == want.tobytes()
+
+
+def _read_both(path, text):
+    """(_read_sample_csv, the csv path) of one file: array bytes or the
+    DataError text, with warnings raised as errors."""
+    path.write_bytes(text.encode())
+    out = []
+    for read in (lambda: _read_sample_csv(path), lambda: _parse_sample_rows(path, text)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                a = read()
+                out.append((a.shape, a.tobytes()))
+            except DataError as exc:
+                out.append(str(exc))
+    return out
+
+
+# Tokens that float() and numpy's C reader may read differently: every
+# one must give the csv path's array or its DataError.
+ODD_TOKENS = ["1_0", "0x10", "nan", "inf", "-inf", "1e400", "#1", "1.0#", '"1"',
+              "\u0661", "\xa01.0", " 2.5", "3 ", "\t1", "", "+1", ".5", "5.",
+              "1E-3", "Infinity", "1d0", "0.1 0.2"]
+
+
+class TestSampleCsvFastPath:
+    @pytest.mark.parametrize("token", ODD_TOKENS)
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_odd_token_reads_as_the_csv_path(self, tmp_path, token, column):
+        row = ["0.25", "-1.5", "2.0"]
+        row[column] = token
+        text = "gx,gy,gz\n1,2,3\n" + ",".join(row) + "\n4,5,6\n"
+        fast, slow = _read_both(tmp_path / "s.csv", text)
+        assert fast == slow
+
+    @pytest.mark.parametrize("body", [
+        "", "\n", "\n\n", "1,2,3\n\n4,5,6\n", "\n1,2,3\n", "1,2,3\n\n\n",
+        "1,2,3", "   \n", "1,2,3\n   \n", "1,2\n", "1,2\n3,4\n", "1,2,3,4\n",
+        "1,2,3,4\n5,6,7,8\n", "1,2,3\n4,5\n", "1,2,3\n4,5,6,7\n", "1,2,3\n,,\n",
+        "1,2,3,\n", "1;2;3\n", "1 2 3\n",
+    ])
+    def test_blank_lines_and_field_counts_read_as_the_csv_path(self, tmp_path, body):
+        fast, slow = _read_both(tmp_path / "s.csv", "gx,gy,gz\n" + body)
+        assert fast == slow
+
+    @pytest.mark.parametrize("token,value", [
+        ("1_0", 10.0), ("\u0661", 1.0), ("\xa01.0", 1.0), ('"1"', 1.0),
+    ])
+    def test_python_float_forms_keep_their_values(self, tmp_path, token, value):
+        p = tmp_path / "s.csv"
+        p.write_bytes(f"gx,gy,gz\n{token},0,0\n".encode())
+        assert _read_sample_csv(p).tolist() == [[value, 0.0, 0.0]]
 
 
 class TestUwaveAdapter:

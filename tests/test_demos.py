@@ -1,4 +1,4 @@
-"""The demos of the kernels, the features and the trees run to completion."""
+"""Every demo runs to completion."""
 
 import os
 import subprocess
@@ -11,9 +11,11 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("demo", [
+    "01_synthetic_dataset.py",
     "02_dsp_kernels.py",
     "03_feature_extraction.py",
     "04_classifiers.py",
+    "05_evaluation_modes.py",
     "06_timing_benchmark.py",
 ])
 def test_demo_runs(demo, tmp_path):

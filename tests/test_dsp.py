@@ -54,6 +54,12 @@ def xcorr_oracle(a, b) -> float:
     return best / np.sqrt(ea * eb)
 
 
+def correlate_feature(a, b) -> float:
+    """The cross-correlation feature from np.correlate's lagged sums."""
+    norm = float(np.sum(a**2)) * float(np.sum(b**2))
+    return float(np.correlate(a, b, mode="full").max()) / np.sqrt(norm)
+
+
 def rel_err(got, want) -> float:
     scale = max(1.0, float(np.max(np.abs(want))))
     return float(np.max(np.abs(got - want))) / scale
@@ -230,10 +236,10 @@ class TestMoments:
         rng = np.random.default_rng(8)
         rows = rng.normal(size=(4, 37)) * [[1.0], [3.0], [1e-30], [1e90]]
         rows[2] = 0.0
-        _, d, m2 = dsp.centred_rows(rows, np.abs(rows).max(axis=-1))
-        assert dsp.skews(d, m2) == [dsp.skew(r) for r in rows]
-        assert dsp.kurtoses(d, m2) == [dsp.kurtosis(r) for r in rows]
-        energies = dsp.spectral_energies(np.fft.fft(rows))
+        _, d, d2, m2 = dsp.centred_rows(rows, np.abs(rows).max(axis=-1))
+        assert dsp.skews(d, d2, m2) == [dsp.skew(r) for r in rows]
+        assert dsp.kurtoses(d2, m2) == [dsp.kurtosis(r) for r in rows]
+        energies = dsp.spectral_energies(dsp.power_spectra(np.fft.fft(rows)))
         assert energies.tolist() == [dsp.spectral_energy(r) for r in rows]
 
     def test_length_preconditions(self):
@@ -340,11 +346,45 @@ class TestCrossCorrFeature:
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_in_range_values_keep_their_bits(self):
+        # An energy product in the normal range is correlated unscaled:
+        # one rFFT pair zero-padded to 128 >= 2*50 - 1, A*conj(B) from
+        # real products, the max over the 99 valid lags.
         rng = np.random.default_rng(4)
         a = rng.normal(size=50) * 3.0
         b = rng.normal(size=50) * 3.0
-        lagged = np.correlate(a, b, mode="full")
-        want = float(lagged.max()) / np.sqrt(
-            float(np.sum(a**2)) * float(np.sum(b**2))
-        )
+        A, B = np.fft.rfft(a, 128), np.fft.rfft(b, 128)
+        cross = np.empty(A.shape, dtype=np.complex128)
+        cross.real = A.real * B.real + A.imag * B.imag
+        cross.imag = A.imag * B.real - A.real * B.imag
+        lagged = np.fft.irfft(cross, 128)
+        norm = float(np.sum(a**2)) * float(np.sum(b**2))
+        want = max(lagged[:50].max(), lagged[79:].max()) / np.sqrt(norm)
         assert dsp.cross_corr_feature(a, b) == want
+        assert want == pytest.approx(correlate_feature(a, b), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 13, 31, 61, 97, 127, 8, 16, 64, 128, 256])
+    def test_prime_and_power_of_two_lengths(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            a, b = rng.normal(size=n), rng.normal(size=n)
+            assert dsp.cross_corr_feature(a, b) == pytest.approx(
+                correlate_feature(a, b), rel=1e-12, abs=1e-12
+            )
+
+    @pytest.mark.parametrize("n", [4, 5, 16, 17, 100])
+    def test_every_lag_negative(self, n):
+        # x > 0 and y < 0 throughout: every lagged sum is negative, and
+        # the zero padding of the FFT must not enter the maximum.
+        rng = np.random.default_rng(n)
+        a = rng.uniform(0.5, 2.0, size=n)
+        b = -rng.uniform(0.5, 2.0, size=n)
+        got = dsp.cross_corr_feature(a, b)
+        assert got < 0.0
+        assert got == pytest.approx(correlate_feature(a, b), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_domain_edges(self, scale):
+        rng = np.random.default_rng(7)
+        a, b = rng.normal(size=40), rng.normal(size=40)
+        got = dsp.cross_corr_feature(a * scale, b * scale)
+        assert got == pytest.approx(correlate_feature(a, b), rel=1e-12, abs=1e-12)

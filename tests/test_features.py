@@ -6,12 +6,23 @@ explicit lag loops), sharing no code with the package's kernels.
 
 ``reference_feature_set`` keeps the earlier extractor: 36 calls of
 1-D kernels, one axis (or axis pair) at a time, each re-checking and
-re-centring its series. The one-pass ``feature_set`` must give its
-bits exactly.
+re-centring its series, with numpy's ``pow`` for the third and fourth
+moments, ``np.correlate`` for the lags and ``np.abs(X)**2`` for the
+power spectra. The one-pass ``feature_set`` gives its bits exactly on
+the 15 means, Pearson values and Hilbert means, minima and maxima, and
+agrees to 1e-12 on the other 18, whose arithmetic is now products, one
+rFFT per pair and ``re*re + im*im``.
+
+``composed_feature_set`` is that new arithmetic one series (or pair) at
+a time; the pass must give its bits exactly.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,6 +201,96 @@ def reference_feature_set(readings) -> np.ndarray:
     )
 
 
+# --------------------------------------- the same values, one series at a time
+
+
+def _centred(x, scale):
+    """Centred values, their squares and variance under the numeric
+    contract of ``gestrec.dsp`` (relative floor, unit-peak recentring)."""
+    d = x - x.mean()
+    d2 = d * d
+    m2 = float(d2.mean())
+    if not (scale <= 1e75 and m2 >= 1e-24 * max(1.0, min(scale, 1e75)) ** 2):
+        u = x / (scale if scale > 0.0 else 1.0)
+        d = u - u.mean()
+        d2 = d * d
+        m2 = float(d2.mean())
+    return d, d2, m2
+
+
+def _skew(d, d2, m2):
+    return 0.0 if m2 < 1e-24 else float((d2 * d).mean()) / m2**1.5
+
+
+def _kurtosis(d2, m2):
+    return 0.0 if m2 < 1e-24 else float((d2 * d2).mean()) / m2**2 - 3.0
+
+
+def _pearson(da, db, va, vb):
+    if va < 1e-24 or vb < 1e-24:
+        return 0.0
+    return float(np.mean(da * db)) / np.sqrt(va * vb)
+
+
+def _xcorr(a, b):
+    """Max over the 2n - 1 lags of one zero-padded rFFT pair, A*conj(B)
+    formed from real products, with the unit-peak rescale."""
+    norm = float(np.sum(a * a)) * float(np.sum(b * b))
+    if not np.finfo(np.float64).tiny <= norm < np.inf:
+        if np.abs(a).max() == 0.0 or np.abs(b).max() == 0.0:
+            return 0.0
+        a, b = a / np.abs(a).max(), b / np.abs(b).max()
+        norm = float(np.sum(a * a)) * float(np.sum(b * b))
+    n = a.size
+    size = 1 << (2 * n - 2).bit_length()
+    A, B = np.fft.rfft(a, size), np.fft.rfft(b, size)
+    cross = np.empty(A.shape, dtype=np.complex128)
+    cross.real = A.real * B.real + A.imag * B.imag
+    cross.imag = A.imag * B.real - A.real * B.imag
+    c = np.fft.irfft(cross, size)
+    return max(float(c[:n].max()), float(c[size - n + 1 :].max())) / np.sqrt(norm)
+
+
+def _power(x):
+    X = np.fft.fft(x)
+    return X.real * X.real + X.imag * X.imag
+
+
+def composed_feature_set(readings) -> np.ndarray:
+    """The 33 values one series or pair at a time, in the arithmetic of
+    the pass: moments from products, one rFFT pair per axis pair, power
+    spectra as re*re + im*im, Hilbert energies from the axis spectra."""
+    r = np.asarray(readings, dtype=np.float64)
+    axes = [r[:, k].copy() for k in range(3)]
+    scale = [float(np.abs(a).max()) for a in axes]
+    h = [_ref_hilbert(a) for a in axes]
+    c = [_centred(a, s) for a, s in zip(axes, scale)]
+    hc = [_centred(v, s) for v, s in zip(h, scale)]
+    pairs = [(0, 1), (1, 2), (2, 0)]
+    power = [_power(a) for a in axes]
+    hpower = []
+    for p in power:
+        p = p.copy()
+        p[0] = 0.0
+        if p.size % 2 == 0:
+            p[p.size // 2] = 0.0
+        hpower.append(p)
+    return np.array(
+        [float(a.mean()) for a in axes]
+        + [_skew(*ci) for ci in c]
+        + [_kurtosis(ci[1], ci[2]) for ci in c]
+        + [_pearson(c[i][0], c[j][0], c[i][2], c[j][2]) for i, j in pairs]
+        + [_xcorr(axes[i], axes[j]) for i, j in pairs]
+        + [float(p.sum() / p.size) for p in power]
+        + [float(v.mean()) for v in h]
+        + [_skew(*ci) for ci in hc]
+        + [float(p.sum() / p.size) for p in hpower]
+        + [float(v.min()) for v in h]
+        + [float(v.max()) for v in h],
+        dtype=np.float64,
+    )
+
+
 def random_sample(n=40, seed=0, user=1, gesture=1, trial=1):
     rng = np.random.default_rng(seed)
     return GestureSample(user=user, gesture=gesture, trial=trial,
@@ -322,6 +423,24 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+# Columns whose arithmetic the portable pass kept, and those it moved
+# by rounding (products for the moments, rFFT cross-correlation, power
+# spectra as re*re + im*im, Hilbert energies from the axis spectra).
+UNMOVED = [i for i, n in enumerate(FEATURE_NAMES)
+           if n.split("_")[0] in ("mean", "pearson", "hmean", "hmin", "hmax")]
+MOVED = [i for i in range(N_FEATURES) if i not in UNMOVED]
+
+
+def check_pass(got, readings):
+    """The pass gives the composed values bit for bit, the earlier
+    extractor's bits on the unmoved columns and its values to 1e-12 on
+    the moved ones."""
+    assert same_bits(got, composed_feature_set(readings))
+    old = reference_feature_set(readings)
+    assert same_bits(got[UNMOVED], old[UNMOVED])
+    np.testing.assert_allclose(got[MOVED], old[MOVED], rtol=1e-12, atol=1e-12)
+
+
 def one_dimensional(n=50, seed=3):
     """Motion on x only: y holds still under gravity, z reads exactly 0."""
     rng = np.random.default_rng(seed)
@@ -342,19 +461,20 @@ LONG_SPEC = _spec(users=1, gestures=4, samples_per_gesture_per_user=2,
 # No noise: inactive axes are constant, so every degenerate path runs.
 QUIET_SPEC = SynthSpec(users=2, gestures=4, samples_per_gesture_per_user=2, seed=6)
 
-# sha256 of extract_all(generate(spec)).X, recorded with the 36-call
-# extractor before the one-pass rewrite.
+# sha256 of extract_all(generate(spec)).X, recorded with the portable
+# arithmetic; the same on every numpy CPU target (see
+# test_digests_do_not_depend_on_the_cpu).
 PINNED = [
     (SynthSpec(users=2, gestures=4, samples_per_gesture_per_user=3,
                length_range=(40, 120), user_speed_jitter=0.2, noise_sigma=0.1,
                user_style_offset=0.3, seed=5),
-     "0c3ea6d6ef0bf9cfa81afefeffd101732791f61f3c8f65642d6029d9f828f88e"),
+     "ad1b43d2970752c59dd548fbf7d7184337937aa4e2853bb21200f9360ea8f2a0"),
     (SynthSpec(users=2, gestures=4, samples_per_gesture_per_user=2,
                length_range=(40, 120), seed=6),
-     "4637cb625edda16de4ed5eeadb8e0742b14c75d833d692a24c050b18860b3b1d"),
+     "a403f1438c8cebdf21981f85e625ae71cc1f1b3f569dd6164335c2d876f033a1"),
     (SynthSpec(users=2, gestures=3, samples_per_gesture_per_user=1,
                length_range=(400, 1200), noise_sigma=0.15, seed=29),
-     "ba55d39a352210d0479e018c415f86e96c11497d1507bd76b97eebce50b29425"),
+     "1945ff22318e15a0d139cbd160ec5098887dca2b8df9eabd339d5a331fa86ddf"),
 ]
 
 
@@ -363,12 +483,12 @@ class TestOnePassIsBitIdentical:
     def test_odd_and_even_lengths(self, n):
         rng = np.random.default_rng(n)
         r = rng.normal(scale=1.5, size=(n, 3)) + [0.0, 0.0, 1.0]
-        assert same_bits(feature_set(r), reference_feature_set(r))
+        check_pass(feature_set(r), r)
 
     def test_shortest_recording(self):
         r = np.array([[0.5, -1.0, 1.0], [2.0, 0.25, 0.9],
                       [-1.5, 0.5, 1.1], [0.0, 3.0, 1.0]])
-        assert same_bits(feature_set(r), reference_feature_set(r))
+        check_pass(feature_set(r), r)
 
     @pytest.mark.parametrize("value", [0.0, 1.0, -0.3, 9.81])
     def test_constant_axis(self, value):
@@ -376,22 +496,22 @@ class TestOnePassIsBitIdentical:
         r = rng.normal(size=(60, 3))
         r[:, 2] = value
         got = feature_set(r)
-        assert same_bits(got, reference_feature_set(r))
+        check_pass(got, r)
         names = dict(zip(FEATURE_NAMES, got))
         assert names["skew_z"] == names["kurt_z"] == names["hskew_z"] == 0.0
         assert names["pearson_yz"] == names["pearson_zx"] == 0.0
 
     def test_one_dimensional_gesture(self):
         r = one_dimensional()
-        assert same_bits(feature_set(r), reference_feature_set(r))
+        check_pass(feature_set(r), r)
 
     @pytest.mark.parametrize("spec", [SERVE_SPEC, LONG_SPEC, QUIET_SPEC],
                              ids=["serve-length", "long", "noise-free"])
     def test_synthetic_corpora(self, spec):
         for s in generate(spec).samples:
-            want = reference_feature_set(s.readings)
-            assert same_bits(feature_set(s), want)
-            assert same_bits(feature_set(s.readings), want)
+            got = feature_set(s)
+            check_pass(got, s.readings)
+            assert same_bits(feature_set(s.readings), got)
 
     def test_blocks_are_slices_of_the_pass(self):
         s = random_sample(n=33)
@@ -404,6 +524,34 @@ class TestOnePassIsBitIdentical:
     def test_extract_all_digest(self, spec, digest):
         X = extract_all(generate(spec)).X
         assert hashlib.sha256(X.tobytes()).hexdigest() == digest
+
+    def test_digests_do_not_depend_on_the_cpu(self):
+        # numpy picks its SIMD loops by CPU; NPY_DISABLE_CPU_FEATURES
+        # makes it run the loops of its baseline target instead, as on a
+        # host without AVX2 or AVX-512.
+        umath = pytest.importorskip("numpy._core._multiarray_umath")
+        dispatch = getattr(umath, "__cpu_dispatch__", None)
+        baseline = getattr(umath, "__cpu_baseline__", None)
+        if not dispatch or baseline is None:
+            pytest.skip("numpy does not list its CPU dispatch targets")
+        here = Path(__file__).resolve().parent
+        env = dict(
+            os.environ,
+            NPY_DISABLE_CPU_FEATURES=" ".join(t for t in dispatch if t not in baseline),
+            PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]),
+        )
+        code = (
+            "import hashlib\n"
+            "from gestrec import extract_all, generate\n"
+            "from test_features import PINNED\n"
+            "for spec, _ in PINNED:\n"
+            "    X = extract_all(generate(spec)).X\n"
+            "    print(hashlib.sha256(X.tobytes()).hexdigest())\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == [digest for _, digest in PINNED]
 
 
 class TestBoundaryCheck:
@@ -511,4 +659,4 @@ class TestNumericContract:
         assert got[band].tolist() == [0.0] * 5
         assert np.count_nonzero(old[band]) == 5
         rest = [i for i in range(N_FEATURES) if i not in band]
-        assert same_bits(got[rest], old[rest])
+        assert same_bits(got[rest], composed_feature_set(r)[rest])
