@@ -14,8 +14,7 @@ version number.
 ``dsp`` kernel once per gesture. ``time_features``, ``freq_features``
 and ``hilbert_features`` return slices of that pass. The pass uses the
 portable arithmetic of ``dsp`` (products, sums, FFTs and ``sqrt``), so
-its values, and the models fitted on them, do not depend on the SIMD
-target numpy picks for the CPU.
+its values do not depend on the SIMD target numpy picks for the CPU.
 """
 
 from __future__ import annotations
