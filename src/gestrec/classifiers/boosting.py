@@ -12,9 +12,11 @@ each row's score update from the leaf the tree builder put it in, so
 rows are never routed through a fitted tree.
 
 Prediction flattens all stage trees, stage by stage and class by class,
-into one ``cart.Forest``. It routes every row through every tree in at
-most ``max_depth`` vectorized steps, and the leaf values of each class
-are summed in stage order.
+into one ``cart.Forest``, and the leaf values of each class are summed
+in stage order. A lone row is compared with every node at once and then
+takes at most ``max_depth`` hops, one entry per tree; two or more rows
+are routed in blocks through every tree in at most ``max_depth``
+vectorized steps.
 """
 
 from __future__ import annotations

@@ -20,10 +20,13 @@ scratch buffers, across all its trees (the SLIQ pre-sorted attribute
 lists, Mehta et al., EDBT 1996).
 
 Prediction routes rows through a ``Forest``: every tree of an ensemble
-flattened into preorder arrays, with rows routed in blocks, one gather
-per step across all trees at once. Both ensembles predict through it;
-``apply_tree`` walks ``Node`` pointers one row at a time and is kept as
-the reference that the forest must match bit for bit.
+flattened into preorder arrays. A lone row (the device path: one
+recording, one label) decides every node in one comparison and then
+hops from node to next node, one entry per tree per step. Two or more
+rows are routed in blocks, one gather per step across all trees at
+once. Both ensembles predict through it; ``apply_tree`` walks ``Node``
+pointers one row at a time and is kept as the reference that the
+forest must match bit for bit.
 
 The split predicate is ``x[feature] <= threshold`` goes left, everywhere.
 """
@@ -78,14 +81,16 @@ ROUTE_BLOCK = 32
 
 
 class Forest:
-    """A list of trees as flat preorder arrays, routing rows in blocks.
+    """A list of trees as flat preorder arrays.
 
     Node ``j`` splits on ``feature[j]`` at ``threshold[j]``; its children
     are ``child[2 * j]`` (left) and ``child[2 * j + 1]`` (right), and
     ``roots[i]`` is the root of tree ``i``. A leaf is its own child on
     both sides, so ``steps`` routing steps (the depth of the deepest leaf)
     park every row at its leaf in every tree. ``value[j]`` is a leaf's
-    value: a float, or a class-probability vector.
+    value: a float, or a class-probability vector. ``left`` and
+    ``delta`` (right child minus left child, 0 at a leaf) serve the
+    lone-row schedule of ``sums``.
     """
 
     def __init__(self, trees: list[Node]):
@@ -123,6 +128,12 @@ class Forest:
                     self.threshold[j] = node.threshold
                     stack += ((node.right, 2 * j + 1), (node.left, 2 * j))
                 j += 1
+        # The lone-row schedule's next node is left + delta * (goes right);
+        # a leaf's delta is 0. Half-width indices shrink the memory that
+        # deciding every node streams through the cache.
+        small = np.int32 if n_nodes <= np.iinfo(np.int32).max else np.intp
+        self.left = self.child[0::2].astype(small)
+        self.delta = self.child[1::2].astype(small) - self.left
 
     def sums(self, X: np.ndarray, width: int = 1) -> np.ndarray:
         """Per row of the finite matrix ``X``, the sum of its leaf values in
@@ -131,11 +142,27 @@ class Forest:
         The result has shape ``(len(X), width)`` plus the shape of a leaf
         value. With ``width`` equal to the number of trees, it is each
         tree's leaf value.
+
+        Two schedules give the same leaves. A lone row decides every node
+        at once, forms each node's next node, and then takes ``steps``
+        one-entry-per-tree hops through that array. Two or more rows are
+        routed in blocks of ``ROUTE_BLOCK``, one gather per step over
+        every (tree, row) pair: deciding every node for every row would
+        cost more than following only the visited paths.
         """
         n_trees = self.roots.size
         if n_trees % width:
             raise ValueError(f"{n_trees} trees do not form groups of {width}")
         leaf_shape = self.value.shape[1:]
+        if X.shape[0] == 1:
+            # X is finite, so ">" is exactly "not <=": True goes right.
+            nxt = self.delta * (X[0].take(self.feature) > self.threshold)
+            nxt += self.left
+            pos = self.roots
+            for _ in range(self.steps):
+                pos = nxt.take(pos)
+            leaves = self.value[pos].reshape((-1, width, 1) + leaf_shape)
+            return leaves.cumsum(axis=0)[-1].swapaxes(0, 1)
         out = np.empty((X.shape[0], width) + leaf_shape)
         for start in range(0, X.shape[0], ROUTE_BLOCK):
             rows = X[start : start + ROUTE_BLOCK]

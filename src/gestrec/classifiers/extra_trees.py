@@ -5,8 +5,11 @@ bootstrap); randomness enters only through the per-node attribute subset
 and the one uniform threshold drawn per candidate attribute. Prediction
 averages the trees' leaf probability vectors and takes the argmax, ties
 resolving to the lowest class index. A fit (or a model load) flattens
-the trees into one ``cart.Forest``, which routes every row through all
-trees in a few vectorized steps and sums the leaf vectors in tree order.
+the trees into one ``cart.Forest``, which sums the leaf vectors in tree
+order. A lone row is compared with every node at once and then hops to
+its leaves, one entry per tree per step, as many steps as the deepest
+leaf; two or more rows are routed in blocks, one gather per step over
+all trees.
 """
 
 from __future__ import annotations

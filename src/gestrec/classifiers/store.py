@@ -100,14 +100,53 @@ def _check_trees(path, trees, n_features: int, leaf_ok, expected: str) -> None:
                 )
 
 
+def _check_finite(path, forest, expected: str) -> None:
+    """Raise ModelFileError at the first node of the flattened trees with
+    a non-finite threshold or leaf value. One check over the flat arrays:
+    a numpy call per leaf would add a quarter to the load of an et file.
+    """
+    finite = np.isfinite(forest.threshold) & np.isfinite(
+        forest.value.reshape(forest.threshold.size, -1)
+    ).all(axis=1)
+    if finite.all():
+        return
+    j = int(finite.argmin())
+    tree = int(np.searchsorted(forest.roots, j, side="right")) - 1
+    # A split (its children differ). A nan threshold would route a row one
+    # way in the Forest and the other way in apply_tree.
+    if forest.delta[j]:
+        raise ModelFileError(
+            f"{path}: tree {tree} splits at threshold "
+            f"{float(forest.threshold[j])!r}, expected a finite float"
+        )
+    raise ModelFileError(
+        f"{path}: tree {tree} has leaf value {forest.value[j].tolist()!r}, "
+        f"expected {expected}"
+    )
+
+
+def _param(path, params, name: str, shape: tuple, positive: bool = False):
+    """``params[name]`` as a float64 array, or ModelFileError unless it has
+    ``shape`` and finite entries, all of them > 0 when ``positive``."""
+    a = np.array(params[name], dtype=np.float64)
+    if a.shape != shape:
+        raise ModelFileError(f"{path}: {name} has shape {a.shape}, expected {shape}")
+    if not np.isfinite(a).all():
+        raise ModelFileError(f"{path}: {name} has non-finite entries")
+    if positive and not (a > 0.0).all():
+        raise ModelFileError(f"{path}: {name} has entries <= 0")
+    return a
+
+
 def load_model(path, expect_feature_version: int | None = None):
     """Reconstruct a classifier from a model file.
 
     Raises ModelFileError on missing, corrupt or foreign files, on a tree
-    count that does not match the hyperparameters, and on trees that
-    predict could not use (the message names the tree), and
-    VersionMismatchError when ``expect_feature_version`` is given and
-    disagrees with the file.
+    count that does not match the hyperparameters, on trees that predict
+    could not use (the message names the tree), and on parameter arrays
+    of the wrong shape, with non-finite entries or a standard deviation
+    <= 0 (the message names the parameter); and VersionMismatchError
+    when ``expect_feature_version`` is given and disagrees with the file.
     """
     path = Path(path)
     if not path.is_file():
@@ -144,14 +183,16 @@ def load_model(path, expect_feature_version: int | None = None):
                     f"{model.n_trees}"
                 )
             k = len(classes)
+            expected = f"{k} class probabilities"
             _check_trees(
                 path,
                 model.trees_,
                 n_features,
                 lambda v: isinstance(v, np.ndarray) and v.shape == (k,),
-                f"{k} class probabilities",
+                expected,
             )
             model._rebuild_flat()
+            _check_finite(path, model._forest, expected)
         elif kind == "gradient_boosting":
             model = GradientBoostingClassifier(
                 n_stages=int(hyper["n_stages"]),
@@ -159,7 +200,9 @@ def load_model(path, expect_feature_version: int | None = None):
                 max_depth=int(hyper["max_depth"]),
                 seed=int(hyper["seed"]),
             )
-            model.initial_scores_ = np.array(params["initial_scores"])
+            model.initial_scores_ = _param(
+                path, params, "initial_scores", (len(classes),)
+            )
             model.stages_ = [
                 [node_from_dict(t) for t in stage] for stage in params["stages"]
             ]
@@ -173,17 +216,20 @@ def load_model(path, expect_feature_version: int | None = None):
                 path,
                 [t for stage in model.stages_ for t in stage],
                 n_features,
-                lambda v: isinstance(v, float) and np.isfinite(v),
+                lambda v: isinstance(v, float),
                 "a finite float",
             )
             model._rebuild_flat()
+            _check_finite(path, model._forest, "a finite float")
         elif kind == "ridge":
             model = RidgeClassifier(
                 alpha=float(hyper["alpha"]), seed=int(hyper["seed"])
             )
-            model.mean_ = np.array(params["mean"])
-            model.std_ = np.array(params["std"])
-            model.weights_ = np.array(params["weights"])
+            model.mean_ = _param(path, params, "mean", (n_features,))
+            model.std_ = _param(path, params, "std", (n_features,), positive=True)
+            model.weights_ = _param(
+                path, params, "weights", (len(classes), n_features + 1)
+            )
         else:
             raise ModelFileError(f"{path}: unknown model kind {kind!r}")
     except ModelFileError:

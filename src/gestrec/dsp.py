@@ -1,8 +1,9 @@
 """Numerical kernels for gesture feature extraction.
 
-Discrete Fourier transform, analytic signal, statistical moments, Pearson
-and lagged cross-correlation, spectral energy. All functions are pure and
-deterministic; sequences are never windowed, resampled or altered.
+Analytic signal, statistical moments, Pearson and lagged
+cross-correlation, spectral energy, all over numpy's FFT. All functions
+are deterministic; sequences are never windowed, resampled or altered.
+``hilbert_power`` alone writes to its argument.
 
 The kernels work along the last axis: one call takes a stack of rows of
 equal length, such as the three axes of a recording stored as a
@@ -11,6 +12,11 @@ their input; ``features.feature_set`` checks a recording once and then
 calls each kernel once per gesture. Rows reduce along the contiguous
 last axis, where numpy sums each row pairwise exactly as it sums a 1-D
 series, so a row's value has the bits of the 1-D call on that row.
+Reductions call the ufuncs' ``reduce`` directly: ``np.add.reduce(a, -1)
+/ n`` is how numpy's ``mean`` is defined, so the bits are the same
+without its Python wrapper, as are ``np.add``/``np.minimum``/
+``np.maximum.reduce`` for ``sum``/``min``/``max``. Scalar square roots
+are ``math.sqrt``, correctly rounded like ``np.sqrt``.
 
 The 1-D functions (``skew``, ``pearson_corr``, ``spectral_energy``,
 ``cross_corr_feature``, ...) check their series with ``_as_series`` and
@@ -41,11 +47,11 @@ energy product.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
-    "dft",
-    "idft",
     "spectral_energy",
     "power_spectra",
     "spectral_energies",
@@ -101,24 +107,6 @@ def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def dft(x) -> np.ndarray:
-    """Discrete Fourier transform X_k = sum_j x_j exp(-2*pi*i*j*k/n).
-
-    Handles arbitrary n (no power-of-two requirement); gesture samples
-    keep their natural lengths.
-    """
-    x = _as_series(x)
-    return np.fft.fft(x)
-
-
-def idft(X) -> np.ndarray:
-    """Inverse DFT with 1/n normalization; idft(dft(x)) recovers x."""
-    X = np.asarray(X, dtype=np.complex128)
-    if X.ndim != 1 or X.size < 1:
-        raise ValueError("expected a non-empty 1-D complex series")
-    return np.fft.ifft(X)
-
-
 def power_spectra(spectra: np.ndarray) -> np.ndarray:
     """|X_k|^2 of each row of DFT spectra, as re*re + im*im."""
     re, im = spectra.real, spectra.imag
@@ -127,21 +115,20 @@ def power_spectra(spectra: np.ndarray) -> np.ndarray:
 
 def spectral_energies(power: np.ndarray) -> np.ndarray:
     """(1/n) * sum_k P_k of each row of power spectra P = |X|^2."""
-    return np.sum(power, axis=-1) / power.shape[-1]
+    return np.add.reduce(power, -1) / power.shape[-1]
 
 
 def hilbert_power(power: np.ndarray) -> np.ndarray:
-    """Power spectra of the Hilbert transforms of rows whose power
-    spectra are ``power``.
+    """Turn, in place, the power spectra of rows into those of their
+    Hilbert transforms, and return them.
 
     The transform's spectrum is -i*sign(k)*X_k: it keeps every |X_k|
     except at k = 0 and, for even n, k = n/2, where it is 0.
     """
-    h = power.copy()
-    h[..., 0] = 0.0
-    if h.shape[-1] % 2 == 0:
-        h[..., h.shape[-1] // 2] = 0.0
-    return h
+    power[..., 0] = 0.0
+    if power.shape[-1] % 2 == 0:
+        power[..., power.shape[-1] // 2] = 0.0
+    return power
 
 
 def spectral_energy(x) -> float:
@@ -187,15 +174,16 @@ def hilbert_imag(x) -> np.ndarray:
 
 
 def mean(x) -> float:
-    return float(np.mean(_as_series(x)))
+    a = _as_series(x)
+    return float(np.add.reduce(a) / a.size)
 
 
 def minimum(x) -> float:
-    return float(np.min(_as_series(x)))
+    return float(np.minimum.reduce(_as_series(x)))
 
 
 def maximum(x) -> float:
-    return float(np.max(_as_series(x)))
+    return float(np.maximum.reduce(_as_series(x)))
 
 
 def centred_rows(rows: np.ndarray, scale: np.ndarray):
@@ -208,26 +196,33 @@ def centred_rows(rows: np.ndarray, scale: np.ndarray):
     its scale; its mean is always the raw one. The higher moments taken
     from the centred rows (``skews``, ``kurtoses``) then cannot overflow.
     """
-    mu = rows.mean(axis=-1)
+    n = rows.shape[-1]
+    mu = np.add.reduce(rows, -1) / n
     d = rows - mu[..., None]
     d2 = d * d
-    m2 = d2.mean(axis=-1)
-    floor = DEGENERATE_VARIANCE * np.maximum(1.0, np.minimum(scale, MAX_SCALE)) ** 2
-    redo = ~((scale <= MAX_SCALE) & (m2 >= floor))
-    if redo.any():
+    m2 = np.add.reduce(d2, -1) / n
+    # A few rows are decided faster on Python floats than by array calls;
+    # c * c is the square that ** 2 takes on an array.
+    scales = scale.tolist()
+    redo = [
+        not (s <= MAX_SCALE and v >= DEGENERATE_VARIANCE * (c * c))
+        for s, c, v in zip(scales, [max(1.0, s) for s in scales], m2.tolist())
+    ]
+    if any(redo):
+        redo = np.array(redo)
         # An all-zero row has scale 0 and stays all-zero.
         unit = rows[redo] / np.where(scale[redo] > 0.0, scale[redo], 1.0)[..., None]
-        du = unit - unit.mean(axis=-1)[..., None]
+        du = unit - (np.add.reduce(unit, -1) / n)[..., None]
         d[redo] = du
         d2[redo] = du * du
-        m2[redo] = d2[redo].mean(axis=-1)
+        m2[redo] = np.add.reduce(d2[redo], -1) / n
     return mu, d, d2, m2
 
 
 def skews(d, d2, m2) -> list[float]:
     """Moment skewness g1 = m3 / m2^1.5 of each centred row d with
     squares d2 and variance m2; 0 for a (near-)constant row."""
-    m3 = (d2 * d).mean(axis=-1)
+    m3 = np.add.reduce(d2 * d, -1) / d.shape[-1]
     return [
         0.0 if v < DEGENERATE_VARIANCE else t / v**1.5
         for v, t in zip(m2.tolist(), m3.tolist())
@@ -237,7 +232,7 @@ def skews(d, d2, m2) -> list[float]:
 def kurtoses(d2, m2) -> list[float]:
     """Excess kurtosis g2 = m4 / m2^2 - 3 of each centred row with
     squares d2 and variance m2; 0 for a (near-)constant row."""
-    m4 = (d2 * d2).mean(axis=-1)
+    m4 = np.add.reduce(d2 * d2, -1) / d2.shape[-1]
     return [
         0.0 if v < DEGENERATE_VARIANCE else f / v**2 - 3.0
         for v, f in zip(m2.tolist(), m4.tolist())
@@ -248,10 +243,10 @@ def pearsons(da, db, va, vb) -> list[float]:
     """Product-moment correlation of each pair of centred rows (da[i],
     db[i]) with variances va[i], vb[i]; 0 when either side is
     (near-)constant."""
-    cov = np.mean(da * db, axis=-1)
+    cov = np.add.reduce(da * db, -1) / da.shape[-1]
     return [
         0.0 if a < DEGENERATE_VARIANCE or b < DEGENERATE_VARIANCE
-        else c / np.sqrt(a * b)
+        else c / math.sqrt(a * b)
         for c, a, b in zip(cov.tolist(), va.tolist(), vb.tolist())
     ]
 
@@ -260,7 +255,7 @@ def _centred(*series):
     rows = np.stack(series)
     # Beyond MAX_SCALE the raw moments overflow and are then recomputed.
     with np.errstate(over="ignore"):
-        return centred_rows(rows, np.abs(rows).max(axis=-1))
+        return centred_rows(rows, np.maximum.reduce(np.abs(rows), -1))
 
 
 def skew(x) -> float:
@@ -308,18 +303,20 @@ def max_cross_corrs(rows: np.ndarray, first, second, energies) -> list[float]:
         if _TINY <= v < np.inf:
             continue
         x, y = rows[first[p]], rows[second[p]]
-        peak_x, peak_y = np.abs(x).max(), np.abs(y).max()
+        peak_x, peak_y = np.maximum.reduce(np.abs(x)), np.maximum.reduce(np.abs(y))
         if peak_x == 0.0 or peak_y == 0.0:
             zero.add(p)
             continue
         unit = np.stack((x / peak_x, y / peak_y))
         first[p], second[p] = len(rows), len(rows) + 1
         rows = np.concatenate((rows, unit))
-        norm[p] = float(np.sum(unit[0] ** 2)) * float(np.sum(unit[1] ** 2))
+        norm[p] = float(np.add.reduce(unit[0] * unit[0])) * float(
+            np.add.reduce(unit[1] * unit[1])
+        )
     n = rows.shape[-1]
     size = 1 << (2 * n - 2).bit_length()
     spectra = np.fft.rfft(rows, size)
-    a, b = spectra[first], spectra[second]
+    a, b = spectra.take(first, 0), spectra.take(second, 0)
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     # A * conj(B) from real products: sum_j a_{j+tau} b_j at index tau.
     cross = np.empty_like(a)
@@ -327,9 +324,12 @@ def max_cross_corrs(rows: np.ndarray, first, second, energies) -> list[float]:
     np.subtract(ai * br, ar * bi, out=cross.imag)
     lagged = np.fft.irfft(cross, size)
     # Lags 0..n-1 lead, -(n-1)..-1 close the row; the rest is padding.
-    best = np.maximum(lagged[:, :n].max(axis=-1), lagged[:, size - n + 1 :].max(axis=-1))
+    best = np.maximum(
+        np.maximum.reduce(lagged[:, :n], -1),
+        np.maximum.reduce(lagged[:, size - n + 1 :], -1),
+    )
     return [
-        0.0 if p in zero else c / np.sqrt(v)
+        0.0 if p in zero else c / math.sqrt(v)
         for p, (c, v) in enumerate(zip(best.tolist(), norm))
     ]
 
@@ -349,4 +349,4 @@ def cross_corr_feature(a, b) -> float:
     every other input is computed unscaled.
     """
     rows = np.stack(_pair(a, b))
-    return max_cross_corrs(rows, [0], [1], np.sum(rows**2, axis=-1).tolist())[0]
+    return max_cross_corrs(rows, [0], [1], np.add.reduce(rows * rows, -1).tolist())[0]

@@ -80,22 +80,25 @@ def _values(r: np.ndarray) -> np.ndarray:
     spectra = np.fft.fft(r)
     # Rows 0-2 are the axes, rows 3-5 their Hilbert transforms.
     rows = np.concatenate((r, np.fft.ifft(spectra * dsp.analytic_weights(n)).imag))
-    low, high = rows.min(axis=-1), rows.max(axis=-1)
+    low, high = np.minimum.reduce(rows, -1), np.maximum.reduce(rows, -1)
     peak = np.maximum(high[:3], -low[:3])
     mu, d, d2, m2 = dsp.centred_rows(rows, np.concatenate((peak, peak)))
     skew = dsp.skews(d, d2, m2)
     nxt = [1, 2, 0]  # pairs xy, yz, zx
     power = dsp.power_spectra(spectra)
+    energy = dsp.spectral_energies(power).tolist()
+    # The axis energies are taken, so the Hilbert spectra may reuse power.
+    h_energy = dsp.spectral_energies(dsp.hilbert_power(power)).tolist()
     return np.array(
         mu[:3].tolist()
         + skew[:3]
         + dsp.kurtoses(d2[:3], m2[:3])
-        + dsp.pearsons(d[:3], d[nxt], m2[:3], m2[nxt])
-        + dsp.max_cross_corrs(r, range(3), nxt, np.sum(r**2, axis=-1).tolist())
-        + dsp.spectral_energies(power).tolist()
+        + dsp.pearsons(d[:3], d.take(nxt, 0), m2[:3], m2.take(nxt))
+        + dsp.max_cross_corrs(r, range(3), nxt, np.add.reduce(r * r, -1).tolist())
+        + energy
         + mu[3:].tolist()
         + skew[3:]
-        + dsp.spectral_energies(dsp.hilbert_power(power)).tolist()
+        + h_energy
         + low[3:].tolist()
         + high[3:].tolist(),
         dtype=np.float64,

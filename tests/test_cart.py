@@ -420,3 +420,101 @@ class TestForest:
         forest = Forest([Node(value=1.0)] * 3)
         with pytest.raises(ValueError, match="groups of 2"):
             forest.sums(np.zeros((1, 2)), width=2)
+
+
+def sequential_sums(trees, x, width):
+    """Per column, the ``apply_tree`` leaf values of its trees added one by
+    one in tree order."""
+    out = [0.0] * width
+    for i, tree in enumerate(trees):
+        out[i % width] = out[i % width] + apply_tree(tree, x)
+    return np.array(out)
+
+
+def assert_lone_rows_match(trees, Q, width):
+    """Each row of ``Q`` summed alone (the lone-row schedule) equals its
+    row of ``Q`` summed as a block, and the sequential reference, bit for
+    bit."""
+    assert len(Q) >= 2
+    forest = Forest(trees)
+    block = forest.sums(Q, width)
+    for i, q in enumerate(Q):
+        lone = forest.sums(Q[i : i + 1], width)
+        assert lone.shape == block[i : i + 1].shape
+        assert np.array_equal(lone, block[i : i + 1])
+        assert np.array_equal(lone[0], sequential_sums(trees, q, width))
+
+
+def on_thresholds(forest, n_rows, d, rng):
+    """Rows whose every feature sits exactly on a threshold of the forest
+    that splits on it (a tie goes left), where there is one."""
+    Q = rng.normal(size=(n_rows, d))
+    splits = np.flatnonzero(forest.delta)
+    for row in Q:
+        for j in rng.choice(splits, size=min(splits.size, 4 * d)):
+            row[forest.feature[j]] = forest.threshold[j]
+    return Q
+
+
+class TestLoneRow:
+    """The lone-row schedule of ``Forest.sums`` against the block router
+    and ``apply_tree``."""
+
+    @pytest.fixture
+    def et(self, blob_data):
+        X, y = blob_data(n_classes=4, n_per=20, spread=1.5, seed=43)
+        return ExtraTreesClassifier(n_trees=20, seed=4).fit(X, y)
+
+    @pytest.fixture
+    def gb(self, blob_data):
+        X, y = blob_data(n_classes=3, n_per=20, spread=1.5, seed=44)
+        return GradientBoostingClassifier(n_stages=12, max_depth=3).fit(X, y)
+
+    @staticmethod
+    def queries(forest, d, seed):
+        rng = np.random.default_rng(seed)
+        huge = 1e300 * rng.choice([-1.0, 1.0], size=(4, d))
+        return np.vstack([rng.normal(0.0, 3.0, size=(6, d)),
+                          on_thresholds(forest, 6, d, rng), huge])
+
+    def test_et(self, et):
+        Q = self.queries(et._forest, et.n_features_, 1)
+        assert_lone_rows_match(et.trees_, Q, 1)
+        for q in Q:
+            assert np.array_equal(et.predict_proba(q), et.predict_proba(np.vstack([q, q]))[0])
+
+    def test_gb(self, gb):
+        trees = [t for stage in gb.stages_ for t in stage]
+        Q = self.queries(gb._forest, gb.n_features_, 2)
+        assert_lone_rows_match(trees, Q, len(gb.classes_))
+        assert_lone_rows_match(trees, Q, len(trees))
+        for q in Q:
+            assert np.array_equal(
+                gb.decision_function(q), gb.decision_function(np.vstack([q, q]))[0]
+            )
+
+    def test_gb_staged_scores(self, gb):
+        Q = self.queries(gb._forest, gb.n_features_, 3)
+        block = gb.staged_scores(Q)
+        for i, q in enumerate(Q):
+            assert np.array_equal(gb.staged_scores(q[None, :]), block[:, i : i + 1])
+            assert np.array_equal(gb.staged_scores(q), block[:, i : i + 1])
+
+    def test_single_leaf_trees_take_no_steps(self):
+        trees = [Node(value=np.array([0.5, 0.5])), Node(value=np.array([0.125, 0.875]))]
+        assert Forest(trees).steps == 0
+        Q = np.random.default_rng(4).normal(size=(3, 2))
+        assert_lone_rows_match(trees, Q, 1)
+        assert_lone_rows_match(trees, Q, 2)
+
+    def test_mixed_depths(self):
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(80, 3))
+        r = rng.normal(size=80)
+        trees = [build_regression_tree(X, (k + 1) * r, depth, mean_leaf((k + 1) * r))
+                 for k, depth in enumerate([7, 0, 1, 4, 2, 0])]
+        assert [tree_depth(t) for t in trees][:3] == [7, 0, 1]
+        forest = Forest(trees)
+        Q = np.vstack([on_thresholds(forest, 8, 3, rng), X[:8], [[1e300, -1e300, 1e300]]])
+        for width in (1, 2, 3, 6):
+            assert_lone_rows_match(trees, Q, width)

@@ -198,6 +198,90 @@ class TestTreeStructure:
         with pytest.raises(ModelFileError, match="tree 2 has leaf value .*, expected a finite float"):
             load_model(path)
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+    def test_et_split_threshold_must_be_finite(self, blob_data, tmp_path, threshold):
+        path, doc = self._saved(ExtraTreesClassifier(n_trees=4, seed=1), blob_data, tmp_path)
+        doc["params"]["trees"][3]["t"] = threshold
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFileError, match=r"m\.json: tree 3 splits at threshold .*, expected a finite float"):
+            load_model(path)
+
+    def test_gb_split_threshold_must_be_finite(self, blob_data, tmp_path):
+        path, doc = self._saved(GradientBoostingClassifier(n_stages=3), blob_data, tmp_path)
+        doc["params"]["stages"][2][1]["t"] = float("nan")
+        path.write_text(json.dumps(doc))
+        # Stage 2, class 1 of 3 is tree 7.
+        with pytest.raises(ModelFileError, match=r"m\.json: tree 7 splits at threshold nan"):
+            load_model(path)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_et_leaf_must_be_finite(self, blob_data, tmp_path, bad):
+        path, doc = self._saved(ExtraTreesClassifier(n_trees=4, seed=1), blob_data, tmp_path)
+        self._first_leaf(doc["params"]["trees"][0])["p"] = [bad] * 3
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFileError, match=r"m\.json: tree 0 has leaf value .*, expected 3 class probabilities"):
+            load_model(path)
+
+
+class TestParameterArrays:
+    """Parameter arrays of the wrong shape or with non-finite entries are
+    rejected at load, with the file and the parameter named: they would
+    otherwise fail, or give wrong labels, at predict."""
+
+    def _saved(self, model, blob_data, tmp_path):
+        X, y = blob_data(n_classes=3, d=6, seed=26)
+        path = tmp_path / "m.json"
+        save_model(model.fit(X, y), path)
+        return path, json.loads(path.read_text())
+
+    @staticmethod
+    def _rejected(path, doc, match):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFileError, match=match):
+            load_model(path)
+
+    @pytest.mark.parametrize("scores", [[0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [[0.0, 0.0, 0.0]]])
+    def test_gb_initial_scores_shape(self, blob_data, tmp_path, scores):
+        path, doc = self._saved(GradientBoostingClassifier(n_stages=2), blob_data, tmp_path)
+        doc["params"]["initial_scores"] = scores
+        self._rejected(path, doc, r"m\.json: initial_scores has shape .*, expected \(3,\)")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
+    def test_gb_initial_scores_finite(self, blob_data, tmp_path, bad):
+        path, doc = self._saved(GradientBoostingClassifier(n_stages=2), blob_data, tmp_path)
+        doc["params"]["initial_scores"][1] = bad
+        self._rejected(path, doc, r"m\.json: initial_scores has non-finite entries")
+
+    @pytest.mark.parametrize("name", ["mean", "std"])
+    def test_rc_mean_and_std_shape(self, blob_data, tmp_path, name):
+        path, doc = self._saved(RidgeClassifier(), blob_data, tmp_path)
+        doc["params"][name] = doc["params"][name][:-1]
+        self._rejected(path, doc, rf"m\.json: {name} has shape \(5,\), expected \(6,\)")
+
+    @pytest.mark.parametrize("name", ["mean", "std"])
+    def test_rc_mean_and_std_finite(self, blob_data, tmp_path, name):
+        path, doc = self._saved(RidgeClassifier(), blob_data, tmp_path)
+        doc["params"][name][2] = float("nan")
+        self._rejected(path, doc, rf"m\.json: {name} has non-finite entries")
+
+    @pytest.mark.parametrize("std", [0.0, -1.0])
+    def test_rc_std_positive(self, blob_data, tmp_path, std):
+        path, doc = self._saved(RidgeClassifier(), blob_data, tmp_path)
+        doc["params"]["std"][4] = std
+        self._rejected(path, doc, r"m\.json: std has entries <= 0")
+
+    @pytest.mark.parametrize("cut", ["class", "column"])
+    def test_rc_weights_shape(self, blob_data, tmp_path, cut):
+        path, doc = self._saved(RidgeClassifier(), blob_data, tmp_path)
+        w = doc["params"]["weights"]
+        doc["params"]["weights"] = w[:-1] if cut == "class" else [row[:-1] for row in w]
+        self._rejected(path, doc, r"m\.json: weights has shape .*, expected \(3, 7\)")
+
+    def test_rc_weights_finite(self, blob_data, tmp_path):
+        path, doc = self._saved(RidgeClassifier(), blob_data, tmp_path)
+        doc["params"]["weights"][1][3] = float("inf")
+        self._rejected(path, doc, r"m\.json: weights has non-finite entries")
+
 
 class TestVersionGate:
     def test_matching_version_accepted(self, blob_data, tmp_path):
