@@ -36,9 +36,8 @@ for name, value in zip(FEATURE_NAMES, fs):
     print(f"  {name:>12}  {value: .4f}")
 
 # Extracting a whole dataset gives one row per sample, in dataset
-# order, with the user/gesture labels alongside. Rows are independent,
-# so extraction parallelizes without changing a single bit.
-matrix = extract_all(dataset, jobs=2)
+# order, with the user/gesture labels alongside.
+matrix = extract_all(dataset)
 print(f"\nfeature matrix: {matrix.X.shape[0]} rows x {matrix.X.shape[1]} columns")
 
 # Same-class rows cluster: compare distances within class 1 against

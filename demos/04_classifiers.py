@@ -51,10 +51,10 @@ for model in models:
 
 # The ensembles are deterministic for a given seed: the trees' random
 # thresholds come from per-tree streams split out of the seed, so the
-# same fit happens on any machine and any worker count.
+# same fit happens on any machine.
 a = ExtraTreesClassifier(seed=5).fit(X_train, y_train)
-b = ExtraTreesClassifier(seed=5, jobs=4).fit(X_train, y_train)
-print(f"\nseed-5 refit identical (1 vs 4 workers): "
+b = ExtraTreesClassifier(seed=5).fit(X_train, y_train)
+print(f"\nseed-5 refit identical: "
       f"{(a.predict_proba(X_test) == b.predict_proba(X_test)).all()}")
 
 # Models persist as tagged JSON; loading reconstructs the exact

@@ -28,7 +28,7 @@ from gestrec import (
     plan_user_independent,
 )
 
-matrix = extract_all(generate(EASY_SPEC), jobs=4)
+matrix = extract_all(generate(EASY_SPEC))
 print(f"corpus: {matrix.n} samples, "
       f"{len(np.unique(matrix.users))} users, "
       f"{len(np.unique(matrix.gestures))} gestures")

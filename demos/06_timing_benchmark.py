@@ -4,7 +4,7 @@ Per-sample classification cost
 
 For an always-on wearable, the cost of classifying one gesture matters
 as much as accuracy. This script times single-sample prediction for the
-three classifiers the way the benchmark subcommand does: many single
+three classifiers the way the evaluation harness does: many single
 calls, grouped, reporting the median of group means so one scheduler
 hiccup cannot skew the figure.
 """
@@ -19,12 +19,13 @@ from gestrec import (
     plan_mixed,
     time_single_predictions,
 )
+from gestrec.evaluation import TIMING_CALLS_PER_GROUP, TIMING_GROUPS
 
 matrix = extract_all(generate(SynthSpec(
     users=4, gestures=8, samples_per_gesture_per_user=8,
     length_range=(40, 80), user_speed_jitter=0.2, noise_sigma=0.15,
     user_style_offset=0.4, seed=2,
-)), jobs=2)
+)))
 plan = plan_mixed(matrix, seed=0)
 X_train = matrix.X[plan.train_indices]
 y_train = matrix.gestures[plan.train_indices]
@@ -39,7 +40,8 @@ models = {
 }
 
 print(f"timing single-sample prediction over {X_test.shape[0]} test rows")
-print(f"(10 groups x 20 calls each, median of group means)\n")
+print(f"({TIMING_GROUPS} groups x {TIMING_CALLS_PER_GROUP} calls each, "
+      f"median of group means)\n")
 
 times = {}
 for name, model in models.items():

@@ -14,8 +14,6 @@ all trees.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from ..features import FEATURE_ORDER_VERSION
@@ -41,9 +39,7 @@ class ExtraTreesClassifier:
         Nodes with fewer rows become leaves.
     seed : int
         Seeds one stream per tree via ``SeedSequence.spawn``, so fits
-        are bit-reproducible for any worker count.
-    jobs : int
-        Worker threads used to grow trees.
+        are bit-reproducible.
     """
 
     kind = "extra_trees"
@@ -54,7 +50,6 @@ class ExtraTreesClassifier:
         k_features: int = DEFAULT_K_FEATURES,
         min_samples_split: int = 2,
         seed: int = 0,
-        jobs: int = 1,
     ):
         if n_trees < 1:
             raise ValueError("n_trees must be >= 1")
@@ -66,7 +61,6 @@ class ExtraTreesClassifier:
         self.k_features = k_features
         self.min_samples_split = min_samples_split
         self.seed = seed
-        self.jobs = max(1, jobs)
         self.feature_order_version = FEATURE_ORDER_VERSION
         self.classes_: np.ndarray | None = None
         self.n_features_: int | None = None
@@ -87,11 +81,7 @@ class ExtraTreesClassifier:
                 X, y_idx, n_classes, self.k_features, self.min_samples_split, rng
             )
 
-        if self.jobs == 1:
-            self.trees_ = [grow(s) for s in streams]
-        else:
-            with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-                self.trees_ = list(pool.map(grow, streams))
+        self.trees_ = [grow(s) for s in streams]
         self._rebuild_flat()
         return self
 

@@ -2,8 +2,8 @@
 
 Commands: ``ingest`` (raw tree or canonical manifest -> canonical
 manifest), ``features`` (manifest -> feature CSV), ``eval`` (features or
-manifest -> evaluation reports), ``bench`` (saved models -> timing
-table), ``synth`` (spec flags -> synthetic canonical dataset).
+manifest -> evaluation reports), ``synth`` (spec flags -> synthetic
+canonical dataset).
 
 Every run writes a ``run.json`` provenance record with the fully
 resolved configuration next to its outputs. Exit codes: 0 success,
@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .classifiers import CLASSIFIER_KINDS, load_model, save_model
+from .classifiers import CLASSIFIER_KINDS, save_model
 from .data import (
     load_adapter_config,
     load_manifest,
@@ -49,7 +49,6 @@ from .evaluation import (
     plan_mixed,
     plan_user_dependent,
     plan_user_independent,
-    time_single_predictions,
 )
 from .features import FeatureMatrix, extract_all, load_features, save_features
 from .synth import EASY_SPEC, SynthSpec, generate
@@ -77,7 +76,7 @@ def _write_run(out_dir: Path, command: str, params: dict) -> None:
         fh.write("\n")
 
 
-def _load_matrix(path: Path, jobs: int) -> FeatureMatrix:
+def _load_matrix(path: Path) -> FeatureMatrix:
     """Accept either a feature CSV or a manifest CSV (sniffed by header)."""
     if not path.is_file():
         raise DataError("input file not found", path=path)
@@ -86,7 +85,7 @@ def _load_matrix(path: Path, jobs: int) -> FeatureMatrix:
     if header.startswith("user,gesture,f01"):
         return load_features(path)
     if header.startswith("user,gesture,trial"):
-        return extract_all(load_manifest(path), jobs=jobs)
+        return extract_all(load_manifest(path))
     raise DataError(
         "input is neither a feature CSV nor a manifest CSV", path=path, line=1
     )
@@ -122,12 +121,11 @@ def cmd_ingest(args) -> int:
 def cmd_features(args) -> int:
     out = Path(args.out)
     dataset = load_manifest(args.manifest)
-    matrix = extract_all(dataset, jobs=args.jobs)
+    matrix = extract_all(dataset)
     save_features(matrix, out)
     _write_run(out.parent, "features", {
         "manifest": str(args.manifest),
         "out": str(out),
-        "jobs": args.jobs,
     })
     print(f"wrote {matrix.n} feature rows to {out}")
     return EXIT_OK
@@ -204,14 +202,9 @@ def _format_report_txt(title: str, rep_dicts: list[dict], average: float,
 
 
 def _aggregate_confusion(reports):
-    classes = reports[0].confusion.classes
-    counts = sum(r.confusion.counts for r in reports)
-    support = counts.sum(axis=1)
-    percents = np.zeros_like(counts, dtype=np.float64)
-    nz = support > 0
-    percents[nz] = 100.0 * counts[nz] / support[nz, None]
-    zero = tuple(c for c, s in zip(classes, support) if s == 0)
-    return ConfusionMatrix(classes, counts, percents, zero)
+    return ConfusionMatrix.from_counts(
+        reports[0].confusion.classes, sum(r.confusion.counts for r in reports)
+    )
 
 
 def _eval_cell(matrix: FeatureMatrix, mode: str, spec: ClassifierSpec,
@@ -254,8 +247,6 @@ def _eval_cell(matrix: FeatureMatrix, mode: str, spec: ClassifierSpec,
         confusion = _aggregate_confusion(reports)
         crossval = None
     elif mode == "user-independent":
-        if user is not None:
-            raise UsageError("--user does not apply to user-independent mode")
         folds = plan_user_independent(matrix, seed=seed)
         results = evaluate_folds(matrix, folds, spec)
         reports = list(results.reports)
@@ -302,10 +293,6 @@ def _eval_cell(matrix: FeatureMatrix, mode: str, spec: ClassifierSpec,
                 writer.writerow([u, _percent(acc)])
 
     if save_model_path is not None:
-        if mode == "user-independent":
-            raise UsageError("--save-model needs a single-split mode")
-        if mode == "user-dependent" and user is None:
-            raise UsageError("--save-model with user-dependent mode needs --user")
         model = spec.build()
         plan = (
             plan_mixed(matrix, ratio=ratio, seed=seed)
@@ -331,8 +318,6 @@ def _hyper_from_args(kind: str, args) -> dict:
             hyper["k_features"] = args.k_features
         if args.min_samples_split is not None:
             hyper["min_samples_split"] = args.min_samples_split
-        if args.jobs != 1:
-            hyper["jobs"] = args.jobs
     elif kind == "gb":
         if args.n_stages is not None:
             hyper["n_stages"] = args.n_stages
@@ -353,6 +338,8 @@ def cmd_eval(args) -> int:
         raise UsageError("--mode and --all are mutually exclusive")
     if args.mode == "user-independent" and args.ratio is not None:
         raise UsageError("--ratio does not apply to user-independent mode")
+    if args.user is not None and args.mode != "user-dependent":
+        raise UsageError("--user only applies to user-dependent mode")
     if args.save_model:
         if args.all or args.mode == "user-independent":
             raise UsageError("--save-model needs a single-split mode")
@@ -360,7 +347,7 @@ def cmd_eval(args) -> int:
             raise UsageError("--save-model with user-dependent mode needs --user")
     ratio = args.ratio if args.ratio is not None else 0.75
     out = Path(args.out)
-    matrix = _load_matrix(Path(args.input), args.jobs)
+    matrix = _load_matrix(Path(args.input))
 
     _write_run(out, "eval", {
         "input": str(args.input),
@@ -370,7 +357,6 @@ def cmd_eval(args) -> int:
         "seed": args.seed,
         "ratio": ratio,
         "user": args.user,
-        "jobs": args.jobs,
         "hyperparams": {k: _hyper_from_args(k, args) for k in CLASSIFIER_KINDS}
         if args.all
         else _hyper_from_args(args.classifier, args),
@@ -384,7 +370,7 @@ def cmd_eval(args) -> int:
                 spec = ClassifierSpec(kind, _hyper_from_args(kind, args), args.seed)
                 cell_dir = out / f"{mode}-{kind}"
                 grid.append(
-                    _eval_cell(matrix, mode, spec, ratio, args.seed, args.user,
+                    _eval_cell(matrix, mode, spec, ratio, args.seed, None,
                                cell_dir, None)
                 )
         with open(out / "grid.csv", "w", newline="\n", encoding="utf-8") as fh:
@@ -401,40 +387,6 @@ def cmd_eval(args) -> int:
                           args.seed)
     _eval_cell(matrix, args.mode, spec, ratio, args.seed, args.user, out,
                Path(args.save_model) if args.save_model else None)
-    return EXIT_OK
-
-
-# ----------------------------------------------------------------- bench
-
-def cmd_bench(args) -> int:
-    matrix = load_features(Path(args.features))
-    if matrix.n == 0:
-        raise DataError("feature file has no rows", path=Path(args.features))
-    if args.reps < 100:
-        raise UsageError("--reps must be >= 100")
-    groups = 10
-    results = []
-    for model_path in args.models:
-        model = load_model(model_path, expect_feature_version=matrix.version)
-        t = time_single_predictions(model, matrix.X, groups=groups,
-                                    calls_per_group=max(1, args.reps // groups))
-        results.append((Path(model_path).name, model.kind, t))
-        print(f"{model.kind:>3}  {t:.3e} s/sample  ({Path(model_path).name})")
-    if args.out:
-        out = Path(args.out)
-        _write_run(out, "bench", {
-            "models": [str(m) for m in args.models],
-            "features": str(args.features),
-            "reps": args.reps,
-        })
-        with open(out / "bench.csv", "w", newline="\n", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["model", "kind", "seconds_per_sample"])
-            for name, kind, t in results:
-                writer.writerow([name, kind, f"{t:.6e}"])
-    if len(results) > 1:
-        ordered = sorted(results, key=lambda r: r[2])
-        print("ordering: " + " < ".join(kind for _, kind, _ in ordered))
     return EXIT_OK
 
 
@@ -501,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("features", help="extract the 33-value feature CSV")
     p.add_argument("manifest")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("eval", help="run an evaluation mode")
@@ -516,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="train fraction (default 0.75)")
     p.add_argument("--user", type=int, default=None,
                    help="restrict user-dependent mode to one user")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--save-model", default=None,
                    help="write the fitted model file (single-split modes)")
     p.add_argument("--n-trees", type=int, default=None)
@@ -527,13 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-depth", type=int, default=None)
     p.add_argument("--alpha", type=float, default=None)
     p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("bench", help="time single-sample prediction of models")
-    p.add_argument("models", nargs="+", help="model file(s)")
-    p.add_argument("--features", required=True, help="feature CSV")
-    p.add_argument("--reps", type=int, default=200)
-    p.add_argument("--out", default=None, help="optional output directory")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("synth", help="generate a synthetic canonical dataset")
     p.add_argument("--out", required=True, help="output directory")

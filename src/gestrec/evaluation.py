@@ -46,6 +46,9 @@ USER_DEPENDENT = "UserDependent"
 MIXED_USER = "MixedUser"
 USER_INDEPENDENT = "UserIndependent"
 
+TIMING_GROUPS = 10
+TIMING_CALLS_PER_GROUP = 20
+
 
 @dataclass(frozen=True)
 class SplitPlan:
@@ -95,8 +98,13 @@ class ConfusionMatrix:
         counts = np.zeros((k, k), dtype=np.int64)
         for t, p in zip(y_true, y_pred):
             counts[index[t], index[p]] += 1
+        return ConfusionMatrix.from_counts(classes, counts)
+
+    @staticmethod
+    def from_counts(classes, counts) -> "ConfusionMatrix":
+        classes = tuple(classes)
         support = counts.sum(axis=1)
-        percents = np.zeros((k, k))
+        percents = np.zeros(counts.shape)
         nz = support > 0
         percents[nz] = 100.0 * counts[nz] / support[nz, None]
         zero = tuple(c for c, s in zip(classes, support) if s == 0)
@@ -229,23 +237,23 @@ def _spec_fields(spec, model) -> tuple[str, dict, int]:
     return getattr(model, "kind", type(model).__name__), {}, getattr(model, "seed", 0)
 
 
-def time_single_predictions(model, X_test: np.ndarray, groups: int = 10,
-                            calls_per_group: int = 20) -> float:
+def time_single_predictions(model, X_test: np.ndarray) -> float:
     """Median of per-group mean wall-clock times for single-sample predict.
 
-    Runs groups * calls_per_group (>= 100) single-sample calls on rows
-    cycled from the test set, single-threaded. Feature extraction is
-    outside the timed region by construction: rows are already vectors.
+    Runs TIMING_GROUPS * TIMING_CALLS_PER_GROUP (>= 100) single-sample
+    calls on rows cycled from the test set, single-threaded. Feature
+    extraction is outside the timed region by construction: rows are
+    already vectors.
     """
     n = X_test.shape[0]
     means = []
     call = 0
-    for _ in range(groups):
+    for _ in range(TIMING_GROUPS):
         t0 = time.perf_counter()
-        for _ in range(calls_per_group):
+        for _ in range(TIMING_CALLS_PER_GROUP):
             model.predict(X_test[call % n])
             call += 1
-        means.append((time.perf_counter() - t0) / calls_per_group)
+        means.append((time.perf_counter() - t0) / TIMING_CALLS_PER_GROUP)
     return float(np.median(means))
 
 

@@ -1,12 +1,22 @@
 """Command-line interface: pipelines, artifacts, exit-code discipline."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gestrec import FeatureMatrix, save_features
-from gestrec.cli import main
+from gestrec import (
+    ClassifierSpec,
+    FeatureMatrix,
+    load_features,
+    load_model,
+    plan_mixed,
+    save_features,
+)
+from gestrec.cli import build_parser, main
 from gestrec.features import N_FEATURES
 
 SYNTH_FLAGS = [
@@ -158,24 +168,19 @@ class TestEval:
 
 
 class TestSaveModelAndBench:
-    def test_save_then_bench_orders_kinds(self, workspace, tmp_path, capsys):
-        models = []
-        for kind in ("rc", "et"):
+    def test_saved_model_reloads_as_a_fresh_fit(self, workspace, tmp_path):
+        matrix = load_features(workspace / "features.csv")
+        plan = plan_mixed(matrix, ratio=0.75, seed=0)
+        for kind in ("rc", "et", "gb"):
             path = tmp_path / f"{kind}.json"
-            out = tmp_path / f"eval-{kind}"
             assert main(["eval", str(workspace / "features.csv"),
-                         "--out", str(out), "--mode", "mixed",
-                         "--classifier", kind, "--save-model", str(path)]) == 0
-            models.append(str(path))
-        capsys.readouterr()
-        bench_dir = tmp_path / "bench"
-        assert main(["bench", *models, "--features", str(workspace / "features.csv"),
-                     "--reps", "100", "--out", str(bench_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "ordering: ridge < extra_trees" in out
-        rows = (bench_dir / "bench.csv").read_text().splitlines()
-        assert rows[0] == "model,kind,seconds_per_sample"
-        assert len(rows) == 3
+                         "--out", str(tmp_path / f"eval-{kind}"),
+                         "--mode", "mixed", "--classifier", kind,
+                         "--save-model", str(path)]) == 0
+            fresh = ClassifierSpec(kind, {}, seed=0).build().fit(
+                matrix.X[plan.train_indices], matrix.gestures[plan.train_indices])
+            saved = load_model(path, expect_feature_version=matrix.version)
+            assert np.array_equal(saved.predict(matrix.X), fresh.predict(matrix.X))
 
     def test_saved_user_dependent_model(self, workspace, tmp_path):
         path = tmp_path / "u1.json"
@@ -202,18 +207,25 @@ class TestExitCodes:
              "--save-model", str(tmp_path / "m.json")],  # missing --user
             ["eval", feats, "--out", out, "--all",
              "--save-model", str(tmp_path / "m.json")],
+            ["eval", feats, "--out", out, "--all", "--user", "1"],
+            ["eval", feats, "--out", out, "--mode", "mixed", "--user", "2"],
             ["ingest", "canonical", str(workspace / "data" / "manifest.csv"),
              "--out", out, "--adapter-config", str(tmp_path / "c.json")],
-            ["bench", str(tmp_path / "m.json"), "--features", feats,
-             "--reps", "50"],
             ["synth", "--out", out, "--length-min", "4"],
         ]
         for argv in cases:
             assert main(argv) == 2, argv
+        # Every case is refused before any output, cell directories included.
+        assert not (tmp_path / "x").exists()
 
-    def test_argparse_errors_exit_2(self, capsys):
+    def test_argparse_errors_exit_2(self, tmp_path, capsys):
         assert main(["eval"]) == 2  # missing required arguments
         assert main(["frobnicate"]) == 2
+        assert main(["bench", "m.json", "--features", "f.csv"]) == 2
+        out = tmp_path / "f.csv"
+        assert main(["features", str(tmp_path / "manifest.csv"), "--out",
+                     str(out), "--jobs", "2"]) == 2
+        assert not out.exists()
         capsys.readouterr()
 
     def test_data_errors_exit_3(self, workspace, tmp_path):
@@ -226,24 +238,6 @@ class TestExitCodes:
         corrupt.write_text("user,gesture,f01\n1,1,not-a-number\n")
         assert main(["eval", str(corrupt), "--out", str(tmp_path / "e2"),
                      "--mode", "mixed"]) == 3
-
-        not_model = tmp_path / "m.json"
-        not_model.write_text("{}")
-        assert main(["bench", str(not_model),
-                     "--features", str(workspace / "features.csv"),
-                     "--reps", "100"]) == 3
-
-    def test_stale_model_version_exits_3(self, workspace, tmp_path):
-        path = tmp_path / "model.json"
-        assert main(["eval", str(workspace / "features.csv"),
-                     "--out", str(tmp_path / "e"), "--mode", "mixed",
-                     "--classifier", "rc", "--save-model", str(path)]) == 0
-        doc = json.loads(path.read_text())
-        doc["feature_order_version"] = 999
-        path.write_text(json.dumps(doc))
-        assert main(["bench", str(path),
-                     "--features", str(workspace / "features.csv"),
-                     "--reps", "100"]) == 3
 
     def test_numeric_errors_exit_4(self, tmp_path):
         # Rank-deficient features with an unregularized ridge: only the
@@ -259,3 +253,25 @@ class TestExitCodes:
         assert main(["eval", str(feats), "--out", str(tmp_path / "e"),
                      "--mode", "mixed", "--classifier", "rc",
                      "--alpha", "0"]) == 4
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_commands_parse():
+    """Every ``gestrec`` line of the README's sh blocks names a real
+    command and real flags. The commands are parsed, not run."""
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"),
+                            re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["gestrec"]:
+                commands.append(words[1:])
+    assert commands
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: gestrec {shlex.join(argv)}")

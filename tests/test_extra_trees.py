@@ -66,23 +66,6 @@ class TestDeterminism:
         b = ExtraTreesClassifier(n_trees=15, seed=12).fit(X, y)
         assert not np.array_equal(a.predict_proba(queries), b.predict_proba(queries))
 
-    def test_worker_count_does_not_change_model(self, blob_data):
-        X, y = blob_data(n_classes=3, n_per=15, spread=1.5, seed=7)
-        serial = ExtraTreesClassifier(n_trees=16, seed=5, jobs=1).fit(X, y)
-        threaded = ExtraTreesClassifier(n_trees=16, seed=5, jobs=4).fit(X, y)
-        assert np.array_equal(serial.predict_proba(X), threaded.predict_proba(X))
-        for ta, tb in zip(serial.trees_, threaded.trees_):
-            stack = [(ta, tb)]
-            while stack:
-                na, nb = stack.pop()
-                assert na.feature == nb.feature
-                if na.feature >= 0:
-                    assert na.threshold == nb.threshold
-                    stack.append((na.left, nb.left))
-                    stack.append((na.right, nb.right))
-                else:
-                    assert np.array_equal(na.value, nb.value)
-
 
 class TestPredictContract:
     def test_tie_breaks_to_lowest_class(self):
@@ -136,10 +119,6 @@ class TestValidation:
             ExtraTreesClassifier(k_features=0)
         with pytest.raises(ValueError):
             ExtraTreesClassifier(min_samples_split=1)
-
-    def test_jobs_clamped_to_one(self):
-        assert ExtraTreesClassifier(jobs=0).jobs == 1
-        assert ExtraTreesClassifier(jobs=-3).jobs == 1
 
     def test_k_features_clipped_to_dimensionality(self, blob_data):
         # More candidate features than columns still works: the draw
