@@ -49,13 +49,14 @@ from .evaluation import (
     EvaluationReport,
     FoldResults,
     SplitPlan,
-    crossval_chart_data,
     evaluate,
     evaluate_folds,
+    fit_plan,
     per_user_table,
     plan_mixed,
     plan_user_dependent,
     plan_user_independent,
+    score,
     time_single_predictions,
 )
 from .features import (
@@ -98,11 +99,11 @@ __all__ = [
     "SplitPlan",
     "SynthSpec",
     "VersionMismatchError",
-    "crossval_chart_data",
     "evaluate",
     "evaluate_folds",
     "extract_all",
     "feature_set",
+    "fit_plan",
     "generate",
     "load_features",
     "load_manifest",
@@ -117,6 +118,7 @@ __all__ = [
     "save_features",
     "save_manifest",
     "save_model",
+    "score",
     "strip_timestamps",
     "time_single_predictions",
 ]

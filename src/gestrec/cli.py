@@ -5,6 +5,12 @@ manifest), ``features`` (manifest -> feature CSV), ``eval`` (features or
 manifest -> evaluation reports), ``synth`` (spec flags -> synthetic
 canonical dataset).
 
+``eval`` runs each mode as a list of split plans (one per user, one
+pooled split, or one leave-one-user-out fold per user); every plan is
+fitted and scored once, and ``--save-model`` saves the model that was
+scored. Flags are checked, plans built and classifiers configured
+before anything is written.
+
 Every run writes a ``run.json`` provenance record with the fully
 resolved configuration next to its outputs. Exit codes: 0 success,
 2 usage errors, 3 data/file errors, 4 numeric errors.
@@ -39,16 +45,17 @@ from .errors import (
     VersionMismatchError,
 )
 from .evaluation import (
+    USER_DEPENDENT,
+    USER_INDEPENDENT,
     ClassifierSpec,
     ConfusionMatrix,
     EvaluationReport,
-    crossval_chart_data,
-    evaluate,
-    evaluate_folds,
-    per_user_table,
+    SplitPlan,
+    fit_plan,
     plan_mixed,
     plan_user_dependent,
     plan_user_independent,
+    score,
 )
 from .features import FeatureMatrix, extract_all, load_features, save_features
 from .synth import EASY_SPEC, SynthSpec, generate
@@ -56,6 +63,14 @@ from .synth import EASY_SPEC, SynthSpec, generate
 __all__ = ["main"]
 
 MODES = ("user-dependent", "mixed", "user-independent")
+# report.txt/report.json scope of a report that tests one user
+SCOPES = {USER_DEPENDENT: "user {}", USER_INDEPENDENT: "fold u{}"}
+# eval's hyperparameter flags: --n-trees sets n_trees, and so on
+HYPER_FLAGS = {
+    "et": {"n_trees": int, "k_features": int, "min_samples_split": int},
+    "gb": {"n_stages": int, "learning_rate": float, "max_depth": int},
+    "rc": {"alpha": float},
+}
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -156,7 +171,7 @@ def _write_per_user_csv(path: Path, rows, average: float | None) -> None:
 
 
 def _report_to_dict(rep: EvaluationReport) -> dict:
-    return {
+    d = {
         "mode": rep.mode,
         "classifier": rep.classifier_kind,
         "hyperparams": rep.hyperparams,
@@ -173,6 +188,9 @@ def _report_to_dict(rep: EvaluationReport) -> dict:
             "zero_support": [int(c) for c in rep.confusion.zero_support],
         },
     }
+    if rep.mode in SCOPES:  # the report tests one user
+        d["scope"] = SCOPES[rep.mode].format(*rep.per_user_accuracy)
+    return d
 
 
 def _format_report_txt(title: str, rep_dicts: list[dict], average: float,
@@ -201,71 +219,38 @@ def _format_report_txt(title: str, rep_dicts: list[dict], average: float,
     return "\n".join(lines)
 
 
-def _aggregate_confusion(reports):
-    return ConfusionMatrix.from_counts(
-        reports[0].confusion.classes, sum(r.confusion.counts for r in reports)
-    )
+def _plans(matrix: FeatureMatrix, mode: str, ratio: float, seed: int,
+           user: int | None) -> list[SplitPlan]:
+    """The plans one mode scores: one split per user (or just ``user``),
+    one pooled split, or one leave-one-user-out fold per user."""
+    if mode == "mixed":
+        return [plan_mixed(matrix, ratio=ratio, seed=seed)]
+    if mode == "user-dependent":
+        users = [user] if user is not None else np.unique(matrix.users).tolist()
+        return [plan_user_dependent(matrix, u, ratio=ratio, seed=seed) for u in users]
+    return plan_user_independent(matrix, seed=seed)
 
 
 def _eval_cell(matrix: FeatureMatrix, mode: str, spec: ClassifierSpec,
-               ratio: float, seed: int, user: int | None, out_dir: Path,
+               plans: list[SplitPlan], ratio: float, out_dir: Path,
                save_model_path: Path | None) -> dict:
-    """Run one mode x classifier cell, write its artifacts, return summary."""
+    """Fit and score every plan of one mode x classifier cell, write its
+    artifacts, save the (last) fitted model if asked, return a summary."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    trained = None
+    reports = []
+    for plan in plans:
+        model = fit_plan(matrix, plan, spec)
+        reports.append(score(matrix, plan, spec, model))
 
-    if mode == "mixed":
-        plan = plan_mixed(matrix, ratio=ratio, seed=seed)
-        rep = evaluate(matrix, plan, spec)
-        reports = [rep]
-        average = rep.accuracy
-        rep_dicts = [_report_to_dict(rep)]
-        confusion = rep.confusion
-        per_user_rows = sorted(rep.per_user_accuracy.items())
-        per_user_avg = None
-        crossval = None
-    elif mode == "user-dependent":
-        users = [user] if user is not None else sorted(
-            int(u) for u in np.unique(matrix.users)
-        )
-        reports = []
-        for u in users:
-            plan = plan_user_dependent(matrix, u, ratio=ratio, seed=seed)
-            reports.append(evaluate(matrix, plan, spec))
-        if user is None:
-            rows, per_user_avg = per_user_table(reports)
-        else:
-            rows = [(user, reports[0].accuracy)]
-            per_user_avg = reports[0].accuracy
-        per_user_rows = rows
-        average = per_user_avg
-        rep_dicts = []
-        for u, rep in zip(users, reports):
-            d = _report_to_dict(rep)
-            d["scope"] = f"user {u}"
-            rep_dicts.append(d)
-        confusion = _aggregate_confusion(reports)
-        crossval = None
-    elif mode == "user-independent":
-        folds = plan_user_independent(matrix, seed=seed)
-        results = evaluate_folds(matrix, folds, spec)
-        reports = list(results.reports)
-        average = results.average_accuracy
-        crossval = crossval_chart_data(reports)
-        per_user_rows = crossval
-        per_user_avg = average
-        rep_dicts = []
-        for rep in reports:
-            d = _report_to_dict(rep)
-            tested = next(iter(rep.per_user_accuracy))
-            d["scope"] = f"fold u{tested}"
-            rep_dicts.append(d)
-        confusion = _aggregate_confusion(reports)
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown mode {mode!r}")
-
+    rows = sorted(row for r in reports for row in r.per_user_accuracy.items())
+    average = float(np.mean([r.accuracy for r in reports]))
+    confusion = ConfusionMatrix.from_counts(
+        reports[0].confusion.classes, sum(r.confusion.counts for r in reports)
+    )
     mean_time = float(np.mean([r.mean_classify_time_s for r in reports]))
-    title = f"{mode} / {spec.kind} (seed {seed})"
+    rep_dicts = [_report_to_dict(r) for r in reports]
+
+    title = f"{mode} / {spec.kind} (seed {spec.seed})"
     (out_dir / "report.txt").write_text(
         _format_report_txt(title, rep_dicts, average, mean_time, confusion),
         encoding="utf-8",
@@ -274,7 +259,7 @@ def _eval_cell(matrix: FeatureMatrix, mode: str, spec: ClassifierSpec,
         "mode": mode,
         "classifier": spec.kind,
         "hyperparams": spec.hyperparams,
-        "seed": seed,
+        "seed": spec.seed,
         "ratio": ratio if mode != "user-independent" else None,
         "average_accuracy": average,
         "mean_classify_time_s": mean_time,
@@ -284,23 +269,11 @@ def _eval_cell(matrix: FeatureMatrix, mode: str, spec: ClassifierSpec,
         json.dump(doc, fh, indent=2)
         fh.write("\n")
     _write_confusion_csv(out_dir / "confusion.csv", confusion)
-    _write_per_user_csv(out_dir / "per_user.csv", per_user_rows, per_user_avg)
-    if crossval is not None:
-        with open(out_dir / "crossval.csv", "w", newline="\n", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["user", "accuracy"])
-            for u, acc in crossval:
-                writer.writerow([u, _percent(acc)])
-
+    _write_per_user_csv(out_dir / "per_user.csv", rows,
+                        None if mode == "mixed" else average)
+    if mode == "user-independent":
+        _write_per_user_csv(out_dir / "crossval.csv", rows, None)
     if save_model_path is not None:
-        model = spec.build()
-        plan = (
-            plan_mixed(matrix, ratio=ratio, seed=seed)
-            if mode == "mixed"
-            else plan_user_dependent(matrix, user, ratio=ratio, seed=seed)
-        )
-        model.fit(matrix.X[plan.train_indices],
-                  matrix.gestures[plan.train_indices])
         save_model(model, save_model_path)
 
     print(f"{mode:>16} {spec.kind:>3}  accuracy {_percent(average)}  "
@@ -310,25 +283,8 @@ def _eval_cell(matrix: FeatureMatrix, mode: str, spec: ClassifierSpec,
 
 
 def _hyper_from_args(kind: str, args) -> dict:
-    hyper: dict = {}
-    if kind == "et":
-        if args.n_trees is not None:
-            hyper["n_trees"] = args.n_trees
-        if args.k_features is not None:
-            hyper["k_features"] = args.k_features
-        if args.min_samples_split is not None:
-            hyper["min_samples_split"] = args.min_samples_split
-    elif kind == "gb":
-        if args.n_stages is not None:
-            hyper["n_stages"] = args.n_stages
-        if args.learning_rate is not None:
-            hyper["learning_rate"] = args.learning_rate
-        if args.max_depth is not None:
-            hyper["max_depth"] = args.max_depth
-    elif kind == "rc":
-        if args.alpha is not None:
-            hyper["alpha"] = args.alpha
-    return hyper
+    values = {name: getattr(args, name) for name in HYPER_FLAGS[kind]}
+    return {name: v for name, v in values.items() if v is not None}
 
 
 def cmd_eval(args) -> int:
@@ -348,6 +304,16 @@ def cmd_eval(args) -> int:
     ratio = args.ratio if args.ratio is not None else 0.75
     out = Path(args.out)
     matrix = _load_matrix(Path(args.input))
+    modes = MODES if args.all else (args.mode,)
+    kinds = sorted(CLASSIFIER_KINDS) if args.all else [args.classifier]
+    try:
+        specs = [ClassifierSpec(k, _hyper_from_args(k, args), args.seed)
+                 for k in kinds]
+        for spec in specs:
+            spec.build()  # the constructor checks the hyperparameters
+        plans = {m: _plans(matrix, m, ratio, args.seed, args.user) for m in modes}
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
     _write_run(out, "eval", {
         "input": str(args.input),
@@ -357,22 +323,19 @@ def cmd_eval(args) -> int:
         "seed": args.seed,
         "ratio": ratio,
         "user": args.user,
-        "hyperparams": {k: _hyper_from_args(k, args) for k in CLASSIFIER_KINDS}
+        "hyperparams": {s.kind: s.hyperparams for s in specs}
         if args.all
-        else _hyper_from_args(args.classifier, args),
+        else specs[0].hyperparams,
         "save_model": str(args.save_model) if args.save_model else None,
     })
-
+    save_path = Path(args.save_model) if args.save_model else None
+    grid = [
+        _eval_cell(matrix, m, spec, plans[m], ratio,
+                   out / f"{m}-{spec.kind}" if args.all else out, save_path)
+        for m in modes
+        for spec in specs
+    ]
     if args.all:
-        grid = []
-        for mode in MODES:
-            for kind in sorted(CLASSIFIER_KINDS):
-                spec = ClassifierSpec(kind, _hyper_from_args(kind, args), args.seed)
-                cell_dir = out / f"{mode}-{kind}"
-                grid.append(
-                    _eval_cell(matrix, mode, spec, ratio, args.seed, None,
-                               cell_dir, None)
-                )
         with open(out / "grid.csv", "w", newline="\n", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["mode", "classifier", "accuracy",
@@ -381,12 +344,6 @@ def cmd_eval(args) -> int:
                 writer.writerow([cell["mode"], cell["classifier"],
                                  _percent(cell["accuracy"]),
                                  f"{cell['mean_classify_time_s']:.6e}"])
-        return EXIT_OK
-
-    spec = ClassifierSpec(args.classifier, _hyper_from_args(args.classifier, args),
-                          args.seed)
-    _eval_cell(matrix, args.mode, spec, ratio, args.seed, args.user, out,
-               Path(args.save_model) if args.save_model else None)
     return EXIT_OK
 
 
@@ -416,17 +373,7 @@ def cmd_synth(args) -> int:
             raise UsageError(str(exc)) from None
     dataset = generate(spec)
     manifest = save_manifest(dataset, out)
-    _write_run(out, "synth", {
-        "users": spec.users,
-        "gestures": spec.gestures,
-        "samples_per_gesture_per_user": spec.samples_per_gesture_per_user,
-        "length_range": list(spec.length_range),
-        "user_speed_jitter": spec.user_speed_jitter,
-        "noise_sigma": spec.noise_sigma,
-        "user_style_offset": spec.user_style_offset,
-        "seed": spec.seed,
-        "preset": args.preset,
-    })
+    _write_run(out, "synth", {**dataclasses.asdict(spec), "preset": args.preset})
     print(dataset.meta.summary())
     print(f"wrote {manifest}")
     return EXIT_OK
@@ -469,13 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict user-dependent mode to one user")
     p.add_argument("--save-model", default=None,
                    help="write the fitted model file (single-split modes)")
-    p.add_argument("--n-trees", type=int, default=None)
-    p.add_argument("--k-features", type=int, default=None)
-    p.add_argument("--min-samples-split", type=int, default=None)
-    p.add_argument("--n-stages", type=int, default=None)
-    p.add_argument("--learning-rate", type=float, default=None)
-    p.add_argument("--max-depth", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
+    for flags in HYPER_FLAGS.values():
+        for name, type_ in flags.items():
+            p.add_argument("--" + name.replace("_", "-"), type=type_, default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("synth", help="generate a synthetic canonical dataset")

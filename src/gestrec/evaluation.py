@@ -35,10 +35,11 @@ __all__ = [
     "plan_user_dependent",
     "plan_mixed",
     "plan_user_independent",
+    "fit_plan",
+    "score",
     "evaluate",
     "evaluate_folds",
     "per_user_table",
-    "crossval_chart_data",
     "time_single_predictions",
 ]
 
@@ -257,26 +258,27 @@ def time_single_predictions(model, X_test: np.ndarray) -> float:
     return float(np.median(means))
 
 
-def evaluate(matrix: FeatureMatrix, plan, classifier_spec,
-             timing: bool = True):
-    """Fit on a plan's train rows, score its test rows.
+def fit_plan(matrix: FeatureMatrix, plan: SplitPlan, classifier_spec):
+    """Build the classifier and fit it on a plan's train rows.
 
-    Accepts a single SplitPlan (returns an EvaluationReport) or a
-    sequence of them (returns FoldResults via evaluate_folds).
+    Refuses a model whose feature order differs from the matrix's and a
+    UserIndependent plan whose sides share a user.
     """
-    if isinstance(plan, (list, tuple)):
-        return evaluate_folds(matrix, plan, classifier_spec, timing=timing)
-
     model = _build_classifier(classifier_spec)
     _require_version(model, matrix)
-
     train, test = plan.train_indices, plan.test_indices
     if plan.mode == USER_INDEPENDENT:
         leak = set(matrix.users[train].tolist()) & set(matrix.users[test].tolist())
         if leak:
             raise AssertionError(f"user(s) {sorted(leak)} appear on both fold sides")
-
     model.fit(matrix.X[train], matrix.gestures[train])
+    return model
+
+
+def score(matrix: FeatureMatrix, plan: SplitPlan, classifier_spec, model,
+          timing: bool = True) -> EvaluationReport:
+    """Score a fitted model on a plan's test rows."""
+    test = plan.test_indices
     y_true = matrix.gestures[test]
     y_pred = np.asarray(model.predict(matrix.X[test]))
 
@@ -304,10 +306,24 @@ def evaluate(matrix: FeatureMatrix, plan, classifier_spec,
         accuracy=accuracy,
         confusion=confusion,
         mean_classify_time_s=elapsed,
-        n_train=train.size,
+        n_train=plan.train_indices.size,
         n_test=test.size,
         per_user_accuracy=per_user,
     )
+
+
+def evaluate(matrix: FeatureMatrix, plan, classifier_spec,
+             timing: bool = True):
+    """Fit on a plan's train rows, score its test rows.
+
+    Accepts a single SplitPlan (returns an EvaluationReport) or a
+    sequence of them (returns FoldResults via evaluate_folds). Call
+    fit_plan and score directly to keep the fitted model.
+    """
+    if isinstance(plan, (list, tuple)):
+        return evaluate_folds(matrix, plan, classifier_spec, timing=timing)
+    model = fit_plan(matrix, plan, classifier_spec)
+    return score(matrix, plan, classifier_spec, model, timing)
 
 
 def evaluate_folds(matrix: FeatureMatrix, folds, classifier_spec,
@@ -346,16 +362,3 @@ def per_user_table(reports) -> tuple[list[tuple[int, float]], float]:
     if len(users) != len(set(users)):
         raise ValueError("duplicate user reports")
     return rows, float(np.mean([a for _, a in rows]))
-
-
-def crossval_chart_data(fold_reports) -> list[tuple[int, float]]:
-    """Ordered (tested user, fold accuracy) pairs from leave-one-user-out
-    fold reports, ready to plot or write as CSV."""
-    pairs = []
-    for rep in fold_reports:
-        if len(rep.per_user_accuracy) != 1:
-            raise ValueError("fold report must test exactly one user")
-        ((user, _),) = rep.per_user_accuracy.items()
-        pairs.append((user, rep.accuracy))
-    pairs.sort()
-    return pairs

@@ -1,5 +1,7 @@
 """Command-line interface: pipelines, artifacts, exit-code discipline."""
 
+import csv
+import inspect
 import json
 import re
 import shlex
@@ -11,12 +13,18 @@ import pytest
 from gestrec import (
     ClassifierSpec,
     FeatureMatrix,
+    RidgeClassifier,
+    evaluate,
     load_features,
     load_model,
+    per_user_table,
     plan_mixed,
+    plan_user_dependent,
+    plan_user_independent,
     save_features,
 )
-from gestrec.cli import build_parser, main
+from gestrec.classifiers import CLASSIFIER_KINDS
+from gestrec.cli import HYPER_FLAGS, MODES, build_parser, main
 from gestrec.features import N_FEATURES
 
 SYNTH_FLAGS = [
@@ -167,6 +175,79 @@ class TestEval:
                 == docs[1]["reports"][0]["confusion"])
 
 
+def _csv_rows(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))
+
+
+class TestEvalMatchesLibrary:
+    """The files eval writes carry the numbers the library computes on
+    the same plans."""
+
+    def test_user_dependent_per_user_table(self, workspace, tmp_path):
+        matrix = load_features(workspace / "features.csv")
+        spec = ClassifierSpec("rc", {}, seed=0)
+        rows, average = per_user_table([
+            evaluate(matrix, plan_user_dependent(matrix, u, seed=0), spec,
+                     timing=False)
+            for u in (1, 2, 3)
+        ])
+        out = tmp_path / "ud"
+        assert main(["eval", str(workspace / "features.csv"), "--out", str(out),
+                     "--mode", "user-dependent", "--classifier", "rc"]) == 0
+        assert _csv_rows(out / "per_user.csv") == (
+            [["user", "accuracy"]]
+            + [[str(u), f"{acc:.2f}"] for u, acc in rows]
+            + [["avg", f"{average:.2f}"]]
+        )
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["average_accuracy"] == average
+
+    def test_user_independent_folds(self, workspace, tmp_path):
+        matrix = load_features(workspace / "features.csv")
+        results = evaluate(matrix, plan_user_independent(matrix, seed=0),
+                           ClassifierSpec("rc", {}, seed=0), timing=False)
+        out = tmp_path / "ui"
+        assert main(["eval", str(workspace / "features.csv"), "--out", str(out),
+                     "--mode", "user-independent", "--classifier", "rc"]) == 0
+        assert _csv_rows(out / "crossval.csv") == [["user", "accuracy"]] + [
+            [str(u), f"{r.accuracy:.2f}"]
+            for r in results.reports
+            for u in r.per_user_accuracy
+        ]
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["average_accuracy"] == results.average_accuracy
+
+    def test_mixed_confusion(self, workspace, tmp_path):
+        matrix = load_features(workspace / "features.csv")
+        report = evaluate(matrix, plan_mixed(matrix, seed=0),
+                          ClassifierSpec("gb", {"n_stages": 15}, seed=0),
+                          timing=False)
+        out = tmp_path / "mixed"
+        assert main(["eval", str(workspace / "features.csv"), "--out", str(out),
+                     "--mode", "mixed", "--classifier", "gb",
+                     "--n-stages", "15"]) == 0
+        confusion = report.confusion
+        assert _csv_rows(out / "confusion.csv") == (
+            [["true\\pred"] + [str(c) for c in confusion.classes]]
+            + [[str(c)] + [f"{v:.2f}" for v in row]
+               for c, row in zip(confusion.classes, confusion.percents)]
+        )
+
+    def test_feature_csv_without_a_user(self, workspace, tmp_path):
+        matrix = load_features(workspace / "features.csv")
+        keep = matrix.users != 2
+        feats = tmp_path / "no-user-2.csv"
+        save_features(FeatureMatrix(X=matrix.X[keep], users=matrix.users[keep],
+                                    gestures=matrix.gestures[keep]), feats)
+        for mode in MODES:
+            out = tmp_path / mode
+            assert main(["eval", str(feats), "--out", str(out), "--mode", mode,
+                         "--classifier", "rc"]) == 0, mode
+        rows = _csv_rows(tmp_path / "user-dependent" / "per_user.csv")
+        assert [r[0] for r in rows] == ["user", "1", "3", "avg"]
+
+
 class TestSaveModelAndBench:
     def test_saved_model_reloads_as_a_fresh_fit(self, workspace, tmp_path):
         matrix = load_features(workspace / "features.csv")
@@ -181,6 +262,22 @@ class TestSaveModelAndBench:
                 matrix.X[plan.train_indices], matrix.gestures[plan.train_indices])
             saved = load_model(path, expect_feature_version=matrix.version)
             assert np.array_equal(saved.predict(matrix.X), fresh.predict(matrix.X))
+
+    def test_save_model_fits_once(self, workspace, tmp_path, monkeypatch):
+        fits = []
+        fit = RidgeClassifier.fit
+
+        def counting_fit(self, X, y):
+            fits.append(len(y))
+            return fit(self, X, y)
+
+        monkeypatch.setattr(RidgeClassifier, "fit", counting_fit)
+        path = tmp_path / "rc.json"
+        assert main(["eval", str(workspace / "features.csv"),
+                     "--out", str(tmp_path / "eval"), "--mode", "mixed",
+                     "--classifier", "rc", "--save-model", str(path)]) == 0
+        assert fits == [54]  # the scored model is the saved one
+        assert path.is_file()
 
     def test_saved_user_dependent_model(self, workspace, tmp_path):
         path = tmp_path / "u1.json"
@@ -209,6 +306,13 @@ class TestExitCodes:
              "--save-model", str(tmp_path / "m.json")],
             ["eval", feats, "--out", out, "--all", "--user", "1"],
             ["eval", feats, "--out", out, "--mode", "mixed", "--user", "2"],
+            # values that a plan or a classifier constructor refuses
+            ["eval", feats, "--out", out, "--mode", "user-dependent",
+             "--user", "99"],
+            ["eval", feats, "--out", out, "--mode", "mixed", "--ratio", "1.5"],
+            ["eval", feats, "--out", out, "--mode", "mixed",
+             "--classifier", "et", "--n-trees", "0"],
+            ["eval", feats, "--out", out, "--all", "--alpha", "-1"],
             ["ingest", "canonical", str(workspace / "data" / "manifest.csv"),
              "--out", out, "--adapter-config", str(tmp_path / "c.json")],
             ["synth", "--out", out, "--length-min", "4"],
@@ -253,6 +357,18 @@ class TestExitCodes:
         assert main(["eval", str(feats), "--out", str(tmp_path / "e"),
                      "--mode", "mixed", "--classifier", "rc",
                      "--alpha", "0"]) == 4
+
+
+def test_hyper_flags_match_classifier_parameters():
+    """Every constructor parameter but ``seed`` has an eval flag of its
+    default's type, and every flag names such a parameter."""
+    assert list(HYPER_FLAGS) == list(CLASSIFIER_KINDS)
+    for kind, cls in CLASSIFIER_KINDS.items():
+        params = {name: p for name, p in inspect.signature(cls).parameters.items()
+                  if name != "seed"}
+        assert list(HYPER_FLAGS[kind]) == list(params), kind
+        for name, type_ in HYPER_FLAGS[kind].items():
+            assert type(params[name].default) is type_, (kind, name)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

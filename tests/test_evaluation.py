@@ -16,13 +16,14 @@ from gestrec import (
     EvaluationReport,
     FeatureMatrix,
     SplitPlan,
-    crossval_chart_data,
     evaluate,
     evaluate_folds,
+    fit_plan,
     per_user_table,
     plan_mixed,
     plan_user_dependent,
     plan_user_independent,
+    score,
     time_single_predictions,
 )
 from gestrec.errors import VersionMismatchError
@@ -270,6 +271,21 @@ class TestEvaluate:
         assert a.per_user_accuracy == b.per_user_accuracy
         assert b.mean_classify_time_s > 0.0
 
+    def test_fit_plan_then_score_is_evaluate(self):
+        matrix = label_matrix(n_users=2, n_gestures=4, per_cell=10)
+        plan = plan_mixed(matrix, seed=6)
+        spec = ClassifierSpec("et", {"n_trees": 10}, seed=3)
+        model = fit_plan(matrix, plan, spec)
+        assert model.classes_ is not None
+        report = score(matrix, plan, spec, model, timing=False)
+        direct = evaluate(matrix, plan, spec, timing=False)
+        assert report.accuracy == direct.accuracy
+        assert np.array_equal(report.confusion.counts, direct.confusion.counts)
+        assert report.per_user_accuracy == direct.per_user_accuracy
+        again = ClassifierSpec("et", {"n_trees": 10}, seed=3).build().fit(
+            matrix.X[plan.train_indices], matrix.gestures[plan.train_indices])
+        assert np.array_equal(model.predict(matrix.X), again.predict(matrix.X))
+
     def test_version_gate(self):
         matrix = label_matrix(n_users=1, n_gestures=3, per_cell=6)
         plan = plan_user_dependent(matrix, user=1, seed=1)
@@ -338,12 +354,13 @@ class TestTables:
         with pytest.raises(ValueError, match="exactly one user"):
             per_user_table([report])
 
-    def test_crossval_chart_data_ordered_pairs(self):
+    def test_per_user_table_fold_reports_ordered(self):
         matrix = label_matrix(n_users=4, n_gestures=3, per_cell=6)
         results = evaluate(matrix, plan_user_independent(matrix),
                            PerfectStub, timing=False)
-        pairs = crossval_chart_data(reversed(results.reports))
-        assert pairs == [(1, 100.0), (2, 100.0), (3, 100.0), (4, 100.0)]
+        rows, avg = per_user_table(reversed(results.reports))
+        assert rows == [(1, 100.0), (2, 100.0), (3, 100.0), (4, 100.0)]
+        assert avg == results.average_accuracy
 
 
 class TestTiming:
