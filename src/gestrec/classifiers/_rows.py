@@ -1,6 +1,10 @@
-"""The input checks shared by every classifier's fit and predict paths."""
+"""What every classifier shares: the input checks of its fit and predict
+paths, the argmax that turns scores into labels, and the list of its
+hyperparameters."""
 
 from __future__ import annotations
+
+import inspect
 
 import numpy as np
 
@@ -51,3 +55,18 @@ def feature_rows(X, n_features: int | None) -> tuple[np.ndarray, bool]:
         raise ValueError(f"expected {n_features} features, got {X.shape[1]}")
     _check_finite(X, single)
     return X, single
+
+
+def labels(classes: np.ndarray, scores: np.ndarray):
+    """The class of the highest score: one label for a 1-D ``scores``, one
+    per row for a 2-D one. Ties go to the lowest class index."""
+    return classes[scores.argmax(axis=-1)]
+
+
+def hyperparameters(cls) -> dict[str, type]:
+    """``{name: type(default)}`` for each parameter of the classifier
+    ``cls``'s constructor, in signature order: the one list of its
+    hyperparameters, which model files and ``gestrec eval`` flags name."""
+    return {
+        name: type(p.default) for name, p in inspect.signature(cls).parameters.items()
+    }

@@ -26,7 +26,7 @@ import numpy as np
 from ..errors import NumericError
 from ..features import FEATURE_ORDER_VERSION
 from .cart import Forest, Node, RegressionTreeBuilder
-from ._rows import feature_rows, training_rows
+from ._rows import feature_rows, labels, training_rows
 
 __all__ = ["GradientBoostingClassifier"]
 
@@ -163,7 +163,4 @@ class GradientBoostingClassifier:
         return out
 
     def predict(self, X):
-        scores = self.decision_function(X)
-        if scores.ndim == 1:
-            return self.classes_[int(np.argmax(scores))]
-        return self.classes_[np.argmax(scores, axis=1)]
+        return labels(self.classes_, self.decision_function(X))

@@ -1,12 +1,14 @@
 """Binary CART trees shared by the tree-ensemble classifiers.
 
-Two builders live here. The classification builder draws candidate
-splits at random (attribute subset plus one uniform threshold each) and
-keeps the best Gini decrease; it grows nodes until pure or unsplittable
-and stores class-probability leaves. The regression builder scans every
-feature exactly, maximizing the least-squares gain with midpoint
-thresholds, up to a fixed depth; leaf values come from a caller-supplied
-function of the leaf's row indices.
+Two builders live here. The classification builder,
+``build_random_split_tree``, draws candidate splits at random (attribute
+subset plus one uniform threshold each) and keeps the best Gini
+decrease; it grows nodes until pure or unsplittable and stores
+class-probability leaves. The regression builder,
+``RegressionTreeBuilder(X).build``, scans every feature exactly,
+maximizing the least-squares gain with midpoint thresholds, up to a
+fixed depth; leaf values come from a caller-supplied function of the
+leaf's row indices.
 
 The regression builder sorts nothing per node. ``presort`` orders the
 rows once per feature with a stable sort, and each child takes its
@@ -43,9 +45,7 @@ __all__ = [
     "RegressionTreeBuilder",
     "apply_tree",
     "build_random_split_tree",
-    "build_regression_tree",
     "presort",
-    "tree_depth",
     "node_to_dict",
     "node_from_dict",
 ]
@@ -180,12 +180,6 @@ class Forest:
         return out
 
 
-def tree_depth(node: Node) -> int:
-    if node.feature < 0:
-        return 0
-    return 1 + max(tree_depth(node.left), tree_depth(node.right))
-
-
 def _gini(counts: np.ndarray, n: int) -> float:
     p = counts / n
     return 1.0 - float(p @ p)
@@ -285,10 +279,10 @@ class RegressionTreeBuilder:
     ``k`` are written side by side into the buffer of depth ``k + 1``.
     """
 
-    def __init__(self, X: np.ndarray, order: np.ndarray | None = None):
+    def __init__(self, X: np.ndarray):
         n, d = X.shape
         self.X = X
-        self.order = presort(X) if order is None else order
+        self.order = presort(X)
         # Sorted values are gathered as flat positions into X transposed.
         self._XT = np.ascontiguousarray(X.T).ravel()
         self._offsets = (np.arange(d) * n)[:, None]
@@ -341,7 +335,19 @@ class RegressionTreeBuilder:
         leaf_value,
         fitted: np.ndarray | None = None,
     ) -> Node:
-        """One tree fitted to targets ``r``; see ``build_regression_tree``."""
+        """Grow an exact greedy least-squares regression tree fitted to
+        targets ``r``.
+
+        Every feature is scanned in index order; within a feature every
+        boundary between distinct consecutive sorted values is scored by
+        the squared-error decrease, with the threshold at the midpoint.
+        Ties keep the lowest feature index and, within a feature, the
+        smallest split position. Nodes with no strictly positive gain, or
+        at ``max_depth``, become leaves with value
+        ``leaf_value(row_indices)``, the row indices ascending. When
+        ``fitted`` is given, each training row's leaf value is written to
+        it.
+        """
         r = np.asarray(r, dtype=np.float64)  # the scratch buffers are float64
         X, XT, offsets = self.X, self._XT, self._offsets
         n_rows, d = X.shape
@@ -425,31 +431,6 @@ class RegressionTreeBuilder:
             stack.append((node.right, idx[~mask], right_order, depth + 1))
             stack.append((node.left, idx[mask], left_order, depth + 1))
         return root
-
-
-def build_regression_tree(
-    X: np.ndarray,
-    r: np.ndarray,
-    max_depth: int,
-    leaf_value,
-    order: np.ndarray | None = None,
-    fitted: np.ndarray | None = None,
-) -> Node:
-    """Grow an exact greedy least-squares regression tree.
-
-    Every feature is scanned in index order; within a feature every
-    boundary between distinct consecutive sorted values is scored by the
-    squared-error decrease, with the threshold at the midpoint. Ties
-    keep the lowest feature index and, within a feature, the smallest
-    split position. Nodes with no strictly positive gain, or at
-    ``max_depth``, become leaves with value ``leaf_value(row_indices)``,
-    the row indices ascending.
-
-    ``order`` is ``presort(X)``. When ``fitted`` is given, each training
-    row's leaf value is written to it. To build many trees over the same
-    ``X``, make one ``RegressionTreeBuilder`` and call its ``build``.
-    """
-    return RegressionTreeBuilder(X, order).build(r, max_depth, leaf_value, fitted)
 
 
 def node_to_dict(node: Node) -> dict:

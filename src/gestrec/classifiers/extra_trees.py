@@ -18,7 +18,7 @@ import numpy as np
 
 from ..features import FEATURE_ORDER_VERSION
 from .cart import Forest, Node, build_random_split_tree
-from ._rows import feature_rows, training_rows
+from ._rows import feature_rows, labels, training_rows
 
 __all__ = ["ExtraTreesClassifier", "DEFAULT_K_FEATURES"]
 
@@ -94,7 +94,4 @@ class ExtraTreesClassifier:
         return probs[0] if single else probs
 
     def predict(self, X):
-        p = self.predict_proba(X)
-        if p.ndim == 1:
-            return self.classes_[int(np.argmax(p))]
-        return self.classes_[np.argmax(p, axis=1)]
+        return labels(self.classes_, self.predict_proba(X))

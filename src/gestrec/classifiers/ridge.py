@@ -14,7 +14,7 @@ import numpy as np
 from ..dsp import DEGENERATE_VARIANCE
 from ..errors import SingularSystemError
 from ..features import FEATURE_ORDER_VERSION
-from ._rows import feature_rows, training_rows
+from ._rows import feature_rows, labels, training_rows
 
 __all__ = ["RidgeClassifier"]
 
@@ -83,7 +83,4 @@ class RidgeClassifier:
         return scores[0] if single else scores
 
     def predict(self, X):
-        scores = self.decision_function(X)
-        if scores.ndim == 1:
-            return self.classes_[int(np.argmax(scores))]
-        return self.classes_[np.argmax(scores, axis=1)]
+        return labels(self.classes_, self.decision_function(X))

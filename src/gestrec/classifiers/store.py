@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ModelFileError, VersionMismatchError
+from ._rows import hyperparameters
 from .boosting import GradientBoostingClassifier
 from .cart import node_from_dict, node_to_dict
 from .extra_trees import ExtraTreesClassifier
@@ -23,36 +24,28 @@ __all__ = ["FORMAT_TAG", "save_model", "load_model"]
 
 FORMAT_TAG = "gestrec-model/1"
 
-
-def _require_fitted(model):
-    if getattr(model, "classes_", None) is None:
-        raise ValueError("cannot save an unfitted model")
+_CLASSES = {
+    cls.kind: cls
+    for cls in (ExtraTreesClassifier, GradientBoostingClassifier, RidgeClassifier)
+}
 
 
 def save_model(model, path) -> Path:
-    """Serialize a fitted classifier to a self-describing JSON file."""
-    _require_fitted(model)
+    """Serialize a fitted classifier to a self-describing JSON file.
+
+    ``hyperparams`` holds the constructor's parameters, by name and in
+    signature order.
+    """
+    if getattr(model, "classes_", None) is None:
+        raise ValueError("cannot save an unfitted model")
     if isinstance(model, ExtraTreesClassifier):
-        hyper = {
-            "n_trees": model.n_trees,
-            "k_features": model.k_features,
-            "min_samples_split": model.min_samples_split,
-            "seed": model.seed,
-        }
         params = {"trees": [node_to_dict(t) for t in model.trees_]}
     elif isinstance(model, GradientBoostingClassifier):
-        hyper = {
-            "n_stages": model.n_stages,
-            "learning_rate": model.learning_rate,
-            "max_depth": model.max_depth,
-            "seed": model.seed,
-        }
         params = {
             "initial_scores": model.initial_scores_.tolist(),
             "stages": [[node_to_dict(t) for t in stage] for stage in model.stages_],
         }
     elif isinstance(model, RidgeClassifier):
-        hyper = {"alpha": model.alpha, "seed": model.seed}
         params = {
             "mean": model.mean_.tolist(),
             "std": model.std_.tolist(),
@@ -67,7 +60,9 @@ def save_model(model, path) -> Path:
         "feature_order_version": model.feature_order_version,
         "n_features": model.n_features_,
         "classes": np.asarray(model.classes_).tolist(),
-        "hyperparams": hyper,
+        "hyperparams": {
+            name: getattr(model, name) for name in hyperparameters(type(model))
+        },
         "params": params,
     }
     path = Path(path)
@@ -78,10 +73,12 @@ def save_model(model, path) -> Path:
     return path
 
 
-def _check_trees(path, trees, n_features: int, leaf_ok, expected: str) -> None:
+def _check_trees(
+    path, trees, n_features: int, leaf_shape: tuple, expected: str
+) -> None:
     """Raise ModelFileError at the first node that predict could not route
-    or read: a split outside the feature range, or a leaf value for which
-    ``leaf_ok`` is false."""
+    or read: a split outside the feature range, or a leaf value not of
+    ``leaf_shape`` (a float for ``()``)."""
     for i, root in enumerate(trees):
         stack = [root]
         while stack:
@@ -93,7 +90,7 @@ def _check_trees(path, trees, n_features: int, leaf_ok, expected: str) -> None:
                         f"outside [0, {n_features})"
                     )
                 stack += (node.left, node.right)
-            elif not leaf_ok(node.value):
+            elif getattr(node.value, "shape", ()) != leaf_shape:
                 raise ModelFileError(
                     f"{path}: tree {i} has leaf value {node.value!r}, "
                     f"expected {expected}"
@@ -141,19 +138,20 @@ def _param(path, params, name: str, shape: tuple, positive: bool = False):
 def load_model(path, expect_feature_version: int | None = None):
     """Reconstruct a classifier from a model file.
 
-    Raises ModelFileError on missing, corrupt or foreign files, on a tree
-    count that does not match the hyperparameters, on trees that predict
-    could not use (the message names the tree), and on parameter arrays
-    of the wrong shape, with non-finite entries or a standard deviation
-    <= 0 (the message names the parameter); and VersionMismatchError
-    when ``expect_feature_version`` is given and disagrees with the file.
+    Raises ModelFileError on missing, corrupt or foreign files, on a class
+    list that is empty or repeats a label, on a tree count that does not
+    match the hyperparameters, on trees that predict could not use (the
+    message names the tree), and on parameter arrays of the wrong shape,
+    with non-finite entries or a standard deviation <= 0 (the message
+    names the parameter); and VersionMismatchError when
+    ``expect_feature_version`` is given and disagrees with the file.
     """
     path = Path(path)
     if not path.is_file():
         raise ModelFileError(f"model file not found: {path}")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ModelFileError(f"corrupt model file {path}: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_TAG:
         raise ModelFileError(
@@ -165,73 +163,54 @@ def load_model(path, expect_feature_version: int | None = None):
         version = int(doc["feature_order_version"])
         kind = doc["kind"]
         classes = np.array(doc["classes"])
+        # A fit writes the distinct labels of its rows, at least one.
+        if classes.ndim != 1 or classes.size == 0 or (
+            np.unique(classes).size < classes.size
+        ):
+            raise ModelFileError(
+                f"{path}: classes must be a non-empty list of distinct labels"
+            )
         n_features = int(doc["n_features"])
         hyper = doc["hyperparams"]
         params = doc["params"]
+        cls = _CLASSES.get(kind)
+        if cls is None:
+            raise ModelFileError(f"{path}: unknown model kind {kind!r}")
+        model = cls(**{
+            name: type_(hyper[name]) for name, type_ in hyperparameters(cls).items()
+        })
 
-        if kind == "extra_trees":
-            model = ExtraTreesClassifier(
-                n_trees=int(hyper["n_trees"]),
-                k_features=int(hyper["k_features"]),
-                min_samples_split=int(hyper["min_samples_split"]),
-                seed=int(hyper["seed"]),
-            )
-            model.trees_ = [node_from_dict(t) for t in params["trees"]]
-            if len(model.trees_) != model.n_trees:
-                raise ModelFileError(
-                    f"{path}: {len(model.trees_)} trees, expected n_trees = "
-                    f"{model.n_trees}"
-                )
-            k = len(classes)
-            expected = f"{k} class probabilities"
-            _check_trees(
-                path,
-                model.trees_,
-                n_features,
-                lambda v: isinstance(v, np.ndarray) and v.shape == (k,),
-                expected,
-            )
-            model._rebuild_flat()
-            _check_finite(path, model._forest, expected)
-        elif kind == "gradient_boosting":
-            model = GradientBoostingClassifier(
-                n_stages=int(hyper["n_stages"]),
-                learning_rate=float(hyper["learning_rate"]),
-                max_depth=int(hyper["max_depth"]),
-                seed=int(hyper["seed"]),
-            )
-            model.initial_scores_ = _param(
-                path, params, "initial_scores", (len(classes),)
-            )
-            model.stages_ = [
-                [node_from_dict(t) for t in stage] for stage in params["stages"]
-            ]
-            if len(model.stages_) != model.n_stages or any(
-                len(stage) != len(classes) for stage in model.stages_
-            ):
-                raise ModelFileError(
-                    f"{path}: stage layout does not match n_stages x n_classes"
-                )
-            _check_trees(
-                path,
-                [t for stage in model.stages_ for t in stage],
-                n_features,
-                lambda v: isinstance(v, float),
-                "a finite float",
-            )
-            model._rebuild_flat()
-            _check_finite(path, model._forest, "a finite float")
-        elif kind == "ridge":
-            model = RidgeClassifier(
-                alpha=float(hyper["alpha"]), seed=int(hyper["seed"])
-            )
+        k = len(classes)
+        if cls is RidgeClassifier:
             model.mean_ = _param(path, params, "mean", (n_features,))
             model.std_ = _param(path, params, "std", (n_features,), positive=True)
-            model.weights_ = _param(
-                path, params, "weights", (len(classes), n_features + 1)
-            )
+            model.weights_ = _param(path, params, "weights", (k, n_features + 1))
         else:
-            raise ModelFileError(f"{path}: unknown model kind {kind!r}")
+            if cls is ExtraTreesClassifier:
+                model.trees_ = [node_from_dict(t) for t in params["trees"]]
+                if len(model.trees_) != model.n_trees:
+                    raise ModelFileError(
+                        f"{path}: {len(model.trees_)} trees, expected n_trees = "
+                        f"{model.n_trees}"
+                    )
+                trees, leaf_shape = model.trees_, (k,)
+                expected = f"{k} class probabilities"
+            else:
+                model.initial_scores_ = _param(path, params, "initial_scores", (k,))
+                model.stages_ = [
+                    [node_from_dict(t) for t in stage] for stage in params["stages"]
+                ]
+                if len(model.stages_) != model.n_stages or any(
+                    len(stage) != k for stage in model.stages_
+                ):
+                    raise ModelFileError(
+                        f"{path}: stage layout does not match n_stages x n_classes"
+                    )
+                trees = [t for stage in model.stages_ for t in stage]
+                leaf_shape, expected = (), "a finite float"
+            _check_trees(path, trees, n_features, leaf_shape, expected)
+            model._rebuild_flat()
+            _check_finite(path, model._forest, expected)
     except ModelFileError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -29,6 +29,7 @@ import numpy as np
 
 from . import __version__
 from .classifiers import CLASSIFIER_KINDS, save_model
+from .classifiers._rows import hyperparameters
 from .data import (
     load_adapter_config,
     load_manifest,
@@ -65,11 +66,11 @@ __all__ = ["main"]
 MODES = ("user-dependent", "mixed", "user-independent")
 # report.txt/report.json scope of a report that tests one user
 SCOPES = {USER_DEPENDENT: "user {}", USER_INDEPENDENT: "fold u{}"}
-# eval's hyperparameter flags: --n-trees sets n_trees, and so on
+# eval's hyperparameter flags, one per constructor parameter but the seed
+# (--seed): --n-trees sets n_trees, and so on
 HYPER_FLAGS = {
-    "et": {"n_trees": int, "k_features": int, "min_samples_split": int},
-    "gb": {"n_stages": int, "learning_rate": float, "max_depth": int},
-    "rc": {"alpha": float},
+    kind: {name: t for name, t in hyperparameters(cls).items() if name != "seed"}
+    for kind, cls in CLASSIFIER_KINDS.items()
 }
 
 EXIT_OK = 0
@@ -321,7 +322,7 @@ def cmd_eval(args) -> int:
         "all": args.all,
         "classifier": args.classifier,
         "seed": args.seed,
-        "ratio": ratio,
+        "ratio": ratio if args.mode != "user-independent" else None,
         "user": args.user,
         "hyperparams": {s.kind: s.hyperparams for s in specs}
         if args.all

@@ -18,11 +18,9 @@ from gestrec.classifiers.cart import (
     RegressionTreeBuilder,
     apply_tree,
     build_random_split_tree,
-    build_regression_tree,
     node_from_dict,
     node_to_dict,
     presort,
-    tree_depth,
 )
 
 
@@ -63,7 +61,7 @@ class TestRegressionTree:
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(30, 4))
         r = rng.normal(size=30)
-        tree = build_regression_tree(X, r, max_depth=1, leaf_value=mean_leaf(r))
+        tree = RegressionTreeBuilder(X).build(r, max_depth=1, leaf_value=mean_leaf(r))
         gain, f, thr = brute_force_best_split(X, r)
         assert gain > 0
         assert tree.feature == f
@@ -72,7 +70,7 @@ class TestRegressionTree:
     def test_leaf_values_come_from_callback(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         r = np.array([1.0, 1.0, 5.0, 5.0])
-        tree = build_regression_tree(X, r, max_depth=1, leaf_value=mean_leaf(r))
+        tree = RegressionTreeBuilder(X).build(r, max_depth=1, leaf_value=mean_leaf(r))
         assert apply_tree(tree, np.array([0.5])) == pytest.approx(1.0)
         assert apply_tree(tree, np.array([2.5])) == pytest.approx(5.0)
 
@@ -81,33 +79,33 @@ class TestRegressionTree:
         X = rng.normal(size=(200, 3))
         r = rng.normal(size=200)
         for depth in (1, 2, 3):
-            tree = build_regression_tree(X, r, depth, mean_leaf(r))
-            assert tree_depth(tree) <= depth
+            tree = RegressionTreeBuilder(X).build(r, depth, mean_leaf(r))
+            assert Forest([tree]).steps <= depth
 
     def test_constant_targets_make_a_leaf(self):
         X = np.arange(10.0)[:, None]
         r = np.full(10, 2.0)
-        tree = build_regression_tree(X, r, max_depth=3, leaf_value=mean_leaf(r))
+        tree = RegressionTreeBuilder(X).build(r, max_depth=3, leaf_value=mean_leaf(r))
         assert tree.feature == -1
         assert tree.value == pytest.approx(2.0)
 
     def test_constant_features_make_a_leaf(self):
         X = np.ones((10, 2))
         r = np.arange(10.0)
-        tree = build_regression_tree(X, r, max_depth=3, leaf_value=mean_leaf(r))
+        tree = RegressionTreeBuilder(X).build(r, max_depth=3, leaf_value=mean_leaf(r))
         assert tree.feature == -1
 
     def test_max_depth_zero_is_single_leaf(self):
         X = np.arange(6.0)[:, None]
         r = np.arange(6.0)
-        tree = build_regression_tree(X, r, max_depth=0, leaf_value=mean_leaf(r))
+        tree = RegressionTreeBuilder(X).build(r, max_depth=0, leaf_value=mean_leaf(r))
         assert tree.feature == -1
 
     def test_children_partition_rows(self):
         rng = np.random.default_rng(11)
         X = rng.normal(size=(64, 5))
         r = rng.normal(size=64)
-        tree = build_regression_tree(X, r, 3, mean_leaf(r))
+        tree = RegressionTreeBuilder(X).build(r, 3, mean_leaf(r))
 
         def check(node, rows):
             if node.feature < 0:
@@ -127,7 +125,7 @@ class TestRegressionTree:
         hi = np.nextafter(1.0, 2.0)
         X = np.array([[lo], [lo], [hi], [hi]])
         r = np.array([0.0, 0.0, 1.0, 1.0])
-        tree = build_regression_tree(X, r, 1, mean_leaf(r))
+        tree = RegressionTreeBuilder(X).build(r, 1, mean_leaf(r))
         assert tree.feature == 0
         assert tree.threshold < hi
         assert apply_tree(tree, np.array([lo])) == pytest.approx(0.0)
@@ -189,7 +187,7 @@ class TestPresortedBuilderIsBitIdentical:
         r = rng.choice([0.1, 0.7, -0.3, 1e-3], size=n)
         for depth in (1, 3, 5):
             want = reference_regression_tree(X, r, depth, sum_leaf(r))
-            got = build_regression_tree(X, r, depth, sum_leaf(r))
+            got = RegressionTreeBuilder(X).build(r, depth, sum_leaf(r))
             assert node_to_dict(got) == node_to_dict(want)
 
     def test_near_zero_gains(self):
@@ -202,7 +200,7 @@ class TestPresortedBuilderIsBitIdentical:
             X = rng.integers(0, 4, size=(64, 5)).astype(np.float64)
             r = 0.1 + rng.choice([0.0, 1e-16, -1e-16, 3e-17], size=64)
             want = reference_regression_tree(X, r, 4, sum_leaf(r))
-            got = build_regression_tree(X, r, 4, sum_leaf(r))
+            got = RegressionTreeBuilder(X).build(r, 4, sum_leaf(r))
             assert node_to_dict(got) == node_to_dict(want)
             splits += got.feature >= 0
         assert splits >= 4, "too few fits split at all to test anything"
@@ -210,11 +208,10 @@ class TestPresortedBuilderIsBitIdentical:
     def test_shared_presort_and_fitted_values(self):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(70, 6)).round(1)
-        order = presort(X)
         fitted = np.full(70, np.nan)
         for depth in (2, 3):
             r = rng.normal(size=70)
-            tree = build_regression_tree(X, r, depth, sum_leaf(r), order, fitted)
+            tree = RegressionTreeBuilder(X).build(r, depth, sum_leaf(r), fitted=fitted)
             want = reference_regression_tree(X, r, depth, sum_leaf(r))
             assert node_to_dict(tree) == node_to_dict(want)
             routed = np.array([apply_tree(tree, x) for x in X])
@@ -250,6 +247,17 @@ class TestPresortedBuilderIsBitIdentical:
         path = save_model(model, tmp_path / "gb.json")
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "f7b4b59c49875c4dad393a65f2783f02838b2da276c2861e03ac04eda90dd42f"
+        )
+
+    def test_et_model_file_digest(self, tmp_path):
+        # A default et fit on the same file. Unlike gb files (np.exp and
+        # np.log round differently on AVX-512), et files are the same on
+        # every numpy SIMD target.
+        m = load_features(Path(__file__).parent / "data" / "small_matrix.csv")
+        model = ExtraTreesClassifier().fit(m.X, m.gestures)
+        path = save_model(model, tmp_path / "et.json")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "351db56763e371a96cdb10b79e0f10f1da3b62acaf0c0b92c903b9e517725e47"
         )
 
 
@@ -326,7 +334,7 @@ class TestNodeSerialization:
         rng = np.random.default_rng(5)
         X = rng.normal(size=(32, 3))
         r = rng.normal(size=32)
-        tree = build_regression_tree(X, r, 3, mean_leaf(r))
+        tree = RegressionTreeBuilder(X).build(r, 3, mean_leaf(r))
         back = node_from_dict(node_to_dict(tree))
         for x in X:
             assert apply_tree(back, x) == apply_tree(tree, x)
@@ -385,11 +393,11 @@ class TestForest:
         rng = np.random.default_rng(7)
         X = rng.normal(size=(60, 4))
         r = rng.normal(size=60)
-        deep = build_regression_tree(X, r, 6, mean_leaf(r))
-        shallow = build_regression_tree(X, -r, 1, mean_leaf(-r))
+        deep = RegressionTreeBuilder(X).build(r, 6, mean_leaf(r))
+        shallow = RegressionTreeBuilder(X).build(-r, 1, mean_leaf(-r))
         trees = [Node(value=1.5), deep, Node(value=-0.25), shallow]
         forest = Forest(trees)
-        assert forest.steps == tree_depth(deep) > tree_depth(shallow) == 1
+        assert forest.steps == Forest([deep]).steps > Forest([shallow]).steps == 1
         Q = rng.normal(size=(ROUTE_BLOCK + 3, 4))
         Q[:5, deep.feature] = deep.threshold  # a tie goes left
         per_tree = forest.sums(Q, width=len(trees))
@@ -511,9 +519,10 @@ class TestLoneRow:
         rng = np.random.default_rng(9)
         X = rng.normal(size=(80, 3))
         r = rng.normal(size=80)
-        trees = [build_regression_tree(X, (k + 1) * r, depth, mean_leaf((k + 1) * r))
+        builder = RegressionTreeBuilder(X)
+        trees = [builder.build((k + 1) * r, depth, mean_leaf((k + 1) * r))
                  for k, depth in enumerate([7, 0, 1, 4, 2, 0])]
-        assert [tree_depth(t) for t in trees][:3] == [7, 0, 1]
+        assert [Forest([t]).steps for t in trees][:3] == [7, 0, 1]
         forest = Forest(trees)
         Q = np.vstack([on_thresholds(forest, 8, 3, rng), X[:8], [[1e300, -1e300, 1e300]]])
         for width in (1, 2, 3, 6):

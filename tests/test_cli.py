@@ -138,6 +138,8 @@ class TestEval:
         doc = json.loads((out / "report.json").read_text())
         assert doc["ratio"] is None
         assert [d["scope"] for d in doc["reports"]] == ["fold u1", "fold u2", "fold u3"]
+        run = json.loads((out / "run.json").read_text())
+        assert run["params"]["ratio"] is None
 
     def test_manifest_input_is_accepted(self, workspace, tmp_path):
         out = tmp_path / "from-manifest"
@@ -161,6 +163,8 @@ class TestEval:
         }
         assert (out / "mixed-et" / "report.json").is_file()
         assert (out / "user-independent-rc" / "crossval.csv").is_file()
+        # Two of the grid's three modes split by the ratio.
+        assert json.loads((out / "run.json").read_text())["params"]["ratio"] == 0.75
 
     def test_accuracy_deterministic_across_runs(self, workspace, tmp_path):
         docs = []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gestrec import ExtraTreesClassifier
-from gestrec.classifiers.cart import Node, apply_tree, tree_depth
+from gestrec.classifiers.cart import Node, apply_tree
 
 
 class TestTrainingBehaviour:
@@ -38,7 +38,7 @@ class TestTrainingBehaviour:
         model = ExtraTreesClassifier(n_trees=10, seed=2).fit(X, y)
         proba = model.predict_proba(X)
         assert np.array_equal(np.argmax(proba, axis=1), np.searchsorted(model.classes_, y))
-        assert max(tree_depth(t) for t in model.trees_) > 1
+        assert model._forest.steps > 1
 
     def test_monotone_accuracy_in_ensemble_size(self, blob_data):
         X, y = blob_data(n_classes=4, n_per=20, spread=2.5, seed=5)

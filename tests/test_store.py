@@ -1,5 +1,6 @@
 """Model persistence: round-trips, corruption handling, reproducibility."""
 
+import inspect
 import json
 import subprocess
 import sys
@@ -50,14 +51,22 @@ class TestRoundTrip:
             assert np.array_equal(again.decision_function(X), model.decision_function(X))
 
     def test_hyperparameters_preserved(self, blob_data, tmp_path):
+        # Every kind, with no value at its default: the file records the
+        # constructor's parameters by name and in order, and load passes
+        # each back with its type.
         X, y = blob_data(seed=22)
-        model = ExtraTreesClassifier(n_trees=3, k_features=2, min_samples_split=4, seed=7).fit(X, y)
-        save_model(model, tmp_path / "m.json")
-        again = load_model(tmp_path / "m.json")
-        assert again.n_trees == 3
-        assert again.k_features == 2
-        assert again.min_samples_split == 4
-        assert again.seed == 7
+        for cls, hyper in [
+            (ExtraTreesClassifier, dict(n_trees=3, k_features=2, min_samples_split=4, seed=7)),
+            (GradientBoostingClassifier, dict(n_stages=4, learning_rate=0.3, max_depth=2, seed=5)),
+            (RidgeClassifier, dict(alpha=0.5, seed=3)),
+        ]:
+            path = save_model(cls(**hyper).fit(X, y), tmp_path / f"{cls.kind}.json")
+            doc = json.loads(path.read_text())
+            assert list(doc["hyperparams"]) == list(inspect.signature(cls).parameters)
+            again = load_model(path)
+            for name, value in hyper.items():
+                assert getattr(again, name) == value, (cls.kind, name)
+                assert type(getattr(again, name)) is type(value), (cls.kind, name)
 
     def test_file_is_tagged_json(self, blob_data, tmp_path):
         X, y, models = fitted_models(blob_data)
@@ -129,6 +138,37 @@ class TestCorruption:
         doc["params"]["stages"][1] = doc["params"]["stages"][1][:-1]
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelFileError, match="stage"):
+            load_model(path)
+
+    @pytest.mark.parametrize("kind, classes", [
+        ("gb", []),  # no class: gb predict would fail in the tree router
+        ("et", [[1], [2], [3]]),  # predict would return [1], not a label
+        ("et", [1, 1, 2]),
+    ])
+    def test_classes_must_be_distinct_labels(self, blob_data, tmp_path, kind, classes):
+        X, y = blob_data(n_classes=3, seed=23)
+        model = ExtraTreesClassifier(n_trees=3) if kind == "et" else GradientBoostingClassifier(n_stages=2)
+        path = save_model(model.fit(X, y), tmp_path / "m.json")
+        doc = json.loads(path.read_text())
+        doc["classes"] = classes
+        if not classes:
+            doc["params"]["initial_scores"] = []
+            doc["params"]["stages"] = [[] for _ in doc["params"]["stages"]]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFileError, match=r"m\.json: classes must be a non-empty list of distinct labels"):
+            load_model(path)
+
+    def test_nesting_deeper_than_the_json_parser_takes(self, blob_data, tmp_path):
+        # Written as text: json.dumps would hit the same recursion limit.
+        X, y = blob_data(n_classes=2, seed=23)
+        path = save_model(ExtraTreesClassifier(n_trees=1).fit(X, y), tmp_path / "m.json")
+        doc = json.loads(path.read_text())
+        doc["params"]["trees"] = []
+        depth = 990
+        tree = '{"f":0,"t":0.0,"l":' * depth + '{"p":[1.0,0.0]}' + ',"r":{"p":[0.0,1.0]}}' * depth
+        text = json.dumps(doc, separators=(",", ":"))
+        path.write_text(text.replace('"trees":[]', '"trees":[' + tree + "]"))
+        with pytest.raises(ModelFileError, match=r"corrupt model file .*m\.json"):
             load_model(path)
 
     def test_mangled_tree_node(self, blob_data, tmp_path):
