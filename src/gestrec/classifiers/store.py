@@ -34,7 +34,10 @@ def save_model(model, path) -> Path:
     """Serialize a fitted classifier to a self-describing JSON file.
 
     ``hyperparams`` holds the constructor's parameters, by name and in
-    signature order.
+    signature order, each as the type of its default (the coercion
+    ``load_model`` applies). The whole document is encoded before the
+    file is opened, so a model that cannot be saved leaves ``path`` as
+    it was.
     """
     if getattr(model, "classes_", None) is None:
         raise ValueError("cannot save an unfitted model")
@@ -61,15 +64,16 @@ def save_model(model, path) -> Path:
         "n_features": model.n_features_,
         "classes": np.asarray(model.classes_).tolist(),
         "hyperparams": {
-            name: getattr(model, name) for name in hyperparameters(type(model))
+            name: type_(getattr(model, name))
+            for name, type_ in hyperparameters(type(model)).items()
         },
         "params": params,
     }
+    text = json.dumps(doc, separators=(",", ":")) + "\n"
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(text)
     return path
 
 

@@ -36,6 +36,7 @@ from .data import (
     load_sony_tree,
     load_uwave_tree,
     save_manifest,
+    utf8_text,
 )
 from .errors import (
     DataError,
@@ -96,8 +97,8 @@ def _load_matrix(path: Path) -> FeatureMatrix:
     """Accept either a feature CSV or a manifest CSV (sniffed by header)."""
     if not path.is_file():
         raise DataError("input file not found", path=path)
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
+    with open(path, "rb") as fh:
+        header = utf8_text(fh.readline(), path).strip()
     if header.startswith("user,gesture,f01"):
         return load_features(path)
     if header.startswith("user,gesture,trial"):

@@ -237,6 +237,17 @@ def strip_timestamps(
     return [(row[keep[0]], row[keep[1]], row[keep[2]]) for row in rows]
 
 
+def utf8_text(raw: bytes, path) -> str:
+    """``raw``, read from ``path``, as UTF-8 text; DataError at the
+    ``path:line`` of the first byte that is not UTF-8."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"not UTF-8 text (byte {raw[exc.start]:#04x})",
+                        path=path, line=line) from None
+
+
 def _read_sample_csv(path: Path) -> np.ndarray:
     """Readings of a sample CSV as an (n, 3) float64 array.
 
@@ -250,8 +261,7 @@ def _read_sample_csv(path: Path) -> np.ndarray:
     """
     if not path.is_file():
         raise DataError("sample file not found", path=path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        text = fh.read()
+    text = utf8_text(path.read_bytes(), path)
     head, _, body = text.partition("\n")
     # loadtxt warns on a body without data; csv gives the (0, 3) array.
     if "\r" not in text and head.split(",") == SAMPLE_HEADER and body.strip():
@@ -311,38 +321,37 @@ def load_manifest(path) -> Dataset:
         raise DataError("manifest not found", path=path)
     base = path.parent
     samples: list[GestureSample] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("empty manifest", path=path) from None
-        if [h.strip() for h in header] != MANIFEST_HEADER:
+    reader = csv.reader(io.StringIO(utf8_text(path.read_bytes(), path), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError("empty manifest", path=path) from None
+    if [h.strip() for h in header] != MANIFEST_HEADER:
+        raise DataError(
+            f"bad manifest header {header!r}, expected {MANIFEST_HEADER}",
+            path=path,
+            line=1,
+        )
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 5:
             raise DataError(
-                f"bad manifest header {header!r}, expected {MANIFEST_HEADER}",
-                path=path,
-                line=1,
+                f"expected 5 columns, got {len(row)}", path=path, line=lineno
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise DataError(
-                    f"expected 5 columns, got {len(row)}", path=path, line=lineno
-                )
-            try:
-                user = int(row[0])
-                gesture = int(row[1])
-                trial = int(row[2])
-                day = int(row[3]) if row[3].strip() else None
-            except ValueError:
-                raise DataError(
-                    f"malformed identity in {row!r}", path=path, line=lineno
-                ) from None
-            readings = _read_sample_csv(base / row[4])
-            samples.append(
-                _make_sample(user, gesture, trial, day, readings, path, lineno)
-            )
+        try:
+            user = int(row[0])
+            gesture = int(row[1])
+            trial = int(row[2])
+            day = int(row[3]) if row[3].strip() else None
+        except ValueError:
+            raise DataError(
+                f"malformed identity in {row!r}", path=path, line=lineno
+            ) from None
+        readings = _read_sample_csv(base / row[4])
+        samples.append(
+            _make_sample(user, gesture, trial, day, readings, path, lineno)
+        )
     try:
         return Dataset.from_samples(samples)
     except DataError as exc:
@@ -425,7 +434,7 @@ def load_adapter_config(path) -> AdapterConfig:
     if not path.is_file():
         raise DataError("adapter config not found", path=path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(utf8_text(path.read_bytes(), path))
     except json.JSONDecodeError as exc:
         raise DataError(f"invalid JSON: {exc}", path=path) from None
     known = {"path_pattern", "timestamp_columns", "sample_suffix", "delimiter"}
@@ -443,20 +452,21 @@ def load_adapter_config(path) -> AdapterConfig:
 
 def _parse_raw_rows(path: Path, config: AdapterConfig) -> list[list[float]]:
     rows: list[list[float]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split() if config.delimiter == "whitespace" else line.split(
-                config.delimiter
-            )
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError:
-                raise DataError(
-                    f"malformed row {line!r}", path=path, line=lineno
-                ) from None
+    # newline=None reads \n, \r and \r\n line ends, as open() does.
+    text = io.StringIO(utf8_text(path.read_bytes(), path), newline=None)
+    for lineno, line in enumerate(text, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split() if config.delimiter == "whitespace" else line.split(
+            config.delimiter
+        )
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError:
+            raise DataError(
+                f"malformed row {line!r}", path=path, line=lineno
+            ) from None
     if not rows:
         raise DataError("empty sample file", path=path)
     return rows

@@ -1,36 +1,36 @@
 """Numerical kernels for gesture feature extraction.
 
-Analytic signal, statistical moments, Pearson and lagged
-cross-correlation, spectral energy, all over numpy's FFT. All functions
-are deterministic; sequences are never windowed, resampled or altered.
-``hilbert_power`` alone writes to its argument.
+Hilbert transform, statistical moments, Pearson and lagged
+cross-correlation, spectral energy. The transforms run on numpy's real
+FFT and an energy is a sum of squares. All functions are deterministic
+and leave their arguments unchanged.
 
 The kernels work along the last axis: one call takes a stack of rows of
 equal length, such as the three axes of a recording stored as a
-contiguous ``(3, n)`` array, and gives one value per row. They trust
-their input; ``features.feature_set`` checks a recording once and then
-calls each kernel once per gesture. Rows reduce along the contiguous
-last axis, where numpy sums each row pairwise exactly as it sums a 1-D
-series, so a row's value has the bits of the 1-D call on that row.
-Reductions call the ufuncs' ``reduce`` directly: ``np.add.reduce(a, -1)
-/ n`` is how numpy's ``mean`` is defined, so the bits are the same
-without its Python wrapper, as are ``np.add``/``np.minimum``/
-``np.maximum.reduce`` for ``sum``/``min``/``max``. Scalar square roots
-are ``math.sqrt``, correctly rounded like ``np.sqrt``.
+contiguous ``(3, n)`` array, and gives one value (or row) per row. They
+trust their input; ``features.feature_set`` checks a recording once and
+then calls each kernel once per gesture. Rows reduce along the
+contiguous last axis, where numpy sums each row pairwise exactly as it
+sums a 1-D series, and its FFT transforms each row on its own, so a
+row's value has the bits of the 1-D call on that row. Reductions call
+the ufuncs' ``reduce`` directly: ``np.add.reduce(a, -1) / n`` is how
+numpy's ``mean`` is defined, so the bits are the same without its
+Python wrapper, as are ``np.add``/``np.minimum``/``np.maximum.reduce``
+for ``sum``/``min``/``max``. Scalar square roots are ``math.sqrt``,
+correctly rounded like ``np.sqrt``.
 
-The 1-D functions (``skew``, ``pearson_corr``, ``spectral_energy``,
-``cross_corr_feature``, ...) check their series with ``_as_series`` and
-call the same kernels on it.
+The 1-D functions (``skew``, ``pearson_corr``, ``hilbert_imag``, ...)
+check their series with ``_as_series`` and call the same kernels on it.
 
 Portable arithmetic. The array arithmetic is IEEE products and sums,
-FFTs and ``sqrt``: moments come from products of the centred values
-(``d*d``, ``(d*d)*d``, ``(d*d)*(d*d)``), power spectra are
-``re*re + im*im``, and the cross-correlation forms ``A*conj(B)`` from
-separate real products. numpy picks its vectorised ``pow``, complex
-``abs`` and complex multiply loops by CPU, and their last bits differ
-between its SIMD targets (baseline, AVX2, AVX-512); a product or a sum
-rounds the same way on every target. The scalar ``m2**1.5`` and
-``m2**2`` stay on Python floats.
+real FFTs and ``sqrt``: moments come from products of the centred
+values (``d*d``, ``(d*d)*d``, ``(d*d)*(d*d)``), energies are sums of
+``x*x``, and the cross-correlation forms ``A*conj(B)`` from separate
+real products. numpy picks its vectorised ``pow``, complex ``abs`` and
+complex multiply loops by CPU, and their last bits differ between its
+SIMD targets (baseline, AVX2, AVX-512); a product or a sum rounds the
+same way on every target. The scalar ``m2**1.5`` and ``m2**2`` stay on
+Python floats.
 
 Numeric contract. Skewness, kurtosis and Pearson correlation are
 scale-free. Each row has a scale: its peak magnitude, or that of the
@@ -53,10 +53,7 @@ import numpy as np
 
 __all__ = [
     "spectral_energy",
-    "power_spectra",
-    "spectral_energies",
-    "hilbert_power",
-    "analytic_weights",
+    "hilbert_rows",
     "analytic_signal",
     "hilbert_imag",
     "mean",
@@ -107,70 +104,40 @@ def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def power_spectra(spectra: np.ndarray) -> np.ndarray:
-    """|X_k|^2 of each row of DFT spectra, as re*re + im*im."""
-    re, im = spectra.real, spectra.imag
-    return re * re + im * im
-
-
-def spectral_energies(power: np.ndarray) -> np.ndarray:
-    """(1/n) * sum_k P_k of each row of power spectra P = |X|^2."""
-    return np.add.reduce(power, -1) / power.shape[-1]
-
-
-def hilbert_power(power: np.ndarray) -> np.ndarray:
-    """Turn, in place, the power spectra of rows into those of their
-    Hilbert transforms, and return them.
-
-    The transform's spectrum is -i*sign(k)*X_k: it keeps every |X_k|
-    except at k = 0 and, for even n, k = n/2, where it is 0.
-    """
-    power[..., 0] = 0.0
-    if power.shape[-1] % 2 == 0:
-        power[..., power.shape[-1] // 2] = 0.0
-    return power
+def hilbert_rows(rows: np.ndarray) -> np.ndarray:
+    """Hilbert transform of each row (the imaginary part of its analytic
+    signal): the inverse rFFT of -i*X_k, with X the row's rFFT and bin 0
+    and, for even n, bin n/2 set to 0. Turning a bin by -i swaps its
+    parts, (re, im) = (X.imag, -X.real), and rounds nothing."""
+    n = rows.shape[-1]
+    spectra = np.fft.rfft(rows)
+    turned = np.empty_like(spectra)
+    turned.real = spectra.imag
+    np.negative(spectra.real, out=turned.imag)
+    turned[..., 0] = 0.0
+    if n % 2 == 0:
+        turned[..., -1] = 0.0
+    return np.fft.irfft(turned, n)
 
 
 def spectral_energy(x) -> float:
-    """Spectral energy (1/n) * sum_k |X_k|^2.
-
-    With the 1/n normalization this equals the time-domain sum of
-    squares (Parseval), which anchors an independent oracle.
-    """
-    return float(spectral_energies(power_spectra(np.fft.fft(_as_series(x)))))
-
-
-def analytic_weights(n: int) -> np.ndarray:
-    """Spectral weights w of the analytic signal idft(dft(x) * w).
-
-    w_0 = 1; w_k = 2 for 0 < k < n/2; w_{n/2} = 1 when n is even; 0 for
-    k > n/2.
-    """
-    w = np.zeros(n)
-    half = n // 2
-    if n % 2 == 0:
-        w[0] = w[half] = 1.0
-        w[1:half] = 2.0
-    else:
-        w[0] = 1.0
-        w[1 : half + 1] = 2.0
-    return w
+    """Spectral energy (1/n) * sum_k |X_k|^2, computed as the time-domain
+    sum of squares it equals (Parseval)."""
+    a = _as_series(x)
+    return float(np.add.reduce(a * a))
 
 
 def analytic_signal(x) -> np.ndarray:
-    """Analytic signal via spectral weighting: idft(dft(x) * w).
-
-    The real part equals the input and the negative-frequency half of
-    the spectrum is zeroed (see ``analytic_weights``).
-    """
+    """Analytic signal x + i*H(x): the real part is the input, and the
+    negative-frequency half of its spectrum is zero."""
     x = _as_series(x, min_len=2)
-    return np.fft.ifft(np.fft.fft(x) * analytic_weights(x.size))
+    return x + 1j * hilbert_rows(x)
 
 
 def hilbert_imag(x) -> np.ndarray:
     """Imaginary part of the analytic signal: the input phase-shifted
     by a quarter cycle."""
-    return analytic_signal(x).imag
+    return hilbert_rows(_as_series(x, min_len=2))
 
 
 def mean(x) -> float:

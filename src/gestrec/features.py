@@ -11,15 +11,19 @@ version number.
 
 ``feature_set`` computes all 33 values in one pass over a contiguous
 ``(3, n)`` copy of the readings, checked once, calling each row-wise
-``dsp`` kernel once per gesture. ``time_features``, ``freq_features``
-and ``hilbert_features`` return slices of that pass. The pass uses the
-portable arithmetic of ``dsp`` (products, sums, FFTs and ``sqrt``), so
-its values do not depend on the SIMD target numpy picks for the CPU.
+``dsp`` kernel once per gesture: the Hilbert transforms come from one
+real FFT pair, and every energy is a sum of squares. ``time_features``,
+``freq_features`` and ``hilbert_features`` return slices of that pass.
+The pass uses the portable arithmetic of ``dsp`` (products, sums, real
+FFTs and ``sqrt``), so its values do not depend on the SIMD target
+numpy picks for the CPU.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp
-from .data import Dataset, GestureSample, check_readings
+from .data import Dataset, GestureSample, check_readings, utf8_text
 from .errors import DataError
 
 __all__ = [
@@ -76,29 +80,25 @@ def _name(sample) -> str:
 def _values(r: np.ndarray) -> np.ndarray:
     """The 33 values of a contiguous (3, n) array of readings, one row
     per axis: every row reduces along its contiguous last axis."""
-    n = r.shape[1]
-    spectra = np.fft.fft(r)
     # Rows 0-2 are the axes, rows 3-5 their Hilbert transforms.
-    rows = np.concatenate((r, np.fft.ifft(spectra * dsp.analytic_weights(n)).imag))
+    rows = np.concatenate((r, dsp.hilbert_rows(r)))
     low, high = np.minimum.reduce(rows, -1), np.maximum.reduce(rows, -1)
     peak = np.maximum(high[:3], -low[:3])
     mu, d, d2, m2 = dsp.centred_rows(rows, np.concatenate((peak, peak)))
     skew = dsp.skews(d, d2, m2)
     nxt = [1, 2, 0]  # pairs xy, yz, zx
-    power = dsp.power_spectra(spectra)
-    energy = dsp.spectral_energies(power).tolist()
-    # The axis energies are taken, so the Hilbert spectra may reuse power.
-    h_energy = dsp.spectral_energies(dsp.hilbert_power(power)).tolist()
+    # Sums of squares: the energies (Parseval) and cross-correlation norms.
+    sq = np.add.reduce(rows * rows, -1).tolist()
     return np.array(
         mu[:3].tolist()
         + skew[:3]
         + dsp.kurtoses(d2[:3], m2[:3])
         + dsp.pearsons(d[:3], d.take(nxt, 0), m2[:3], m2.take(nxt))
-        + dsp.max_cross_corrs(r, range(3), nxt, np.add.reduce(r * r, -1).tolist())
-        + energy
+        + dsp.max_cross_corrs(r, range(3), nxt, sq[:3])
+        + sq[:3]
         + mu[3:].tolist()
         + skew[3:]
-        + h_energy
+        + sq[3:]
         + low[3:].tolist()
         + high[3:].tolist(),
         dtype=np.float64,
@@ -108,13 +108,13 @@ def _values(r: np.ndarray) -> np.ndarray:
 def feature_set(sample) -> np.ndarray:
     """Full 33-value feature vector in the frozen FEATURE_NAMES order.
 
-    One pass over the (3, n) readings. One centred array per axis and per
+    One pass over the (3, n) readings. One batched rFFT and inverse rFFT
+    give the axes' Hilbert transforms. One centred array per axis and per
     Hilbert transform, and its squares, give the means, skewness,
-    kurtosis and Pearson values. One batched FFT gives the axis power
-    spectra, and with them the spectral energies of the axes and of
-    their Hilbert transforms, which one batched inverse FFT produces.
-    One zero-padded rFFT and inverse rFFT of the axes give the lagged
-    sums of all three cross-correlations.
+    kurtosis and Pearson values; one sum of squares per row gives the
+    spectral energies (Parseval) and the cross-correlation norms. One
+    zero-padded rFFT and inverse rFFT of the axes give the lagged sums
+    of all three cross-correlations.
 
     Raises ValueError for a raw array that is not (n, 3), n >= 4 and
     finite. Input domain: readings whose peak magnitude is 0 or within
@@ -246,47 +246,48 @@ def save_features(matrix: FeatureMatrix, path) -> Path:
 
 
 def load_features(path) -> FeatureMatrix:
-    """Read a feature CSV written by save_features."""
+    """Read a feature CSV written by save_features; DataError at
+    ``path:line`` on a malformed row, a nan or infinite value, or a byte
+    that is not UTF-8."""
     path = Path(path)
     if not path.is_file():
         raise DataError("feature file not found", path=path)
     users: list[int] = []
     gestures: list[int] = []
     rows: list[list[float]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("empty feature file", path=path) from None
-        if [h.strip() for h in header] != _FEATURE_HEADER:
+    reader = csv.reader(io.StringIO(utf8_text(path.read_bytes(), path), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError("empty feature file", path=path) from None
+    if [h.strip() for h in header] != _FEATURE_HEADER:
+        raise DataError(
+            f"bad feature header, expected {','.join(_FEATURE_HEADER)}",
+            path=path,
+            line=1,
+        )
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 2 + N_FEATURES:
             raise DataError(
-                f"bad feature header, expected {','.join(_FEATURE_HEADER)}",
+                f"expected {2 + N_FEATURES} columns, got {len(row)}",
                 path=path,
-                line=1,
+                line=lineno,
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2 + N_FEATURES:
-                raise DataError(
-                    f"expected {2 + N_FEATURES} columns, got {len(row)}",
-                    path=path,
-                    line=lineno,
-                )
-            try:
-                users.append(int(row[0]))
-                gestures.append(int(row[1]))
-                rows.append([float(v) for v in row[2:]])
-            except ValueError:
-                raise DataError("malformed feature row", path=path, line=lineno) from None
-    X = (
-        np.array(rows, dtype=np.float64)
-        if rows
-        else np.empty((0, N_FEATURES))
-    )
+        try:
+            users.append(int(row[0]))
+            gestures.append(int(row[1]))
+            values = [float(v) for v in row[2:]]
+        except ValueError:
+            raise DataError("malformed feature row", path=path, line=lineno) from None
+        if not all(map(math.isfinite, values)):
+            col = next(h for h, v in zip(_FEATURE_HEADER[2:], values)
+                       if not math.isfinite(v))
+            raise DataError(f"non-finite value in column {col}", path=path, line=lineno)
+        rows.append(values)
     return FeatureMatrix(
-        X=X,
+        X=np.array(rows, dtype=np.float64).reshape(len(rows), N_FEATURES),
         users=np.array(users, dtype=np.int64),
         gestures=np.array(gestures, dtype=np.int64),
     )

@@ -229,14 +229,18 @@ def test_criterion_5_timing_ordering(easy_matrix):
     y_train = easy_matrix.gestures[plan.train_indices]
     X_test = easy_matrix.X[plan.test_indices]
 
-    times = {}
-    for name, model in (
-        ("rc", RidgeClassifier()),
-        ("gb", GradientBoostingClassifier()),
-        ("et", ExtraTreesClassifier()),
-    ):
-        model.fit(X_train, y_train)
-        times[name] = time_single_predictions(model, X_test)
+    models = [
+        ("rc", RidgeClassifier().fit(X_train, y_train)),
+        ("gb", GradientBoostingClassifier().fit(X_train, y_train)),
+        ("et", ExtraTreesClassifier().fit(X_train, y_train)),
+    ]
+    # Interleaved rounds in rotating order, so that a change in the
+    # host's speed slows all three models alike; then each one's median.
+    rounds = {name: [] for name, _ in models}
+    for r in range(21):
+        for name, model in models[r % 3:] + models[:r % 3]:
+            rounds[name].append(time_single_predictions(model, X_test))
+    times = {name: float(np.median(t)) for name, t in rounds.items()}
 
     assert times["rc"] < times["gb"] < times["et"]
     print(

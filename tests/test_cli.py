@@ -5,6 +5,7 @@ import inspect
 import json
 import re
 import shlex
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -346,6 +347,53 @@ class TestExitCodes:
         corrupt.write_text("user,gesture,f01\n1,1,not-a-number\n")
         assert main(["eval", str(corrupt), "--out", str(tmp_path / "e2"),
                      "--mode", "mixed"]) == 3
+
+    @pytest.mark.parametrize("site", ["eval-input", "feature-csv", "manifest",
+                                      "sample-csv", "raw-tree", "adapter-config"])
+    def test_bytes_that_are_not_utf8_exit_3(self, site, workspace, make_uwave_tree,
+                                            tmp_path, capsys):
+        # Each file the CLI reads, with byte 0xff at the end of one line.
+        def spoil(path, line):
+            lines = path.read_bytes().split(b"\n")
+            lines[line - 1] += b"\xff"
+            path.write_bytes(b"\n".join(lines))
+            return path, line
+
+        out = str(tmp_path / "out")
+        if site == "eval-input":
+            bad = tmp_path / "blob.bin"
+            bad.write_bytes(b"\xff\xd8\xff\xe0\x00\x10JFIF\n" + bytes(range(256)))
+            where = bad, 1
+            argv = ["eval", str(bad), "--out", out, "--mode", "mixed"]
+        elif site == "feature-csv":
+            feats = tmp_path / "features.csv"
+            feats.write_bytes((workspace / "features.csv").read_bytes())
+            where = spoil(feats, 3)
+            argv = ["eval", str(feats), "--out", out, "--mode", "mixed"]
+        elif site in ("manifest", "sample-csv"):
+            data = tmp_path / "data"
+            shutil.copytree(workspace / "data", data)
+            manifest = data / "manifest.csv"
+            if site == "manifest":
+                where = spoil(manifest, 3)
+            else:
+                where = spoil(data / _csv_rows(manifest)[1][4], 5)
+            argv = ["features", str(manifest), "--out", str(tmp_path / "f.csv")]
+        else:
+            root = make_uwave_tree(users=2, days=1, gestures=2, trials=2)
+            if site == "raw-tree":
+                where = spoil(root / "U1" / "1" / "2-1.txt", 4)
+                argv = ["ingest", "uwave", str(root), "--out", out]
+            else:
+                config = tmp_path / "c.json"
+                config.write_bytes(b'{"path_pattern": "\xff"}\n')
+                where = config, 1
+                argv = ["ingest", "uwave", str(root), "--out", out,
+                        "--adapter-config", str(config)]
+        capsys.readouterr()
+        assert main(argv) == 3
+        path, line = where
+        assert f"{path}:{line}: not UTF-8 text (byte 0xff)" in capsys.readouterr().err
 
     def test_numeric_errors_exit_4(self, tmp_path):
         # Rank-deficient features with an unregularized ridge: only the

@@ -8,10 +8,11 @@ explicit lag loops), sharing no code with the package's kernels.
 1-D kernels, one axis (or axis pair) at a time, each re-checking and
 re-centring its series, with numpy's ``pow`` for the third and fourth
 moments, ``np.correlate`` for the lags and ``np.abs(X)**2`` for the
-power spectra. The one-pass ``feature_set`` gives its bits exactly on
-the 15 means, Pearson values and Hilbert means, minima and maxima, and
-agrees to 1e-12 on the other 18, whose arithmetic is now products, one
-rFFT per pair and ``re*re + im*im``.
+power spectra and a complex FFT pair for the Hilbert transforms. The
+one-pass ``feature_set`` gives its bits exactly on the 6 means and
+Pearson values, and agrees to 1e-12 on the other 27, whose arithmetic is
+now products, one rFFT pair per axis pair, one rFFT pair for the
+Hilbert transforms and sums of squares for the energies.
 
 ``composed_feature_set`` is that new arithmetic one series (or pair) at
 a time; the pass must give its bits exactly.
@@ -251,40 +252,39 @@ def _xcorr(a, b):
     return max(float(c[:n].max()), float(c[size - n + 1 :].max())) / np.sqrt(norm)
 
 
-def _power(x):
-    X = np.fft.fft(x)
-    return X.real * X.real + X.imag * X.imag
+def _hilbert(x):
+    """One rFFT pair: -i*X_k on the kept bins, 0 at DC and Nyquist."""
+    X = np.fft.rfft(x)
+    H = np.empty_like(X)
+    H.real = X.imag
+    H.imag = -X.real
+    H[0] = 0.0
+    if x.size % 2 == 0:
+        H[-1] = 0.0
+    return np.fft.irfft(H, x.size)
 
 
 def composed_feature_set(readings) -> np.ndarray:
     """The 33 values one series or pair at a time, in the arithmetic of
-    the pass: moments from products, one rFFT pair per axis pair, power
-    spectra as re*re + im*im, Hilbert energies from the axis spectra."""
+    the pass: moments from products, one rFFT pair per axis pair, the
+    Hilbert transform from one rFFT pair, energies as sums of squares."""
     r = np.asarray(readings, dtype=np.float64)
     axes = [r[:, k].copy() for k in range(3)]
     scale = [float(np.abs(a).max()) for a in axes]
-    h = [_ref_hilbert(a) for a in axes]
+    h = [_hilbert(a) for a in axes]
     c = [_centred(a, s) for a, s in zip(axes, scale)]
     hc = [_centred(v, s) for v, s in zip(h, scale)]
     pairs = [(0, 1), (1, 2), (2, 0)]
-    power = [_power(a) for a in axes]
-    hpower = []
-    for p in power:
-        p = p.copy()
-        p[0] = 0.0
-        if p.size % 2 == 0:
-            p[p.size // 2] = 0.0
-        hpower.append(p)
     return np.array(
         [float(a.mean()) for a in axes]
         + [_skew(*ci) for ci in c]
         + [_kurtosis(ci[1], ci[2]) for ci in c]
         + [_pearson(c[i][0], c[j][0], c[i][2], c[j][2]) for i, j in pairs]
         + [_xcorr(axes[i], axes[j]) for i, j in pairs]
-        + [float(p.sum() / p.size) for p in power]
+        + [float(np.sum(a * a)) for a in axes]
         + [float(v.mean()) for v in h]
         + [_skew(*ci) for ci in hc]
-        + [float(p.sum() / p.size) for p in hpower]
+        + [float(np.sum(v * v)) for v in h]
         + [float(v.min()) for v in h]
         + [float(v.max()) for v in h],
         dtype=np.float64,
@@ -415,6 +415,18 @@ class TestFeatureCsv:
         with pytest.raises(DataError, match="not found"):
             load_features(tmp_path / "nope.csv")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_reports_line_and_column(self, tmp_path, small_matrix,
+                                                      value):
+        p = save_features(small_matrix, tmp_path / "f.csv")
+        lines = p.read_text().splitlines()
+        row = lines[3].split(",")
+        row[2 + 4] = value  # f05
+        lines[3] = ",".join(row)
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=r"f\.csv:4: non-finite value in column f05"):
+            load_features(p)
+
 
 # --------------------------------------------------- the one-pass extractor
 
@@ -423,11 +435,12 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-# Columns whose arithmetic the portable pass kept, and those it moved
-# by rounding (products for the moments, rFFT cross-correlation, power
-# spectra as re*re + im*im, Hilbert energies from the axis spectra).
+# Columns whose arithmetic the one-pass extractor kept from the earlier
+# one, and those it moved by rounding (products for the moments, rFFT
+# cross-correlation, the Hilbert transforms from one rFFT pair, energies
+# as sums of squares).
 UNMOVED = [i for i, n in enumerate(FEATURE_NAMES)
-           if n.split("_")[0] in ("mean", "pearson", "hmean", "hmin", "hmax")]
+           if n.split("_")[0] in ("mean", "pearson")]
 MOVED = [i for i in range(N_FEATURES) if i not in UNMOVED]
 
 
@@ -463,18 +476,23 @@ QUIET_SPEC = SynthSpec(users=2, gestures=4, samples_per_gesture_per_user=2, seed
 
 # sha256 of extract_all(generate(spec)).X, recorded with the portable
 # arithmetic; the same on every numpy CPU target (see
-# test_digests_do_not_depend_on_the_cpu).
+# test_digests_do_not_depend_on_the_cpu). The second digest is of the
+# time-domain block X[:, :15] alone, so that a change which moves only
+# the energies or the Hilbert values shows that the rest kept its bits.
 PINNED = [
     (SynthSpec(users=2, gestures=4, samples_per_gesture_per_user=3,
                length_range=(40, 120), user_speed_jitter=0.2, noise_sigma=0.1,
                user_style_offset=0.3, seed=5),
-     "ad1b43d2970752c59dd548fbf7d7184337937aa4e2853bb21200f9360ea8f2a0"),
+     "01c88f3317ab16baf8005046c104641f69e437bb329648acd7431b5b1f427d2b",
+     "c845fea00f47871e7d5c5bdd1fef34cf1b9ac2b238abe721763ce17e4952e635"),
     (SynthSpec(users=2, gestures=4, samples_per_gesture_per_user=2,
                length_range=(40, 120), seed=6),
-     "a403f1438c8cebdf21981f85e625ae71cc1f1b3f569dd6164335c2d876f033a1"),
+     "efd493fd7711a6745f6ac68e888d1fb4ef0696275eb411ae1ebf2de73f3adcd4",
+     "cb91adec14db3eac1b96c5eee249b510836af1557a350966a9430fcf421113c5"),
     (SynthSpec(users=2, gestures=3, samples_per_gesture_per_user=1,
                length_range=(400, 1200), noise_sigma=0.15, seed=29),
-     "1945ff22318e15a0d139cbd160ec5098887dca2b8df9eabd339d5a331fa86ddf"),
+     "c91c00adc497ffe2621375fa702c5fe3a15293b2166ff797edd3b0b9679efe51",
+     "3136e400282271671ffaf0bdf9889ad52eded4664a9f501ef86248d5723b668a"),
 ]
 
 
@@ -520,10 +538,12 @@ class TestOnePassIsBitIdentical:
         assert same_bits(freq_features(s), full[15:18])
         assert same_bits(hilbert_features(s), full[18:])
 
-    @pytest.mark.parametrize("spec,digest", PINNED, ids=["noisy", "noise-free", "long"])
-    def test_extract_all_digest(self, spec, digest):
+    @pytest.mark.parametrize("spec,digest,time_digest", PINNED,
+                             ids=["noisy", "noise-free", "long"])
+    def test_extract_all_digest(self, spec, digest, time_digest):
         X = extract_all(generate(spec)).X
         assert hashlib.sha256(X.tobytes()).hexdigest() == digest
+        assert hashlib.sha256(X[:, :15].copy().tobytes()).hexdigest() == time_digest
 
     def test_digests_do_not_depend_on_the_cpu(self):
         # numpy picks its SIMD loops by CPU; NPY_DISABLE_CPU_FEATURES
@@ -544,14 +564,14 @@ class TestOnePassIsBitIdentical:
             "import hashlib\n"
             "from gestrec import extract_all, generate\n"
             "from test_features import PINNED\n"
-            "for spec, _ in PINNED:\n"
+            "for spec, *_ in PINNED:\n"
             "    X = extract_all(generate(spec)).X\n"
             "    print(hashlib.sha256(X.tobytes()).hexdigest())\n"
         )
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == [digest for _, digest in PINNED]
+        assert done.stdout.split() == [digest for _, digest, _ in PINNED]
 
 
 class TestBoundaryCheck:

@@ -82,6 +82,31 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="unfitted"):
             save_model(RidgeClassifier(), tmp_path / "m.json")
 
+    def test_numpy_hyperparameters_are_written_as_their_type(self, blob_data, tmp_path):
+        X, y = blob_data(seed=22)
+        for model, name, value in [
+            (ExtraTreesClassifier(n_trees=np.int64(3)), "n_trees", 3),
+            (GradientBoostingClassifier(n_stages=2, learning_rate=np.float64(0.25)),
+             "learning_rate", 0.25),
+            (RidgeClassifier(alpha=np.float32(0.5)), "alpha", 0.5),
+        ]:
+            path = save_model(model.fit(X, y), tmp_path / f"{model.kind}.json")
+            assert json.loads(path.read_text())["hyperparams"][name] == value
+            again = load_model(path)
+            assert getattr(again, name) == value
+            assert type(getattr(again, name)) is type(value)
+            assert np.array_equal(again.predict(X), model.predict(X))
+
+    def test_failed_save_leaves_the_old_file(self, blob_data, tmp_path):
+        X, y = blob_data(seed=22)
+        path = save_model(RidgeClassifier().fit(X, y), tmp_path / "m.json")
+        before = path.read_bytes()
+        model = RidgeClassifier().fit(X, y)
+        model.classes_ = np.array([{c} for c in model.classes_], dtype=object)
+        with pytest.raises(TypeError):
+            save_model(model, path)
+        assert path.read_bytes() == before
+
 
 class TestCorruption:
     def _saved(self, blob_data, tmp_path):
