@@ -34,8 +34,8 @@ def save_model(model, path) -> Path:
     """Serialize a fitted classifier to a self-describing JSON file.
 
     ``hyperparams`` holds the constructor's parameters, by name and in
-    signature order, each as the type of its default (the coercion
-    ``load_model`` applies). The whole document is encoded before the
+    signature order, each as the type of its default (the type
+    ``load_model`` requires). The whole document is encoded before the
     file is opened, so a model that cannot be saved leaves ``path`` as
     it was.
     """
@@ -139,12 +139,27 @@ def _param(path, params, name: str, shape: tuple, positive: bool = False):
     return a
 
 
+def _hyperparameter(path, hyper: dict, name: str, type_: type):
+    """``hyper[name]`` as ``type_``, or ModelFileError unless it is a JSON
+    integer, or for a float parameter any JSON number. ``save_model``
+    writes the declared type, so nothing else is coerced: ``2.9`` or
+    ``true`` would load as a different model."""
+    value = hyper[name]
+    if type(value) not in ((int, float) if type_ is float else (type_,)):
+        expected = "a number" if type_ is float else "an integer"
+        raise ModelFileError(
+            f"{path}: hyperparameter {name} is {value!r}, expected {expected}"
+        )
+    return type_(value)
+
+
 def load_model(path, expect_feature_version: int | None = None):
     """Reconstruct a classifier from a model file.
 
     Raises ModelFileError on missing, corrupt or foreign files, on a class
     list that is empty or repeats a label, on a tree count that does not
-    match the hyperparameters, on trees that predict could not use (the
+    match the hyperparameters, on a hyperparameter of another JSON type
+    than its declared one, on trees that predict could not use (the
     message names the tree), and on parameter arrays of the wrong shape,
     with non-finite entries or a standard deviation <= 0 (the message
     names the parameter); and VersionMismatchError when
@@ -181,7 +196,8 @@ def load_model(path, expect_feature_version: int | None = None):
         if cls is None:
             raise ModelFileError(f"{path}: unknown model kind {kind!r}")
         model = cls(**{
-            name: type_(hyper[name]) for name, type_ in hyperparameters(cls).items()
+            name: _hyperparameter(path, hyper, name, type_)
+            for name, type_ in hyperparameters(cls).items()
         })
 
         k = len(classes)

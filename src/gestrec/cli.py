@@ -31,6 +31,7 @@ from . import __version__
 from .classifiers import CLASSIFIER_KINDS, save_model
 from .classifiers._rows import hyperparameters
 from .data import (
+    MANIFEST_HEADER,
     load_adapter_config,
     load_manifest,
     load_sony_tree,
@@ -59,7 +60,13 @@ from .evaluation import (
     plan_user_independent,
     score,
 )
-from .features import FeatureMatrix, extract_all, load_features, save_features
+from .features import (
+    FEATURE_HEADER,
+    FeatureMatrix,
+    extract_all,
+    load_features,
+    save_features,
+)
 from .synth import EASY_SPEC, SynthSpec, generate
 
 __all__ = ["main"]
@@ -94,14 +101,15 @@ def _write_run(out_dir: Path, command: str, params: dict) -> None:
 
 
 def _load_matrix(path: Path) -> FeatureMatrix:
-    """Accept either a feature CSV or a manifest CSV (sniffed by header)."""
+    """Accept either a feature CSV or a manifest CSV, told apart by their
+    headers (each field stripped, as the table reader compares them)."""
     if not path.is_file():
         raise DataError("input file not found", path=path)
     with open(path, "rb") as fh:
-        header = utf8_text(fh.readline(), path).strip()
-    if header.startswith("user,gesture,f01"):
+        header = [h.strip() for h in utf8_text(fh.readline(), path).split(",")]
+    if header == FEATURE_HEADER:
         return load_features(path)
-    if header.startswith("user,gesture,trial"):
+    if header == MANIFEST_HEADER:
         return extract_all(load_manifest(path))
     raise DataError(
         "input is neither a feature CSV nor a manifest CSV", path=path, line=1
@@ -351,24 +359,38 @@ def cmd_eval(args) -> int:
 
 # ----------------------------------------------------------------- synth
 
+# The synth flags that shape the corpus, with their defaults. --preset
+# fixes every one of them.
+SHAPE_FLAGS = {
+    "users": 8, "gestures": 8, "samples": 10, "length_min": 40, "length_max": 120,
+    "speed_jitter": 0.0, "noise_sigma": 0.0, "style_offset": 0.0,
+}
+
+
 def cmd_synth(args) -> int:
     out = Path(args.out)
+    given = {name: getattr(args, name) for name in SHAPE_FLAGS
+             if getattr(args, name) is not None}
     if args.preset == "easy":
+        if given:
+            flags = ", ".join("--" + name.replace("_", "-") for name in given)
+            raise UsageError(f"--preset easy fixes the corpus shape; drop {flags}")
         spec = (
             EASY_SPEC
             if args.seed is None
             else dataclasses.replace(EASY_SPEC, seed=args.seed)
         )
     else:
+        shape = {**SHAPE_FLAGS, **given}
         try:
             spec = SynthSpec(
-                users=args.users,
-                gestures=args.gestures,
-                samples_per_gesture_per_user=args.samples,
-                length_range=(args.length_min, args.length_max),
-                user_speed_jitter=args.speed_jitter,
-                noise_sigma=args.noise_sigma,
-                user_style_offset=args.style_offset,
+                users=shape["users"],
+                gestures=shape["gestures"],
+                samples_per_gesture_per_user=shape["samples"],
+                length_range=(shape["length_min"], shape["length_max"]),
+                user_speed_jitter=shape["speed_jitter"],
+                noise_sigma=shape["noise_sigma"],
+                user_style_offset=shape["style_offset"],
                 seed=args.seed if args.seed is not None else 0,
             )
         except ValueError as exc:
@@ -426,14 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic canonical dataset")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--preset", choices=("easy",), default=None)
-    p.add_argument("--users", type=int, default=8)
-    p.add_argument("--gestures", type=int, default=8)
-    p.add_argument("--samples", type=int, default=10)
-    p.add_argument("--length-min", type=int, default=40)
-    p.add_argument("--length-max", type=int, default=120)
-    p.add_argument("--speed-jitter", type=float, default=0.0)
-    p.add_argument("--noise-sigma", type=float, default=0.0)
-    p.add_argument("--style-offset", type=float, default=0.0)
+    for name, default in SHAPE_FLAGS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=type(default), default=None)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_synth)
 

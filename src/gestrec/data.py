@@ -9,6 +9,11 @@ The canonical on-disk layout is a UTF-8 manifest CSV with header
 ``user,gesture,trial,day,file`` where ``file`` points to a per-sample CSV
 (header ``gx,gy,gz``, one row per reading). Raw uWave- and Sony-style
 trees are translated into this form by pattern-configured adapters.
+
+``read_table`` is the one reader of the three CSV tables: manifests,
+sample files and the feature CSV of ``features``. It checks the header
+and the width of every row, and each error names the ``path:line`` it
+comes from.
 """
 
 from __future__ import annotations
@@ -248,6 +253,44 @@ def utf8_text(raw: bytes, path) -> str:
                         path=path, line=line) from None
 
 
+def read_table(path, what: str, header: list[str], text: str | None = None):
+    """Yield ``(line, fields)`` for each non-blank row of the CSV table at
+    ``path`` after its header: the one reader of manifests, sample files
+    and feature files. ``line`` is the file line the row ends on, which
+    counts the line breaks inside quoted fields.
+
+    ``what`` names the table in errors, and ``text`` is the file's text
+    when the caller has already read it. Raises DataError for a missing
+    or empty file, for a header other than ``header`` (at ``path:1``) and
+    for a row of another width (at ``path:line``).
+    """
+    path = Path(path)
+    if text is None:
+        if not path.is_file():
+            raise DataError(f"{what} not found", path=path)
+        text = utf8_text(path.read_bytes(), path)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    first = next(reader, None)
+    if first is None:
+        raise DataError(f"empty {what}", path=path)
+    if [h.strip() for h in first] != header:
+        raise DataError(
+            f"bad {what} header {first!r}, expected {header}",
+            path=path,
+            line=1,
+        )
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise DataError(
+                f"expected {len(header)} columns, got {len(row)}",
+                path=path,
+                line=reader.line_num,
+            )
+        yield reader.line_num, row
+
+
 def _read_sample_csv(path: Path) -> np.ndarray:
     """Readings of a sample CSV as an (n, 3) float64 array.
 
@@ -277,25 +320,8 @@ def _read_sample_csv(path: Path) -> np.ndarray:
 
 
 def _parse_sample_rows(path: Path, text: str) -> np.ndarray:
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError("empty sample file", path=path) from None
-    if [h.strip() for h in header] != SAMPLE_HEADER:
-        raise DataError(
-            f"bad sample header {header!r}, expected {SAMPLE_HEADER}",
-            path=path,
-            line=1,
-        )
     triples: list[AxisTriple] = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise DataError(
-                f"expected 3 columns, got {len(row)}", path=path, line=lineno
-            )
+    for lineno, row in read_table(path, "sample file", SAMPLE_HEADER, text):
         try:
             triples.append((float(row[0]), float(row[1]), float(row[2])))
         except ValueError:
@@ -317,28 +343,8 @@ def _make_sample(user, gesture, trial, day, readings, path, line=None) -> Gestur
 def load_manifest(path) -> Dataset:
     """Load a canonical manifest CSV into a Dataset (manifest order)."""
     path = Path(path)
-    if not path.is_file():
-        raise DataError("manifest not found", path=path)
-    base = path.parent
     samples: list[GestureSample] = []
-    reader = csv.reader(io.StringIO(utf8_text(path.read_bytes(), path), newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError("empty manifest", path=path) from None
-    if [h.strip() for h in header] != MANIFEST_HEADER:
-        raise DataError(
-            f"bad manifest header {header!r}, expected {MANIFEST_HEADER}",
-            path=path,
-            line=1,
-        )
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 5:
-            raise DataError(
-                f"expected 5 columns, got {len(row)}", path=path, line=lineno
-            )
+    for lineno, row in read_table(path, "manifest", MANIFEST_HEADER):
         try:
             user = int(row[0])
             gesture = int(row[1])
@@ -348,7 +354,7 @@ def load_manifest(path) -> Dataset:
             raise DataError(
                 f"malformed identity in {row!r}", path=path, line=lineno
             ) from None
-        readings = _read_sample_csv(base / row[4])
+        readings = _read_sample_csv(path.parent / row[4])
         samples.append(
             _make_sample(user, gesture, trial, day, readings, path, lineno)
         )
@@ -397,7 +403,8 @@ class AdapterConfig:
     ``user``, ``gesture``, ``trial`` and optionally ``day``.
     ``timestamp_columns`` are the column indices removed from every raw
     row. Files whose name ends in ``sample_suffix`` must match the
-    pattern; other files are ignored.
+    pattern; other files are ignored. A field of the wrong type or value
+    raises TypeError or ValueError on construction.
     """
 
     path_pattern: str
@@ -408,6 +415,22 @@ class AdapterConfig:
     required_groups = ("user", "gesture", "trial")
 
     def __post_init__(self):
+        if not isinstance(self.path_pattern, str):
+            raise TypeError(
+                f"path_pattern must be a string, got {self.path_pattern!r}"
+            )
+        cols = self.timestamp_columns
+        if not isinstance(cols, (list, tuple)) or not all(
+            isinstance(c, int) and not isinstance(c, bool) and c >= 0 for c in cols
+        ) or len(set(cols)) < len(cols):
+            raise ValueError(
+                f"timestamp_columns must be distinct ints >= 0, got {cols!r}"
+            )
+        object.__setattr__(self, "timestamp_columns", tuple(cols))
+        for name in ("sample_suffix", "delimiter"):
+            value = getattr(self, name)
+            if not isinstance(value, str) or not value:
+                raise ValueError(f"{name} must be a non-empty string, got {value!r}")
         groups = set(re.compile(self.path_pattern).groupindex)
         missing = [g for g in self.required_groups if g not in groups]
         if missing:
@@ -437,16 +460,17 @@ def load_adapter_config(path) -> AdapterConfig:
         raw = json.loads(utf8_text(path.read_bytes(), path))
     except json.JSONDecodeError as exc:
         raise DataError(f"invalid JSON: {exc}", path=path) from None
+    if not isinstance(raw, dict):
+        raise DataError("adapter config must be a JSON object", path=path)
     known = {"path_pattern", "timestamp_columns", "sample_suffix", "delimiter"}
     unknown = set(raw) - known
     if unknown:
         raise DataError(f"unknown adapter config keys: {sorted(unknown)}", path=path)
     if "path_pattern" not in raw:
         raise DataError("adapter config must set path_pattern", path=path)
-    raw["timestamp_columns"] = tuple(raw.get("timestamp_columns", ()))
     try:
         return AdapterConfig(**raw)
-    except (ValueError, re.error) as exc:
+    except (TypeError, ValueError, re.error) as exc:
         raise DataError(str(exc), path=path) from None
 
 
@@ -467,6 +491,12 @@ def _parse_raw_rows(path: Path, config: AdapterConfig) -> list[list[float]]:
             raise DataError(
                 f"malformed row {line!r}", path=path, line=lineno
             ) from None
+        if len(parts) != len(rows[0]):
+            raise DataError(
+                f"expected {len(rows[0])} columns, got {len(parts)}",
+                path=path,
+                line=lineno,
+            )
     if not rows:
         raise DataError("empty sample file", path=path)
     return rows

@@ -21,8 +21,6 @@ numpy picks for the CPU.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -31,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp
-from .data import Dataset, GestureSample, check_readings, utf8_text
+from .data import Dataset, GestureSample, check_readings, read_table
 from .errors import DataError
 
 __all__ = [
@@ -227,7 +225,7 @@ def extract_all(dataset: Dataset, jobs: int = 1) -> FeatureMatrix:
     )
 
 
-_FEATURE_HEADER = ["user", "gesture"] + [f"f{i:02d}" for i in range(1, N_FEATURES + 1)]
+FEATURE_HEADER = ["user", "gesture"] + [f"f{i:02d}" for i in range(1, N_FEATURES + 1)]
 
 
 def save_features(matrix: FeatureMatrix, path) -> Path:
@@ -238,7 +236,7 @@ def save_features(matrix: FeatureMatrix, path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(",".join(_FEATURE_HEADER) + "\n")
+        fh.write(",".join(FEATURE_HEADER) + "\n")
         for u, g, row in zip(matrix.users, matrix.gestures, matrix.X):
             vals = ",".join("%.17g" % v for v in row)
             fh.write(f"{u},{g},{vals}\n")
@@ -250,31 +248,10 @@ def load_features(path) -> FeatureMatrix:
     ``path:line`` on a malformed row, a nan or infinite value, or a byte
     that is not UTF-8."""
     path = Path(path)
-    if not path.is_file():
-        raise DataError("feature file not found", path=path)
     users: list[int] = []
     gestures: list[int] = []
     rows: list[list[float]] = []
-    reader = csv.reader(io.StringIO(utf8_text(path.read_bytes(), path), newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError("empty feature file", path=path) from None
-    if [h.strip() for h in header] != _FEATURE_HEADER:
-        raise DataError(
-            f"bad feature header, expected {','.join(_FEATURE_HEADER)}",
-            path=path,
-            line=1,
-        )
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 2 + N_FEATURES:
-            raise DataError(
-                f"expected {2 + N_FEATURES} columns, got {len(row)}",
-                path=path,
-                line=lineno,
-            )
+    for lineno, row in read_table(path, "feature file", FEATURE_HEADER):
         try:
             users.append(int(row[0]))
             gestures.append(int(row[1]))
@@ -282,7 +259,7 @@ def load_features(path) -> FeatureMatrix:
         except ValueError:
             raise DataError("malformed feature row", path=path, line=lineno) from None
         if not all(map(math.isfinite, values)):
-            col = next(h for h, v in zip(_FEATURE_HEADER[2:], values)
+            col = next(h for h, v in zip(FEATURE_HEADER[2:], values)
                        if not math.isfinite(v))
             raise DataError(f"non-finite value in column {col}", path=path, line=lineno)
         rows.append(values)

@@ -58,9 +58,18 @@ class TestSynthAndIngest:
         assert run["params"]["seed"] == 11
 
     def test_synth_preset_easy(self, tmp_path, capsys):
-        assert main(["synth", "--out", str(tmp_path / "easy"), "--preset", "easy"]) == 0
-        out = capsys.readouterr().out
-        assert "U=8 N_G=8 S_G=10 N_D=- N_GS=640" in out
+        out = tmp_path / "easy"
+        assert main(["synth", "--out", str(out), "--preset", "easy"]) == 0
+        assert "U=8 N_G=8 S_G=10 N_D=- N_GS=640" in capsys.readouterr().out
+        # Without --seed the preset keeps its own seed.
+        assert json.loads((out / "run.json").read_text())["params"]["seed"] == 7
+
+    def test_synth_preset_easy_takes_a_seed(self, tmp_path, capsys):
+        out = tmp_path / "easy"
+        assert main(["synth", "--out", str(out), "--preset", "easy",
+                     "--seed", "3"]) == 0
+        assert "U=8 N_G=8 S_G=10 N_D=- N_GS=640" in capsys.readouterr().out
+        assert json.loads((out / "run.json").read_text())["params"]["seed"] == 3
 
     def test_canonical_ingest_is_idempotent(self, workspace, tmp_path):
         src = workspace / "data"
@@ -94,6 +103,18 @@ class TestSynthAndIngest:
 
 
 class TestEval:
+    def test_header_fields_may_carry_spaces(self, workspace, tmp_path):
+        # eval tells the two inputs apart by the header rule of their loaders.
+        lines = (workspace / "features.csv").read_text().splitlines(keepends=True)
+        spaced = tmp_path / "spaced.csv"
+        spaced.write_text(lines[0].replace(",", ", ") + "".join(lines[1:]))
+        for name, path in (("plain", workspace / "features.csv"), ("spaced", spaced)):
+            assert main(["eval", str(path), "--out", str(tmp_path / name), "--mode",
+                         "mixed", "--classifier", "rc", "--seed", "3"]) == 0
+        for name in ("confusion.csv", "per_user.csv"):
+            assert ((tmp_path / "spaced" / name).read_bytes()
+                    == (tmp_path / "plain" / name).read_bytes())
+
     def test_mixed_mode_artifacts(self, workspace, tmp_path):
         out = tmp_path / "mixed"
         assert main(["eval", str(workspace / "features.csv"), "--out", str(out),
@@ -321,6 +342,12 @@ class TestExitCodes:
             ["ingest", "canonical", str(workspace / "data" / "manifest.csv"),
              "--out", out, "--adapter-config", str(tmp_path / "c.json")],
             ["synth", "--out", out, "--length-min", "4"],
+        ] + [
+            # --preset fixes every flag that shapes the corpus.
+            ["synth", "--out", out, "--preset", "easy", flag, "5"]
+            for flag in ("--users", "--gestures", "--samples", "--length-min",
+                         "--length-max", "--speed-jitter", "--noise-sigma",
+                         "--style-offset")
         ]
         for argv in cases:
             assert main(argv) == 2, argv
@@ -394,6 +421,30 @@ class TestExitCodes:
         assert main(argv) == 3
         path, line = where
         assert f"{path}:{line}: not UTF-8 text (byte 0xff)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", [
+        {"path_pattern": 7},
+        {"timestamp_columns": 5},
+        {"timestamp_columns": ["a"]},
+        {"timestamp_columns": [-1]},
+        {"timestamp_columns": [0, 0]},
+        {"sample_suffix": 3},
+        {"delimiter": ""},
+        5,
+    ], ids=repr)
+    def test_bad_adapter_config_exits_3(self, config, make_sony_tree, tmp_path,
+                                        capsys):
+        # Each value is blamed on the config file, before any sample is read.
+        root = make_sony_tree(users=1, gestures=1, trials=1)
+        if isinstance(config, dict):
+            pattern = r"U(?P<user>\d+)/(?P<gesture>\d+)-(?P<trial>\d+)\.txt"
+            config = {"path_pattern": pattern, **config}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert main(["ingest", "sony", str(root), "--out", str(tmp_path / "out"),
+                     "--adapter-config", str(path)]) == 3
+        assert capsys.readouterr().err.startswith(f"gestrec: {path}: ")
 
     def test_numeric_errors_exit_4(self, tmp_path):
         # Rank-deficient features with an unregularized ridge: only the

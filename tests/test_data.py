@@ -1,6 +1,7 @@
 """Data model, canonical manifest I/O, and raw-tree adapter tests."""
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from gestrec.data import (
     strip_timestamps,
 )
 from gestrec.errors import DataError
+from gestrec.features import N_FEATURES, load_features
 
 
 def sample(user=1, gesture=1, trial=1, day=None, n=6, seed=0):
@@ -310,6 +312,33 @@ class TestSampleCsvFastPath:
         assert _read_sample_csv(p).tolist() == [[value, 0.0, 0.0]]
 
 
+# The three CSV tables by the name their errors give: loader, header, width.
+TABLES = {
+    "manifest": (load_manifest, "user,gesture,trial,day,file", 5),
+    "sample file": (_read_sample_csv, "gx,gy,gz", 3),
+    "feature file": (
+        load_features,
+        ",".join(["user", "gesture"] + [f"f{i:02d}" for i in range(1, N_FEATURES + 1)]),
+        2 + N_FEATURES,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", TABLES)
+@pytest.mark.parametrize("case", ["empty", "header", "short row"])
+def test_every_table_reports_path_and_line(tmp_path, kind, case):
+    load, header, width = TABLES[kind]
+    path = tmp_path / "t.csv"
+    text, want = {
+        "empty": ("", f"{path}: empty {kind}"),
+        "header": ("user,gx\n1,2\n", f"{path}:1: bad {kind} header"),
+        "short row": (f"{header}\n\n1,2\n", f"{path}:3: expected {width} columns, got 2"),
+    }[case]
+    path.write_text(text)
+    with pytest.raises(DataError, match=re.escape(want)):
+        load(path)
+
+
 class TestUwaveAdapter:
     def test_loads_tree(self, make_uwave_tree):
         root = make_uwave_tree(users=2, days=2, gestures=3, trials=2)
@@ -360,6 +389,16 @@ class TestSonyAdapter:
         assert all(s.n == 10 for s in ds.samples)
         # g-values must be in plausible range, not timestamp magnitudes
         assert max(float(np.max(np.abs(s.readings))) for s in ds.samples) < 50
+
+    def test_ragged_row_reports_file_and_line(self, make_sony_tree):
+        root = make_sony_tree(users=1, gestures=1, trials=1, n=6)
+        victim = root / "U1" / "1-1.txt"
+        lines = victim.read_text().splitlines()
+        lines[3] = " ".join(lines[3].split()[:5])
+        # Two blank lines first: the fourth data row is file line 6.
+        victim.write_text("\n\n" + "\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=r"1-1\.txt:6: expected 6 columns, got 5"):
+            load_sony_tree(root)
 
     def test_g_values_bit_identical_to_source(self, make_sony_tree):
         root = make_sony_tree(users=1, gestures=1, trials=1, n=5)

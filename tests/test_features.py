@@ -415,6 +415,17 @@ class TestFeatureCsv:
         with pytest.raises(DataError, match="not found"):
             load_features(tmp_path / "nope.csv")
 
+    def test_line_numbers_count_quoted_line_breaks(self, tmp_path, small_matrix):
+        p = save_features(small_matrix, tmp_path / "f.csv")
+        lines = p.read_text().splitlines()
+        row = lines[1].split(",")
+        row[5] = f'"{row[5]}\n"'  # float() takes the value with its line break
+        lines[1] = ",".join(row)
+        lines[3] = "1,2"  # file line 5
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=r"f\.csv:5: expected 35 columns, got 2"):
+            load_features(p)
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
     def test_non_finite_value_reports_line_and_column(self, tmp_path, small_matrix,
                                                       value):

@@ -149,6 +149,37 @@ class TestCorruption:
         with pytest.raises(ModelFileError, match="kind"):
             load_model(path)
 
+    @pytest.mark.parametrize("kind,name,value", [
+        ("extra_trees", "n_trees", 2.9), ("extra_trees", "n_trees", True),
+        ("extra_trees", "seed", "0"), ("gradient_boosting", "learning_rate", "0.5"),
+        ("gradient_boosting", "learning_rate", True),
+        ("gradient_boosting", "max_depth", 3.0), ("ridge", "alpha", None),
+        ("ridge", "alpha", False),
+    ])
+    def test_hyperparameter_of_another_json_type(self, blob_data, tmp_path, kind,
+                                                 name, value):
+        # A coercion would load 2.9 trees as 2 and true as 1.
+        model = {m.kind: m for m in fitted_models(blob_data)[2]}[kind]
+        path = save_model(model, tmp_path / "m.json")
+        doc = json.loads(path.read_text())
+        doc["hyperparams"][name] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFileError, match=rf"m\.json: hyperparameter {name} is"):
+            load_model(path)
+
+    def test_integral_float_hyperparameter_loads_and_resaves(self, blob_data, tmp_path):
+        # save_model's own files load and save back byte for byte, and a
+        # JSON integer is a number wherever a float is declared.
+        for model in fitted_models(blob_data)[2]:
+            path = save_model(model, tmp_path / f"{model.kind}.json")
+            again = save_model(load_model(path), tmp_path / f"{model.kind}-2.json")
+            assert again.read_bytes() == path.read_bytes()
+        doc = json.loads(path.read_text())
+        doc["hyperparams"]["alpha"] = 1
+        path.write_text(json.dumps(doc))
+        alpha = load_model(path).alpha
+        assert alpha == 1.0 and type(alpha) is float
+
     def test_missing_params_section(self, blob_data, tmp_path):
         path = self._saved(blob_data, tmp_path)
         doc = json.loads(path.read_text())
