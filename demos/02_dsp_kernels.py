@@ -10,8 +10,8 @@ answer is known in closed form.
 import numpy as np
 
 from gestrec.dsp import (
-    analytic_signal,
     hilbert_imag,
+    hilbert_rows,
     spectral_energy,
 )
 
@@ -49,7 +49,7 @@ print(f"  time-domain energy:      {energy_t:.12f}")
 # vanishes. For cos, the Hilbert transform is sin: the analytic signal
 # of cos(wt) is exactly exp(i wt).
 x = np.cos(2.0 * np.pi * 3 * t / n)
-xa = analytic_signal(x)
+xa = x + 1j * hilbert_rows(x)
 print(f"\nanalytic signal of cos(3wt):")
 print(f"  re(x_a) == x: {np.allclose(xa.real, x, atol=1e-12)}")
 print(f"  im(x_a) vs sin(3wt) max error: "

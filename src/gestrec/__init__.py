@@ -26,10 +26,7 @@ from .data import (
     DatasetMeta,
     GestureSample,
     load_manifest,
-    load_sony_tree,
-    load_uwave_tree,
     save_manifest,
-    strip_timestamps,
 )
 from .errors import (
     DataError,
@@ -108,8 +105,6 @@ __all__ = [
     "load_features",
     "load_manifest",
     "load_model",
-    "load_sony_tree",
-    "load_uwave_tree",
     "make_classifier",
     "per_user_table",
     "plan_mixed",
@@ -119,6 +114,5 @@ __all__ = [
     "save_manifest",
     "save_model",
     "score",
-    "strip_timestamps",
     "time_single_predictions",
 ]

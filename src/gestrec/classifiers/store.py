@@ -139,16 +139,16 @@ def _param(path, params, name: str, shape: tuple, positive: bool = False):
     return a
 
 
-def _hyperparameter(path, hyper: dict, name: str, type_: type):
-    """``hyper[name]`` as ``type_``, or ModelFileError unless it is a JSON
-    integer, or for a float parameter any JSON number. ``save_model``
-    writes the declared type, so nothing else is coerced: ``2.9`` or
-    ``true`` would load as a different model."""
-    value = hyper[name]
+def _typed(path, section: dict, name: str, type_: type, what: str = ""):
+    """``section[name]`` as ``type_``, or ModelFileError (naming ``what``
+    and ``name``) unless it is a JSON integer, or for a float any JSON
+    number. ``save_model`` writes the declared type, so nothing else is
+    coerced: ``2.9`` or ``true`` would load as a different model."""
+    value = section[name]
     if type(value) not in ((int, float) if type_ is float else (type_,)):
         expected = "a number" if type_ is float else "an integer"
         raise ModelFileError(
-            f"{path}: hyperparameter {name} is {value!r}, expected {expected}"
+            f"{path}: {what}{name} is {value!r}, expected {expected}"
         )
     return type_(value)
 
@@ -157,8 +157,9 @@ def load_model(path, expect_feature_version: int | None = None):
     """Reconstruct a classifier from a model file.
 
     Raises ModelFileError on missing, corrupt or foreign files, on a class
-    list that is empty or repeats a label, on a tree count that does not
-    match the hyperparameters, on a hyperparameter of another JSON type
+    list that is empty, repeats a label, mixes JSON types or holds
+    booleans, on a tree count that does not match the hyperparameters,
+    on a version, feature count or hyperparameter of another JSON type
     than its declared one, on trees that predict could not use (the
     message names the tree), and on parameter arrays of the wrong shape,
     with non-finite entries or a standard deviation <= 0 (the message
@@ -179,24 +180,27 @@ def load_model(path, expect_feature_version: int | None = None):
             else f"{path} is not a {FORMAT_TAG} file"
         )
     try:
-        version = int(doc["feature_order_version"])
+        version = _typed(path, doc, "feature_order_version", int)
         kind = doc["kind"]
         classes = np.array(doc["classes"])
-        # A fit writes the distinct labels of its rows, at least one.
-        if classes.ndim != 1 or classes.size == 0 or (
-            np.unique(classes).size < classes.size
-        ):
+        # A fit writes the distinct labels of its rows, at least one, all
+        # of one type: numpy would turn [1, "2"] into strings.
+        types = {type(c) for c in doc["classes"]}
+        if classes.ndim != 1 or classes.size == 0 or len(types) > 1 or (
+            bool in types
+        ) or np.unique(classes).size < classes.size:
             raise ModelFileError(
                 f"{path}: classes must be a non-empty list of distinct labels"
+                " of one JSON type, not booleans"
             )
-        n_features = int(doc["n_features"])
+        n_features = _typed(path, doc, "n_features", int)
         hyper = doc["hyperparams"]
         params = doc["params"]
         cls = _CLASSES.get(kind)
         if cls is None:
             raise ModelFileError(f"{path}: unknown model kind {kind!r}")
         model = cls(**{
-            name: _hyperparameter(path, hyper, name, type_)
+            name: _typed(path, hyper, name, type_, "hyperparameter ")
             for name, type_ in hyperparameters(cls).items()
         })
 

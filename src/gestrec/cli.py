@@ -13,7 +13,9 @@ before anything is written.
 
 Every run writes a ``run.json`` provenance record with the fully
 resolved configuration next to its outputs. Exit codes: 0 success,
-2 usage errors, 3 data/file errors, 4 numeric errors.
+2 usage errors, 3 data/file errors (an output path that cannot be
+written, such as ``--out`` naming an existing file, included),
+4 numeric errors.
 """
 
 from __future__ import annotations
@@ -32,10 +34,11 @@ from .classifiers import CLASSIFIER_KINDS, save_model
 from .classifiers._rows import hyperparameters
 from .data import (
     MANIFEST_HEADER,
+    SONY_ADAPTER,
+    UWAVE_ADAPTER,
     load_adapter_config,
     load_manifest,
-    load_sony_tree,
-    load_uwave_tree,
+    load_sample_tree,
     save_manifest,
     utf8_text,
 )
@@ -72,6 +75,8 @@ from .synth import EASY_SPEC, SynthSpec, generate
 __all__ = ["main"]
 
 MODES = ("user-dependent", "mixed", "user-independent")
+# ingest's raw-tree adapters; "canonical" reads a manifest instead
+ADAPTERS = {"uwave": UWAVE_ADAPTER, "sony": SONY_ADAPTER}
 # report.txt/report.json scope of a report that tests one user
 SCOPES = {USER_DEPENDENT: "user {}", USER_INDEPENDENT: "fold u{}"}
 # eval's hyperparameter flags, one per constructor parameter but the seed
@@ -122,13 +127,12 @@ def cmd_ingest(args) -> int:
     out = Path(args.out)
     if args.adapter == "canonical" and args.adapter_config:
         raise UsageError("--adapter-config only applies to raw-tree adapters")
-    config = load_adapter_config(args.adapter_config) if args.adapter_config else None
-    if args.adapter == "uwave":
-        dataset = load_uwave_tree(args.input, config)
-    elif args.adapter == "sony":
-        dataset = load_sony_tree(args.input, config)
-    else:
+    if args.adapter == "canonical":
         dataset = load_manifest(args.input)
+    else:
+        config = (load_adapter_config(args.adapter_config) if args.adapter_config
+                  else ADAPTERS[args.adapter])
+        dataset = load_sample_tree(args.input, config)
     manifest = save_manifest(dataset, out)
     _write_run(out, "ingest", {
         "adapter": args.adapter,
@@ -414,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="convert a dataset to canonical form")
-    p.add_argument("adapter", choices=("uwave", "sony", "canonical"))
+    p.add_argument("adapter", choices=(*ADAPTERS, "canonical"))
     p.add_argument("input", help="tree root (raw) or manifest path (canonical)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--adapter-config", default=None,
@@ -471,7 +475,7 @@ def main(argv=None) -> int:
             ZeroDivisionError) as exc:
         print(f"gestrec: numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (DataError, ModelFileError, VersionMismatchError) as exc:
+    except (DataError, ModelFileError, VersionMismatchError, OSError) as exc:
         print(f"gestrec: {exc}", file=sys.stderr)
         return EXIT_DATA
     except GestureRecError as exc:

@@ -23,33 +23,26 @@ import io
 import json
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .errors import DataError
 
 __all__ = [
-    "AxisTriple",
     "GestureSample",
     "DatasetMeta",
     "Dataset",
     "AdapterConfig",
     "UWAVE_ADAPTER",
     "SONY_ADAPTER",
-    "strip_timestamps",
     "load_manifest",
     "save_manifest",
     "load_sample_tree",
-    "load_uwave_tree",
-    "load_sony_tree",
     "load_adapter_config",
 ]
-
-# One accelerometer reading: (gx, gy, gz) in g-units.
-AxisTriple = tuple[float, float, float]
 
 # Fourth moments and lagged correlation need at least this many readings.
 MIN_READINGS = 4
@@ -94,18 +87,6 @@ class GestureSample:
     @property
     def n(self) -> int:
         return self.readings.shape[0]
-
-    @property
-    def gx(self) -> np.ndarray:
-        return self.readings[:, 0]
-
-    @property
-    def gy(self) -> np.ndarray:
-        return self.readings[:, 1]
-
-    @property
-    def gz(self) -> np.ndarray:
-        return self.readings[:, 2]
 
     @property
     def identity(self) -> tuple:
@@ -186,61 +167,6 @@ class Dataset:
             )
         return Dataset(meta, samples)
 
-    def per_cell_counts(self) -> dict[tuple[int, int], int]:
-        """Actual sample count per (user, gesture) cell; balance across
-        cells is observed, never assumed."""
-        counts: dict[tuple[int, int], int] = {}
-        for s in self.samples:
-            key = (s.user, s.gesture)
-            counts[key] = counts.get(key, 0) + 1
-        return counts
-
-
-def strip_timestamps(
-    raw_rows: Sequence[Sequence[float]],
-    timestamp_columns: Sequence[int] | None = None,
-) -> list[AxisTriple]:
-    """Drop timestamp columns, keeping g-values bit-identical and in order.
-
-    ``timestamp_columns`` gives the indices to remove; None means every
-    column except the last three. Non-monotone timestamps only warn:
-    reordering would alter the g-value sequence, which is not permitted.
-    """
-    rows = [tuple(float(v) for v in row) for row in raw_rows]
-    if not rows:
-        return []
-
-    width = len(rows[0])
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise ValueError(f"row {i} has {len(row)} columns, expected {width}")
-
-    if timestamp_columns is None:
-        if width < 3:
-            raise ValueError(f"rows have {width} columns, need at least 3")
-        ts_cols = list(range(width - 3))
-    else:
-        ts_cols = sorted(set(int(c) for c in timestamp_columns))
-        if any(c < 0 or c >= width for c in ts_cols):
-            raise ValueError(f"timestamp column out of range for width {width}")
-        if width - len(ts_cols) != 3:
-            raise ValueError(
-                f"{width} columns minus {len(ts_cols)} timestamps leaves "
-                f"{width - len(ts_cols)}, expected exactly 3 g-value columns"
-            )
-
-    if ts_cols:
-        t0 = ts_cols[0]
-        stamps = [row[t0] for row in rows]
-        if any(b < a for a, b in zip(stamps, stamps[1:])):
-            warnings.warn(
-                "non-monotone timestamps; row order preserved as given",
-                stacklevel=2,
-            )
-
-    keep = [c for c in range(width) if c not in ts_cols]
-    return [(row[keep[0]], row[keep[1]], row[keep[2]]) for row in rows]
-
 
 def utf8_text(raw: bytes, path) -> str:
     """``raw``, read from ``path``, as UTF-8 text; DataError at the
@@ -320,7 +246,7 @@ def _read_sample_csv(path: Path) -> np.ndarray:
 
 
 def _parse_sample_rows(path: Path, text: str) -> np.ndarray:
-    triples: list[AxisTriple] = []
+    triples = []
     for lineno, row in read_table(path, "sample file", SAMPLE_HEADER, text):
         try:
             triples.append((float(row[0]), float(row[1]), float(row[2])))
@@ -431,7 +357,10 @@ class AdapterConfig:
             value = getattr(self, name)
             if not isinstance(value, str) or not value:
                 raise ValueError(f"{name} must be a non-empty string, got {value!r}")
-        groups = set(re.compile(self.path_pattern).groupindex)
+        try:
+            groups = set(re.compile(self.path_pattern).groupindex)
+        except re.error as exc:
+            raise ValueError(f"path_pattern is not a valid regex: {exc}") from None
         missing = [g for g in self.required_groups if g not in groups]
         if missing:
             raise ValueError(f"path_pattern lacks named captures: {missing}")
@@ -462,29 +391,37 @@ def load_adapter_config(path) -> AdapterConfig:
         raise DataError(f"invalid JSON: {exc}", path=path) from None
     if not isinstance(raw, dict):
         raise DataError("adapter config must be a JSON object", path=path)
-    known = {"path_pattern", "timestamp_columns", "sample_suffix", "delimiter"}
-    unknown = set(raw) - known
+    unknown = set(raw) - {f.name for f in fields(AdapterConfig)}
     if unknown:
         raise DataError(f"unknown adapter config keys: {sorted(unknown)}", path=path)
     if "path_pattern" not in raw:
         raise DataError("adapter config must set path_pattern", path=path)
     try:
         return AdapterConfig(**raw)
-    except (TypeError, ValueError, re.error) as exc:
+    except (TypeError, ValueError) as exc:
         raise DataError(str(exc), path=path) from None
 
 
-def _parse_raw_rows(path: Path, config: AdapterConfig) -> list[list[float]]:
+def _read_raw_sample(path: Path, config: AdapterConfig) -> np.ndarray:
+    """Readings of a raw sample file as an (n, 3) float64 array: each
+    non-blank line split into floats, the config's timestamp columns
+    dropped and the other columns kept bit-identical, in file order.
+
+    Raises DataError naming the file when it is empty, at ``path:line``
+    for a malformed value or a row of another width than the first,
+    and when the timestamp columns do not leave 3 g-value columns.
+    Non-monotone timestamps only warn: reordering the rows would alter
+    the g-value sequence.
+    """
     rows: list[list[float]] = []
+    sep = None if config.delimiter == "whitespace" else config.delimiter
     # newline=None reads \n, \r and \r\n line ends, as open() does.
     text = io.StringIO(utf8_text(path.read_bytes(), path), newline=None)
     for lineno, line in enumerate(text, start=1):
         line = line.strip()
         if not line:
             continue
-        parts = line.split() if config.delimiter == "whitespace" else line.split(
-            config.delimiter
-        )
+        parts = line.split(sep)
         try:
             rows.append([float(p) for p in parts])
         except ValueError:
@@ -499,14 +436,26 @@ def _parse_raw_rows(path: Path, config: AdapterConfig) -> list[list[float]]:
             )
     if not rows:
         raise DataError("empty sample file", path=path)
-    return rows
+    table = np.array(rows, dtype=np.float64)
+    stamps = sorted(config.timestamp_columns)
+    width = table.shape[1]
+    if width - len(stamps) != 3 or any(c >= width for c in stamps):
+        raise DataError(
+            f"rows have {width} columns: timestamp_columns {stamps} do not "
+            "leave 3 g-value columns",
+            path=path,
+        )
+    if stamps and (np.diff(table[:, stamps[0]]) < 0).any():
+        warnings.warn(f"{path}: non-monotone timestamps; row order preserved as given")
+    return np.delete(table, stamps, axis=1)
 
 
 def load_sample_tree(root, config: AdapterConfig) -> Dataset:
     """Walk a raw sample tree and load every matching file.
 
     Samples are ordered by (user, day, gesture, trial), so two loads of
-    the same tree always agree.
+    the same tree always agree. A capture that is not an integer raises
+    DataError naming the file.
     """
     root = Path(root)
     if not root.is_dir():
@@ -523,8 +472,16 @@ def load_sample_tree(root, config: AdapterConfig) -> Dataset:
                 f"file name does not match adapter pattern {config.path_pattern!r}",
                 path=p,
             )
-        groups = m.groupdict()
-        ident = {k: int(v) for k, v in groups.items() if v is not None}
+        ident = {}
+        for name, value in m.groupdict().items():
+            if value is None:
+                continue
+            try:
+                ident[name] = int(value)
+            except ValueError:
+                raise DataError(
+                    f"capture {name}={value!r} is not an integer", path=p
+                ) from None
         key = (
             ident["user"],
             ident.get("day", 0),
@@ -535,32 +492,15 @@ def load_sample_tree(root, config: AdapterConfig) -> Dataset:
     if not matched:
         raise DataError(f"no sample files matched under {root}")
 
-    samples = []
-    for _, path, ident in sorted(matched, key=lambda t: t[0]):
-        raw = _parse_raw_rows(path, config)
-        try:
-            triples = strip_timestamps(raw, list(config.timestamp_columns))
-        except ValueError as exc:
-            raise DataError(str(exc), path=path) from None
-        readings = np.array(triples, dtype=np.float64).reshape(len(triples), 3)
-        samples.append(
-            _make_sample(
-                ident["user"],
-                ident["gesture"],
-                ident["trial"],
-                ident.get("day"),
-                readings,
-                path,
-            )
+    samples = [
+        _make_sample(
+            ident["user"],
+            ident["gesture"],
+            ident["trial"],
+            ident.get("day"),
+            _read_raw_sample(path, config),
+            path,
         )
+        for _, path, ident in sorted(matched, key=lambda t: t[0])
+    ]
     return Dataset.from_samples(samples)
-
-
-def load_uwave_tree(root, config: AdapterConfig | None = None) -> Dataset:
-    """Load a uWave-style raw tree (per-user/per-day directories)."""
-    return load_sample_tree(root, config or UWAVE_ADAPTER)
-
-
-def load_sony_tree(root, config: AdapterConfig | None = None) -> Dataset:
-    """Load a Sony-style raw tree (multi-timestamp rows, no day level)."""
-    return load_sample_tree(root, config or SONY_ADAPTER)

@@ -54,7 +54,6 @@ import numpy as np
 __all__ = [
     "spectral_energy",
     "hilbert_rows",
-    "analytic_signal",
     "hilbert_imag",
     "mean",
     "minimum",
@@ -125,13 +124,6 @@ def spectral_energy(x) -> float:
     sum of squares it equals (Parseval)."""
     a = _as_series(x)
     return float(np.add.reduce(a * a))
-
-
-def analytic_signal(x) -> np.ndarray:
-    """Analytic signal x + i*H(x): the real part is the input, and the
-    negative-frequency half of its spectrum is zero."""
-    x = _as_series(x, min_len=2)
-    return x + 1j * hilbert_rows(x)
 
 
 def hilbert_imag(x) -> np.ndarray:

@@ -26,14 +26,13 @@ from gestrec import (
     evaluate_folds,
     extract_all,
     generate,
-    load_uwave_tree,
-    load_sony_tree,
     per_user_table,
     plan_mixed,
     plan_user_dependent,
     plan_user_independent,
     time_single_predictions,
 )
+from gestrec.data import SONY_ADAPTER, UWAVE_ADAPTER, load_sample_tree
 from test_boosting import oracle_staged_scores, toy_problem
 from test_dsp import naive_dft, rel_err
 from test_ridge import oracle_weights
@@ -66,7 +65,7 @@ def test_criterion_1_dsp_oracles():
             worst_parseval,
             abs(dsp.spectral_energy(x) - float(np.sum(x * x))) / scale,
         )
-        xa = dsp.analytic_signal(x)
+        xa = x + 1j * dsp.hilbert_rows(x)
         worst_real = max(worst_real, float(np.max(np.abs(xa.real - x))))
         spectrum = np.fft.fft(xa)
         negative = spectrum[(n // 2) + 1 :]
@@ -254,7 +253,7 @@ def test_criterion_5_timing_ordering(easy_matrix):
 
 @pytest.fixture(scope="module")
 def uwave_results():
-    matrix = extract_all(load_uwave_tree(UWAVE_DIR), jobs=4)
+    matrix = extract_all(load_sample_tree(UWAVE_DIR, UWAVE_ADAPTER), jobs=4)
     et = ClassifierSpec("et", {}, seed=0)
 
     ud_reports = [
@@ -304,7 +303,7 @@ def test_criterion_6_uwave_reproduction(uwave_results):
 
 @pytest.mark.skipif(SONY_DIR is None, reason="GESTREC_SONY_DIR not set")
 def test_criterion_6_sony_reproduction():
-    matrix = extract_all(load_sony_tree(SONY_DIR), jobs=4)
+    matrix = extract_all(load_sample_tree(SONY_DIR, SONY_ADAPTER), jobs=4)
     et = ClassifierSpec("et", {}, seed=0)
 
     _, ud_avg = per_user_table([

@@ -446,6 +446,31 @@ class TestExitCodes:
                      "--adapter-config", str(path)]) == 3
         assert capsys.readouterr().err.startswith(f"gestrec: {path}: ")
 
+    def test_non_integer_capture_exits_3(self, make_uwave_tree, tmp_path, capsys):
+        root = make_uwave_tree(users=1, days=1, gestures=1, trials=1)
+        (root / "U1").rename(root / "Ua")
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"path_pattern":
+            r"U(?P<user>\w+)/(?P<day>\d+)/(?P<gesture>\d+)-(?P<trial>\d+)\.txt"}))
+        capsys.readouterr()
+        assert main(["ingest", "uwave", str(root), "--out", str(tmp_path / "out"),
+                     "--adapter-config", str(config)]) == 3
+        sample = root / "Ua" / "1" / "1-1.txt"
+        assert capsys.readouterr().err == (
+            f"gestrec: {sample}: capture user='a' is not an integer\n")
+
+    def test_output_path_that_is_a_file_exits_3(self, make_uwave_tree, tmp_path,
+                                                  capsys):
+        root = make_uwave_tree(users=1, days=1, gestures=1, trials=1)
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        for argv in (["synth", "--preset", "easy"], ["ingest", "uwave", str(root)]):
+            capsys.readouterr()
+            assert main(argv + ["--out", str(out)]) == 3, argv
+            err = capsys.readouterr().err
+            assert err.startswith("gestrec: [Errno ") and str(out) in err, err
+        assert out.read_text() == "not a directory\n"
+
     def test_numeric_errors_exit_4(self, tmp_path):
         # Rank-deficient features with an unregularized ridge: only the
         # label column and the bias vary, so the normal system is

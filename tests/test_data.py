@@ -3,6 +3,7 @@
 import json
 import re
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,10 +18,8 @@ from gestrec.data import (
     GestureSample,
     load_adapter_config,
     load_manifest,
-    load_sony_tree,
-    load_uwave_tree,
+    load_sample_tree,
     save_manifest,
-    strip_timestamps,
 )
 from gestrec.errors import DataError
 from gestrec.features import N_FEATURES, load_features
@@ -66,49 +65,58 @@ class TestGestureSample:
         with pytest.raises(ValueError):
             s.readings[0, 0] = 9.9
 
-    def test_axis_views(self):
-        s = sample()
-        assert np.array_equal(s.gx, s.readings[:, 0])
-        assert np.array_equal(s.gz, s.readings[:, 2])
+
+def load_raw(tmp_path, lines, timestamp_columns=()):
+    """Readings of a one-file raw tree, ``U1/1-1.txt`` holding ``lines``."""
+    path = tmp_path / "U1" / "1-1.txt"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("".join(line + "\n" for line in lines))
+    config = AdapterConfig(SONY_ADAPTER.path_pattern, tuple(timestamp_columns))
+    return load_sample_tree(tmp_path, config).samples[0].readings
 
 
 class TestStripTimestamps:
-    def test_default_keeps_last_three_columns(self):
-        rows = [[10.0, 0.1, 0.2, 0.3], [11.0, 0.4, 0.5, 0.6]]
-        assert strip_timestamps(rows) == [(0.1, 0.2, 0.3), (0.4, 0.5, 0.6)]
+    """A raw file's timestamp columns are dropped as it is loaded; the
+    g-values pass through bit-identical and in file order."""
 
-    def test_explicit_columns(self):
-        rows = [[0.1, 99.0, 0.2, 0.3]]
-        assert strip_timestamps(rows, [1]) == [(0.1, 0.2, 0.3)]
+    def test_explicit_columns(self, tmp_path):
+        got = load_raw(tmp_path, ["0.1 99.0 0.2 0.3"] * 4, [1])
+        assert got.tolist() == [[0.1, 0.2, 0.3]] * 4
 
-    def test_values_pass_through_bit_identical(self):
-        v = 0.1 + 0.2  # not exactly representable as 0.3
-        out = strip_timestamps([[1.0, v, 2.0, 3.0]])
-        assert out[0][0] == v
+    def test_values_pass_through_bit_identical(self, tmp_path):
+        rng = np.random.default_rng(5)
+        values = rng.normal(size=(6, 3)) * 10.0 ** rng.integers(-300, 300, size=(6, 3))
+        values[0, 0] = 0.1 + 0.2  # not exactly representable as 0.3
+        lines = [f"{i} " + " ".join(map(repr, row)) for i, row in enumerate(values.tolist())]
+        assert load_raw(tmp_path, lines, [0]).tobytes() == values.tobytes()
 
-    def test_three_column_rows_need_no_stripping(self):
-        rows = [[1.0, 2.0, 3.0]]
-        assert strip_timestamps(rows) == [(1.0, 2.0, 3.0)]
-        assert strip_timestamps(rows, []) == [(1.0, 2.0, 3.0)]
+    def test_three_column_rows_need_no_stripping(self, tmp_path):
+        got = load_raw(tmp_path, ["1.0 2.0 3.0"] * 4)
+        assert got.tolist() == [[1.0, 2.0, 3.0]] * 4
 
-    def test_non_monotone_timestamps_warn_but_keep_order(self):
-        rows = [[5.0, 1.0, 1.0, 1.0], [3.0, 2.0, 2.0, 2.0]]
-        with pytest.warns(UserWarning, match="non-monotone"):
-            out = strip_timestamps(rows)
-        assert out == [(1.0, 1.0, 1.0), (2.0, 2.0, 2.0)]
+    def test_non_monotone_timestamps_warn_but_keep_order(self, tmp_path):
+        lines = ["5.0 1.0 1.0 1.0", "3.0 2.0 2.0 2.0", "6.0 3.0 3.0 3.0",
+                 "7.0 4.0 4.0 4.0"]
+        path = re.escape(str(tmp_path / "U1" / "1-1.txt"))
+        with pytest.warns(UserWarning, match=f"{path}: non-monotone timestamps"):
+            got = load_raw(tmp_path, lines, [0])
+        assert got[:, 0].tolist() == [1.0, 2.0, 3.0, 4.0]
 
-    def test_empty_input(self):
-        assert strip_timestamps([]) == []
+    def test_empty_input(self, tmp_path):
+        with pytest.raises(DataError, match=r"1-1\.txt: empty sample file"):
+            load_raw(tmp_path, ["", "  "])
 
-    def test_ragged_rows_rejected(self):
-        with pytest.raises(ValueError, match="columns"):
-            strip_timestamps([[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0]])
+    def test_ragged_rows_rejected(self, tmp_path):
+        lines = ["1.0 2.0 3.0 4.0", "1.0 2.0 3.0"] + ["1.0 2.0 3.0 4.0"] * 3
+        with pytest.raises(DataError, match=r"1-1\.txt:2: expected 4 columns, got 3"):
+            load_raw(tmp_path, lines, [0])
 
-    def test_wrong_residual_width_rejected(self):
-        with pytest.raises(ValueError):
-            strip_timestamps([[1.0, 2.0]], [0])
-        with pytest.raises(ValueError):
-            strip_timestamps([[1.0, 2.0, 3.0, 4.0, 5.0]], [0])
+    def test_wrong_residual_width_rejected(self, tmp_path):
+        for width, columns in [(2, [0]), (5, [0]), (4, [4]), (3, [0])]:
+            lines = [" ".join(["1.0"] * width)] * 4
+            want = f"1-1.txt: rows have {width} columns: timestamp_columns {columns}"
+            with pytest.raises(DataError, match=re.escape(want)):
+                load_raw(tmp_path, lines, columns)
 
 
 class TestDataset:
@@ -152,7 +160,7 @@ class TestDataset:
         samples.append(sample(gesture=2, trial=1))
         with pytest.warns(UserWarning, match="unbalanced"):
             ds = Dataset.from_samples(samples)
-        assert ds.per_cell_counts() == {(1, 1): 3, (1, 2): 1}
+        assert Counter((s.user, s.gesture) for s in ds.samples) == {(1, 1): 3, (1, 2): 1}
 
     def test_empty_dataset(self):
         ds = Dataset.from_samples([])
@@ -342,14 +350,14 @@ def test_every_table_reports_path_and_line(tmp_path, kind, case):
 class TestUwaveAdapter:
     def test_loads_tree(self, make_uwave_tree):
         root = make_uwave_tree(users=2, days=2, gestures=3, trials=2)
-        ds = load_uwave_tree(root)
+        ds = load_sample_tree(root, UWAVE_ADAPTER)
         assert ds.meta.summary() == "U=2 N_G=3 S_G=2 N_D=2 N_GS=24"
         assert all(s.day in (1, 2) for s in ds.samples)
 
     def test_ordering_is_deterministic(self, make_uwave_tree):
         root = make_uwave_tree()
-        a = load_uwave_tree(root)
-        b = load_uwave_tree(root)
+        a = load_sample_tree(root, UWAVE_ADAPTER)
+        b = load_sample_tree(root, UWAVE_ADAPTER)
         assert [s.identity for s in a.samples] == [s.identity for s in b.samples]
         ids = [(s.user, s.day, s.gesture, s.trial) for s in a.samples]
         assert ids == sorted(ids)
@@ -358,17 +366,17 @@ class TestUwaveAdapter:
         root = make_uwave_tree()
         (root / "U1" / "stray.txt").write_text("1 2 3\n")
         with pytest.raises(DataError, match="does not match"):
-            load_uwave_tree(root)
+            load_sample_tree(root, UWAVE_ADAPTER)
 
     def test_non_sample_files_ignored(self, make_uwave_tree):
         root = make_uwave_tree()
         (root / "README.md").write_text("notes\n")
-        load_uwave_tree(root)  # no error
+        load_sample_tree(root, UWAVE_ADAPTER)  # no error
 
     def test_empty_tree_rejected(self, tmp_path):
         (tmp_path / "empty").mkdir()
         with pytest.raises(DataError, match="no sample files"):
-            load_uwave_tree(tmp_path / "empty")
+            load_sample_tree(tmp_path / "empty", UWAVE_ADAPTER)
 
     def test_malformed_row_reports_file_and_line(self, make_uwave_tree):
         root = make_uwave_tree()
@@ -377,13 +385,13 @@ class TestUwaveAdapter:
         lines[4] = "1.0 bad 3.0"
         victim.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match=r"1-1\.txt:5"):
-            load_uwave_tree(root)
+            load_sample_tree(root, UWAVE_ADAPTER)
 
 
 class TestSonyAdapter:
     def test_loads_tree_and_strips_timestamps(self, make_sony_tree):
         root = make_sony_tree(users=2, gestures=2, trials=2, n=10)
-        ds = load_sony_tree(root)
+        ds = load_sample_tree(root, SONY_ADAPTER)
         assert ds.meta.summary() == "U=2 N_G=2 S_G=2 N_D=- N_GS=8"
         assert all(s.day is None for s in ds.samples)
         assert all(s.n == 10 for s in ds.samples)
@@ -398,13 +406,13 @@ class TestSonyAdapter:
         # Two blank lines first: the fourth data row is file line 6.
         victim.write_text("\n\n" + "\n".join(lines) + "\n")
         with pytest.raises(DataError, match=r"1-1\.txt:6: expected 6 columns, got 5"):
-            load_sony_tree(root)
+            load_sample_tree(root, SONY_ADAPTER)
 
     def test_g_values_bit_identical_to_source(self, make_sony_tree):
         root = make_sony_tree(users=1, gestures=1, trials=1, n=5)
         raw = (root / "U1" / "1-1.txt").read_text().splitlines()
         want = [tuple(float(v) for v in line.split()[3:]) for line in raw]
-        ds = load_sony_tree(root)
+        ds = load_sample_tree(root, SONY_ADAPTER)
         got = [tuple(r) for r in ds.samples[0].readings.tolist()]
         assert got == want
 
@@ -413,6 +421,10 @@ class TestAdapterConfig:
     def test_pattern_must_name_captures(self):
         with pytest.raises(ValueError, match="captures"):
             AdapterConfig(path_pattern=r"(?P<user>\d+)\.txt")
+
+    def test_invalid_regex_raises_value_error(self):
+        with pytest.raises(ValueError, match="path_pattern is not a valid regex"):
+            AdapterConfig(path_pattern=r"(?P<user>\d+")
 
     def test_load_from_json(self, tmp_path):
         p = tmp_path / "adapter.json"
@@ -435,8 +447,6 @@ class TestAdapterConfig:
         d.mkdir(parents=True)
         rows = "\n".join(f"{i} 0.1 0.2 0.3" for i in range(6))
         (d / "1-1.dat").write_text(rows + "\n")
-        from gestrec.data import load_sample_tree
-
         ds = load_sample_tree(tmp_path / "tree", cfg)
         assert ds.samples[0].n == 6
         assert ds.samples[0].readings[0].tolist() == [0.1, 0.2, 0.3]
@@ -463,7 +473,7 @@ class TestBalanceObservation:
         root = make_uwave_tree(users=2, days=1, gestures=2, trials=2)
         (root / "U2" / "1" / "2-2.txt").unlink()
         with pytest.warns(UserWarning, match="unbalanced"):
-            ds = load_uwave_tree(root)
-        counts = ds.per_cell_counts()
+            ds = load_sample_tree(root, UWAVE_ADAPTER)
+        counts = Counter((s.user, s.gesture) for s in ds.samples)
         assert counts[(2, 2)] == 1
         assert counts[(1, 1)] == 2

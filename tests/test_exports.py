@@ -1,6 +1,8 @@
-"""Every name a module exports exists, and one function reads CSV tables."""
+"""Every name a module exports or the traced benchmark patches exists, and
+one function reads CSV tables."""
 
 import importlib
+import importlib.util
 import inspect
 import pkgutil
 from pathlib import Path
@@ -31,3 +33,20 @@ def test_one_csv_table_reader():
     assert calls == 1
     assert "csv.reader(" in inspect.getsource(data.read_table)
     assert "read_table" not in gestrec.__all__
+
+
+def test_traced_benchmark_patches_only_what_exists():
+    """The benchmark's traced mode (``bench/spans.py``) wraps library
+    functions by name: installing its tracer fails if one is gone."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        patched = list(tracer._undo)
+    finally:
+        tracer.uninstall()
+    assert patched
+    assert all(getattr(owner, attr) is fn for owner, attr, fn in patched)

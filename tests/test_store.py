@@ -155,16 +155,23 @@ class TestCorruption:
         ("gradient_boosting", "learning_rate", True),
         ("gradient_boosting", "max_depth", 3.0), ("ridge", "alpha", None),
         ("ridge", "alpha", False),
+        # the header's integers: the models have 6 features
+        ("extra_trees", "n_features", 6.9), ("ridge", "n_features", "6"),
+        ("gradient_boosting", "feature_order_version", 1.7),
+        ("ridge", "feature_order_version", True),
     ])
     def test_hyperparameter_of_another_json_type(self, blob_data, tmp_path, kind,
                                                  name, value):
-        # A coercion would load 2.9 trees as 2 and true as 1.
+        # A coercion would load 2.9 trees as 2 and true as 1, and version
+        # 1.7 would pass a check for version 1.
         model = {m.kind: m for m in fitted_models(blob_data)[2]}[kind]
         path = save_model(model, tmp_path / "m.json")
         doc = json.loads(path.read_text())
-        doc["hyperparams"][name] = value
+        hyper = name in doc["hyperparams"]
+        (doc["hyperparams"] if hyper else doc)[name] = value
         path.write_text(json.dumps(doc))
-        with pytest.raises(ModelFileError, match=rf"m\.json: hyperparameter {name} is"):
+        what = "hyperparameter " if hyper else ""
+        with pytest.raises(ModelFileError, match=rf"m\.json: {what}{name} is"):
             load_model(path)
 
     def test_integral_float_hyperparameter_loads_and_resaves(self, blob_data, tmp_path):
@@ -200,6 +207,9 @@ class TestCorruption:
         ("gb", []),  # no class: gb predict would fail in the tree router
         ("et", [[1], [2], [3]]),  # predict would return [1], not a label
         ("et", [1, 1, 2]),
+        ("et", [1, "2", 3]),  # numpy would make every label a string
+        ("et", [True, False, 2]),
+        ("et", [1, 2.0, 3]),
     ])
     def test_classes_must_be_distinct_labels(self, blob_data, tmp_path, kind, classes):
         X, y = blob_data(n_classes=3, seed=23)
