@@ -24,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import NumericError
-from ..features import FEATURE_ORDER_VERSION
 from .cart import Forest, Node, RegressionTreeBuilder
 from ._rows import feature_rows, labels, training_rows
 
@@ -78,11 +77,12 @@ class GradientBoostingClassifier:
             raise ValueError("learning_rate must be in (0, 1]")
         if max_depth < 1:
             raise ValueError("max_depth must be >= 1")
+        if seed < 0:
+            raise ValueError("seed must be >= 0")
         self.n_stages = n_stages
         self.learning_rate = learning_rate
         self.max_depth = max_depth
         self.seed = seed
-        self.feature_order_version = FEATURE_ORDER_VERSION
         self.classes_: np.ndarray | None = None
         self.n_features_: int | None = None
         self.initial_scores_: np.ndarray | None = None

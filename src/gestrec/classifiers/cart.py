@@ -46,8 +46,6 @@ __all__ = [
     "apply_tree",
     "build_random_split_tree",
     "presort",
-    "node_to_dict",
-    "node_from_dict",
 ]
 
 
@@ -432,30 +430,3 @@ class RegressionTreeBuilder:
             stack.append((node.left, idx[mask], left_order, depth + 1))
         return root
 
-
-def node_to_dict(node: Node) -> dict:
-    """Nested-dict form for model files; leaf values become lists or floats."""
-    if node.feature < 0:
-        v = node.value
-        if isinstance(v, np.ndarray):
-            return {"p": [float(x) for x in v]}
-        return {"v": float(v)}
-    return {
-        "f": node.feature,
-        "t": node.threshold,
-        "l": node_to_dict(node.left),
-        "r": node_to_dict(node.right),
-    }
-
-
-def node_from_dict(obj: dict) -> Node:
-    if "f" in obj:
-        return Node(
-            feature=int(obj["f"]),
-            threshold=float(obj["t"]),
-            left=node_from_dict(obj["l"]),
-            right=node_from_dict(obj["r"]),
-        )
-    if "p" in obj:
-        return Node(value=np.array(obj["p"], dtype=np.float64))
-    return Node(value=float(obj["v"]))

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..features import FEATURE_ORDER_VERSION
 from .cart import Forest, Node, build_random_split_tree
 from ._rows import feature_rows, labels, training_rows
 
@@ -57,11 +56,12 @@ class ExtraTreesClassifier:
             raise ValueError("k_features must be >= 1")
         if min_samples_split < 2:
             raise ValueError("min_samples_split must be >= 2")
+        if seed < 0:
+            raise ValueError("seed must be >= 0")
         self.n_trees = n_trees
         self.k_features = k_features
         self.min_samples_split = min_samples_split
         self.seed = seed
-        self.feature_order_version = FEATURE_ORDER_VERSION
         self.classes_: np.ndarray | None = None
         self.n_features_: int | None = None
         self.trees_: list[Node] = []

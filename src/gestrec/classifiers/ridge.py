@@ -13,7 +13,6 @@ import numpy as np
 
 from ..dsp import DEGENERATE_VARIANCE
 from ..errors import SingularSystemError
-from ..features import FEATURE_ORDER_VERSION
 from ._rows import feature_rows, labels, training_rows
 
 __all__ = ["RidgeClassifier"]
@@ -34,9 +33,10 @@ class RidgeClassifier:
     def __init__(self, alpha: float = 1.0, seed: int = 0):
         if alpha < 0:
             raise ValueError("alpha must be >= 0")
+        if seed < 0:
+            raise ValueError("seed must be >= 0")
         self.alpha = alpha
         self.seed = seed  # recorded for provenance; the solve is deterministic
-        self.feature_order_version = FEATURE_ORDER_VERSION
         self.classes_: np.ndarray | None = None
         self.n_features_: int | None = None
         self.mean_: np.ndarray | None = None

@@ -3,20 +3,24 @@
 A model file self-describes its kind, hyperparameters, class dictionary,
 feature-order version and learned parameters. Floats are written with
 shortest round-trip repr, so a save/load cycle reproduces predictions
-bit for bit.
+bit for bit. This module owns the format, trees included: a split is
+``{"f": feature, "t": threshold, "l": left, "r": right}`` and a leaf
+``{"p": class probabilities}`` (extra trees) or ``{"v": value}``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import ModelFileError, VersionMismatchError
+from ..features import FEATURE_ORDER_VERSION
 from ._rows import hyperparameters
 from .boosting import GradientBoostingClassifier
-from .cart import node_from_dict, node_to_dict
+from .cart import Node
 from .extra_trees import ExtraTreesClassifier
 from .ridge import RidgeClassifier
 
@@ -28,6 +32,19 @@ _CLASSES = {
     cls.kind: cls
     for cls in (ExtraTreesClassifier, GradientBoostingClassifier, RidgeClassifier)
 }
+
+# The Python types of a JSON number: bool, a subclass of int, is not one.
+_NUMBERS = frozenset((int, float))
+
+
+def node_to_dict(node: Node) -> dict:
+    """A tree in its model-file form; leaf values become lists or floats."""
+    if node.feature >= 0:
+        return {"f": node.feature, "t": node.threshold,
+                "l": node_to_dict(node.left), "r": node_to_dict(node.right)}
+    if isinstance(node.value, np.ndarray):
+        return {"p": node.value.tolist()}
+    return {"v": float(node.value)}
 
 
 def save_model(model, path) -> Path:
@@ -60,7 +77,7 @@ def save_model(model, path) -> Path:
     doc = {
         "format": FORMAT_TAG,
         "kind": model.kind,
-        "feature_order_version": model.feature_order_version,
+        "feature_order_version": FEATURE_ORDER_VERSION,
         "n_features": model.n_features_,
         "classes": np.asarray(model.classes_).tolist(),
         "hyperparams": {
@@ -77,53 +94,48 @@ def save_model(model, path) -> Path:
     return path
 
 
-def _check_trees(
-    path, trees, n_features: int, leaf_shape: tuple, expected: str
-) -> None:
-    """Raise ModelFileError at the first node that predict could not route
-    or read: a split outside the feature range, or a leaf value not of
-    ``leaf_shape`` (a float for ``()``)."""
-    for i, root in enumerate(trees):
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if node.left is not None:
-                if not 0 <= node.feature < n_features:
-                    raise ModelFileError(
-                        f"{path}: tree {i} splits on feature {node.feature}, "
-                        f"outside [0, {n_features})"
-                    )
-                stack += (node.left, node.right)
-            elif getattr(node.value, "shape", ()) != leaf_shape:
-                raise ModelFileError(
-                    f"{path}: tree {i} has leaf value {node.value!r}, "
-                    f"expected {expected}"
-                )
+def _leaf(k: int | None) -> str:
+    return "a finite float" if k is None else f"{k} class probabilities"
 
 
-def _check_finite(path, forest, expected: str) -> None:
-    """Raise ModelFileError at the first node of the flattened trees with
-    a non-finite threshold or leaf value. One check over the flat arrays:
-    a numpy call per leaf would add a quarter to the load of an et file.
+def _tree(path, i: int, obj, n_features: int, k: int | None) -> Node:
+    """Tree ``i`` of a model file, each ``Node`` built as it is read.
+
+    Raises ModelFileError naming the file and tree ``i`` at the first node
+    that predict could not use: a split feature that is not a JSON integer
+    in ``[0, n_features)``, a threshold that is not a finite JSON number,
+    or a leaf that is not ``k`` JSON numbers (one when ``k`` is None).
     """
-    finite = np.isfinite(forest.threshold) & np.isfinite(
-        forest.value.reshape(forest.threshold.size, -1)
-    ).all(axis=1)
-    if finite.all():
-        return
-    j = int(finite.argmin())
-    tree = int(np.searchsorted(forest.roots, j, side="right")) - 1
-    # A split (its children differ). A nan threshold would route a row one
-    # way in the Forest and the other way in apply_tree.
-    if forest.delta[j]:
-        raise ModelFileError(
-            f"{path}: tree {tree} splits at threshold "
-            f"{float(forest.threshold[j])!r}, expected a finite float"
-        )
-    raise ModelFileError(
-        f"{path}: tree {tree} has leaf value {forest.value[j].tolist()!r}, "
-        f"expected {expected}"
-    )
+    root = Node()
+    stack = [(root, obj)]
+    while stack:
+        node, obj = stack.pop()
+        if type(obj) is not dict:
+            raise ModelFileError(f"{path}: tree {i} has node {obj!r}, "
+                                 "expected an object")
+        if "f" in obj:
+            f, t = obj["f"], obj["t"]
+            if type(f) is not int or not 0 <= f < n_features:
+                raise ModelFileError(f"{path}: tree {i} splits on feature {f!r}, "
+                                     f"expected an integer in [0, {n_features})")
+            if type(t) not in _NUMBERS or not math.isfinite(t):
+                raise ModelFileError(f"{path}: tree {i} splits at threshold {t!r}, "
+                                     "expected a finite float")
+            node.feature, node.threshold = f, float(t)
+            node.left, node.right = Node(), Node()
+            stack += ((node.right, obj["r"]), (node.left, obj["l"]))
+            continue
+        leaf = obj.get("v" if k is None else "p", obj)
+        if k is None and type(leaf) in _NUMBERS:
+            node.value = float(leaf)
+        elif k is not None and type(leaf) is list and len(leaf) == k and (
+            _NUMBERS.issuperset(map(type, leaf))
+        ):
+            node.value = np.array(leaf, dtype=np.float64)
+        else:
+            raise ModelFileError(f"{path}: tree {i} has leaf value {leaf!r}, "
+                                 f"expected {_leaf(k)}")
+    return root
 
 
 def _param(path, params, name: str, shape: tuple, positive: bool = False):
@@ -145,7 +157,7 @@ def _typed(path, section: dict, name: str, type_: type, what: str = ""):
     number. ``save_model`` writes the declared type, so nothing else is
     coerced: ``2.9`` or ``true`` would load as a different model."""
     value = section[name]
-    if type(value) not in ((int, float) if type_ is float else (type_,)):
+    if type(value) not in (_NUMBERS if type_ is float else (type_,)):
         expected = "a number" if type_ is float else "an integer"
         raise ModelFileError(
             f"{path}: {what}{name} is {value!r}, expected {expected}"
@@ -153,18 +165,19 @@ def _typed(path, section: dict, name: str, type_: type, what: str = ""):
     return type_(value)
 
 
-def load_model(path, expect_feature_version: int | None = None):
+def load_model(path, expect_feature_version: int = FEATURE_ORDER_VERSION):
     """Reconstruct a classifier from a model file.
 
+    Raises VersionMismatchError when the file's feature-order version is
+    not ``expect_feature_version``, the order ``features`` computes.
     Raises ModelFileError on missing, corrupt or foreign files, on a class
     list that is empty, repeats a label, mixes JSON types or holds
-    booleans, on a tree count that does not match the hyperparameters,
-    on a version, feature count or hyperparameter of another JSON type
-    than its declared one, on trees that predict could not use (the
-    message names the tree), and on parameter arrays of the wrong shape,
-    with non-finite entries or a standard deviation <= 0 (the message
-    names the parameter); and VersionMismatchError when
-    ``expect_feature_version`` is given and disagrees with the file.
+    booleans, on a tree or stage count that does not match the
+    hyperparameters, on a version, feature count or hyperparameter of
+    another JSON type than its declared one, on a tree node that predict
+    could not use (the message names the tree), and on parameter arrays
+    of the wrong shape, with non-finite entries or a standard deviation
+    <= 0 (the message names the parameter).
     """
     path = Path(path)
     if not path.is_file():
@@ -181,6 +194,9 @@ def load_model(path, expect_feature_version: int | None = None):
         )
     try:
         version = _typed(path, doc, "feature_order_version", int)
+        if version != expect_feature_version:
+            raise VersionMismatchError(f"{path}: model feature order v{version}, "
+                                       f"expected v{expect_feature_version}")
         kind = doc["kind"]
         classes = np.array(doc["classes"])
         # A fit writes the distinct labels of its rows, at least one, all
@@ -209,43 +225,43 @@ def load_model(path, expect_feature_version: int | None = None):
             model.mean_ = _param(path, params, "mean", (n_features,))
             model.std_ = _param(path, params, "std", (n_features,), positive=True)
             model.weights_ = _param(path, params, "weights", (k, n_features + 1))
+        elif cls is ExtraTreesClassifier:
+            trees = params["trees"]
+            if len(trees) != model.n_trees:
+                raise ModelFileError(f"{path}: {len(trees)} trees, "
+                                     f"expected n_trees = {model.n_trees}")
+            model.trees_ = [
+                _tree(path, i, t, n_features, k) for i, t in enumerate(trees)
+            ]
         else:
-            if cls is ExtraTreesClassifier:
-                model.trees_ = [node_from_dict(t) for t in params["trees"]]
-                if len(model.trees_) != model.n_trees:
-                    raise ModelFileError(
-                        f"{path}: {len(model.trees_)} trees, expected n_trees = "
-                        f"{model.n_trees}"
-                    )
-                trees, leaf_shape = model.trees_, (k,)
-                expected = f"{k} class probabilities"
-            else:
-                model.initial_scores_ = _param(path, params, "initial_scores", (k,))
-                model.stages_ = [
-                    [node_from_dict(t) for t in stage] for stage in params["stages"]
-                ]
-                if len(model.stages_) != model.n_stages or any(
-                    len(stage) != k for stage in model.stages_
-                ):
-                    raise ModelFileError(
-                        f"{path}: stage layout does not match n_stages x n_classes"
-                    )
-                trees = [t for stage in model.stages_ for t in stage]
-                leaf_shape, expected = (), "a finite float"
-            _check_trees(path, trees, n_features, leaf_shape, expected)
+            model.initial_scores_ = _param(path, params, "initial_scores", (k,))
+            stages = params["stages"]
+            if len(stages) != model.n_stages or any(len(s) != k for s in stages):
+                raise ModelFileError(f"{path}: stage layout does not match "
+                                     "n_stages x n_classes")
+            # Trees are numbered stage by stage, class by class.
+            model.stages_ = [
+                [_tree(path, s * k + c, t, n_features, None)
+                 for c, t in enumerate(stage)]
+                for s, stage in enumerate(stages)
+            ]
+        if cls is not RidgeClassifier:
+            # One check of every leaf value after flattening: a numpy call
+            # per leaf would add a quarter to the load of an et file.
             model._rebuild_flat()
-            _check_finite(path, model._forest, expected)
+            value, roots = model._forest.value, model._forest.roots
+            finite = np.isfinite(value.reshape(len(value), -1)).all(axis=1)
+            if not finite.all():
+                j = int(finite.argmin())
+                tree = int(np.searchsorted(roots, j, side="right")) - 1
+                leaf = _leaf(k if cls is ExtraTreesClassifier else None)
+                raise ModelFileError(f"{path}: tree {tree} has leaf value "
+                                     f"{value[j].tolist()!r}, expected {leaf}")
     except ModelFileError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFileError(f"corrupt model file {path}: {exc}") from None
 
     model.classes_ = classes
     model.n_features_ = n_features
-    model.feature_order_version = version
-    if expect_feature_version is not None and version != expect_feature_version:
-        raise VersionMismatchError(
-            f"{path}: model feature order v{version}, expected "
-            f"v{expect_feature_version}"
-        )
     return model

@@ -45,10 +45,8 @@ from .data import (
 from .errors import (
     DataError,
     GestureRecError,
-    ModelFileError,
     NumericError,
     SingularSystemError,
-    VersionMismatchError,
 )
 from .evaluation import (
     USER_DEPENDENT,
@@ -475,10 +473,7 @@ def main(argv=None) -> int:
             ZeroDivisionError) as exc:
         print(f"gestrec: numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (DataError, ModelFileError, VersionMismatchError, OSError) as exc:
-        print(f"gestrec: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except GestureRecError as exc:
+    except (GestureRecError, OSError) as exc:
         print(f"gestrec: {exc}", file=sys.stderr)
         return EXIT_DATA
 

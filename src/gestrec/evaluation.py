@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classifiers import make_classifier
-from .errors import VersionMismatchError
 from .features import FeatureMatrix
 
 __all__ = [
@@ -110,14 +109,6 @@ class ConfusionMatrix:
         percents[nz] = 100.0 * counts[nz] / support[nz, None]
         zero = tuple(c for c, s in zip(classes, support) if s == 0)
         return ConfusionMatrix(classes, counts, percents, zero)
-
-
-def _require_version(model, matrix: FeatureMatrix):
-    v = getattr(model, "feature_order_version", None)
-    if v is not None and v != matrix.version:
-        raise VersionMismatchError(
-            f"model feature order v{v} vs matrix v{matrix.version}"
-        )
 
 
 @dataclass(frozen=True)
@@ -261,11 +252,9 @@ def time_single_predictions(model, X_test: np.ndarray) -> float:
 def fit_plan(matrix: FeatureMatrix, plan: SplitPlan, classifier_spec):
     """Build the classifier and fit it on a plan's train rows.
 
-    Refuses a model whose feature order differs from the matrix's and a
-    UserIndependent plan whose sides share a user.
+    Refuses a UserIndependent plan whose sides share a user.
     """
     model = _build_classifier(classifier_spec)
-    _require_version(model, matrix)
     train, test = plan.train_indices, plan.test_indices
     if plan.mode == USER_INDEPENDENT:
         leak = set(matrix.users[train].tolist()) & set(matrix.users[test].tolist())

@@ -182,7 +182,6 @@ class FeatureMatrix:
     X: np.ndarray  # (n, 33) float64
     users: np.ndarray  # (n,) int64
     gestures: np.ndarray  # (n,) int64
-    version: int = FEATURE_ORDER_VERSION
 
     def __post_init__(self):
         if self.X.shape != (len(self.users), N_FEATURES):

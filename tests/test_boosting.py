@@ -248,3 +248,5 @@ class TestValidation:
             GradientBoostingClassifier(learning_rate=1.5)
         with pytest.raises(ValueError):
             GradientBoostingClassifier(max_depth=0)
+        with pytest.raises(ValueError, match="seed"):
+            GradientBoostingClassifier(seed=-1)

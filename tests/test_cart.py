@@ -4,6 +4,7 @@ invariants of the randomized classification trees, and the flat
 ``Forest`` router against one-row ``apply_tree`` routing."""
 
 import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -18,10 +19,9 @@ from gestrec.classifiers.cart import (
     RegressionTreeBuilder,
     apply_tree,
     build_random_split_tree,
-    node_from_dict,
-    node_to_dict,
     presort,
 )
+from gestrec.classifiers.store import _tree, node_to_dict
 
 
 def mean_leaf(r):
@@ -330,12 +330,20 @@ class TestRandomSplitTree:
 
 
 class TestNodeSerialization:
+    """A tree written by ``store.node_to_dict`` and read back by the store's
+    reader routes every row to the same leaf value."""
+
+    @staticmethod
+    def round_trip(tree, n_features, k):
+        text = json.dumps(node_to_dict(tree))
+        return _tree("m.json", 0, json.loads(text), n_features, k)
+
     def test_round_trip_regression(self):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(32, 3))
         r = rng.normal(size=32)
         tree = RegressionTreeBuilder(X).build(r, 3, mean_leaf(r))
-        back = node_from_dict(node_to_dict(tree))
+        back = self.round_trip(tree, 3, None)
         for x in X:
             assert apply_tree(back, x) == apply_tree(tree, x)
 
@@ -345,7 +353,7 @@ class TestNodeSerialization:
         y = rng_data.integers(0, 2, size=40).astype(np.intp)
         rng = np.random.Generator(np.random.PCG64(1))
         tree = build_random_split_tree(X, y, 2, 2, 2, rng)
-        back = node_from_dict(node_to_dict(tree))
+        back = self.round_trip(tree, 3, 2)
         for x in X:
             assert np.array_equal(apply_tree(back, x), apply_tree(tree, x))
 

@@ -26,7 +26,7 @@ from gestrec import (
 )
 from gestrec.classifiers import CLASSIFIER_KINDS
 from gestrec.cli import HYPER_FLAGS, MODES, build_parser, main
-from gestrec.features import N_FEATURES
+from gestrec.features import FEATURE_ORDER_VERSION, N_FEATURES
 
 SYNTH_FLAGS = [
     "--users", "3", "--gestures", "4", "--samples", "6",
@@ -286,7 +286,7 @@ class TestSaveModelAndBench:
                          "--save-model", str(path)]) == 0
             fresh = ClassifierSpec(kind, {}, seed=0).build().fit(
                 matrix.X[plan.train_indices], matrix.gestures[plan.train_indices])
-            saved = load_model(path, expect_feature_version=matrix.version)
+            saved = load_model(path, expect_feature_version=FEATURE_ORDER_VERSION)
             assert np.array_equal(saved.predict(matrix.X), fresh.predict(matrix.X))
 
     def test_save_model_fits_once(self, workspace, tmp_path, monkeypatch):
@@ -339,6 +339,9 @@ class TestExitCodes:
             ["eval", feats, "--out", out, "--mode", "mixed",
              "--classifier", "et", "--n-trees", "0"],
             ["eval", feats, "--out", out, "--all", "--alpha", "-1"],
+            # no plan of this mode draws from the seed, but the fit does
+            ["eval", feats, "--out", out, "--mode", "user-independent",
+             "--classifier", "et", "--seed", "-1"],
             ["ingest", "canonical", str(workspace / "data" / "manifest.csv"),
              "--out", out, "--adapter-config", str(tmp_path / "c.json")],
             ["synth", "--out", out, "--length-min", "4"],

@@ -26,7 +26,6 @@ from gestrec import (
     score,
     time_single_predictions,
 )
-from gestrec.errors import VersionMismatchError
 from gestrec.features import N_FEATURES
 
 # ---------------------------------------------------------------- stubs
@@ -285,16 +284,6 @@ class TestEvaluate:
         again = ClassifierSpec("et", {"n_trees": 10}, seed=3).build().fit(
             matrix.X[plan.train_indices], matrix.gestures[plan.train_indices])
         assert np.array_equal(model.predict(matrix.X), again.predict(matrix.X))
-
-    def test_version_gate(self):
-        matrix = label_matrix(n_users=1, n_gestures=3, per_cell=6)
-        plan = plan_user_dependent(matrix, user=1, seed=1)
-
-        class StaleModel(PerfectStub):
-            feature_order_version = 999
-
-        with pytest.raises(VersionMismatchError):
-            evaluate(matrix, plan, StaleModel, timing=False)
 
 
 class TestFolds:

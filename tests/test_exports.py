@@ -1,5 +1,6 @@
-"""Every name a module exports or the traced benchmark patches exists, and
-one function reads CSV tables."""
+"""Every name a module exports or the traced benchmark patches exists, the
+benchmark's tree walk agrees with the loaded models, one function reads
+CSV tables, and one module knows the model file's feature-order field."""
 
 import importlib
 import importlib.util
@@ -10,6 +11,9 @@ from pathlib import Path
 import pytest
 
 import gestrec
+from gestrec import ExtraTreesClassifier, GradientBoostingClassifier, load_model, save_model
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 MODULES = ["gestrec"] + [
     m.name for m in pkgutil.walk_packages(gestrec.__path__, prefix="gestrec.")
@@ -38,7 +42,7 @@ def test_one_csv_table_reader():
 def test_traced_benchmark_patches_only_what_exists():
     """The benchmark's traced mode (``bench/spans.py``) wraps library
     functions by name: installing its tracer fails if one is gone."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    path = BENCH / "spans.py"
     spec = importlib.util.spec_from_file_location("bench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
@@ -50,3 +54,25 @@ def test_traced_benchmark_patches_only_what_exists():
         tracer.uninstall()
     assert patched
     assert all(getattr(owner, attr) is fn for owner, attr, fn in patched)
+
+
+def test_benchmark_tree_walk_counts_every_loaded_node(blob_data, tmp_path, monkeypatch):
+    """``bench/layers.py`` counts tree nodes by walking ``Node``s: on a model
+    from ``load_model`` it finds every node of the flattened forest."""
+    monkeypatch.syspath_prepend(str(BENCH))  # layers imports spans
+    spec = importlib.util.spec_from_file_location("bench_layers", BENCH / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    X, y = blob_data(n_classes=3, seed=21)
+    for model in (ExtraTreesClassifier(n_trees=5, seed=1), GradientBoostingClassifier(n_stages=4)):
+        loaded = load_model(save_model(model.fit(X, y), tmp_path / f"{model.kind}.json"))
+        nodes = sum(layers.count_nodes(t) for t in layers.trees_of(loaded))
+        assert nodes == loaded._forest.feature.size > len(layers.trees_of(loaded))
+
+
+def test_one_module_knows_the_feature_order_field():
+    """Only the model store names the file's ``feature_order_version``."""
+    package = Path(gestrec.__file__).parent
+    naming = [p.relative_to(package).as_posix() for p in sorted(package.rglob("*.py"))
+              if "feature_order_version" in p.read_text(encoding="utf-8")]
+    assert naming == ["classifiers/store.py"]

@@ -119,6 +119,8 @@ class TestValidation:
             ExtraTreesClassifier(k_features=0)
         with pytest.raises(ValueError):
             ExtraTreesClassifier(min_samples_split=1)
+        with pytest.raises(ValueError, match="seed"):
+            ExtraTreesClassifier(seed=-1)
 
     def test_k_features_clipped_to_dimensionality(self, blob_data):
         # More candidate features than columns still works: the draw

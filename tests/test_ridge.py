@@ -138,6 +138,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             RidgeClassifier(alpha=-0.1)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            RidgeClassifier(seed=-1)
+
     def test_determinism(self, blob_data):
         X, y = blob_data(seed=13)
         w1 = RidgeClassifier(alpha=0.5).fit(X, y).weights_

@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import re
 import subprocess
 import sys
 
@@ -17,6 +18,7 @@ from gestrec import (
 )
 from gestrec.classifiers.store import FORMAT_TAG
 from gestrec.errors import ModelFileError, VersionMismatchError
+from gestrec.features import FEATURE_ORDER_VERSION
 
 
 def fitted_models(blob_data):
@@ -245,6 +247,39 @@ class TestCorruption:
         with pytest.raises(ModelFileError):
             load_model(path)
 
+    @pytest.mark.parametrize("node", [[0.5], "f", 3, None])
+    def test_tree_node_that_is_not_an_object(self, blob_data, tmp_path, node):
+        path = self._saved(blob_data, tmp_path)
+        doc = json.loads(path.read_text())
+        doc["params"]["stages"][0][1]["l"] = node
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFileError, match=r"m\.json: tree 1 has node .*, expected an object"):
+            load_model(path)
+
+    @pytest.mark.parametrize("where", ["alpha", "mean", "threshold", "leaf"])
+    def test_integer_too_large_for_a_float(self, blob_data, tmp_path, where):
+        # 10**400 written out is a JSON integer; float() and numpy refuse
+        # it with OverflowError, which load reports as a corrupt file.
+        X, y = blob_data(n_classes=2, seed=23)
+        model = RidgeClassifier() if where in ("alpha", "mean") else ExtraTreesClassifier(n_trees=1)
+        path = save_model(model.fit(X, y), tmp_path / "m.json")
+        doc = json.loads(path.read_text())
+        if where == "alpha":
+            doc["hyperparams"]["alpha"] = 10**400
+        elif where == "mean":
+            doc["params"]["mean"][0] = 10**400
+        else:
+            tree = doc["params"]["trees"][0]
+            if where == "threshold":
+                tree["t"] = 10**400
+            else:
+                while "f" in tree:
+                    tree = tree["l"]
+                tree["p"][0] = 10**400
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFileError, match=r"m\.json"):
+            load_model(path)
+
 
 class TestTreeStructure:
     """Well-formed JSON whose trees predict could not use is rejected at
@@ -262,12 +297,13 @@ class TestTreeStructure:
             tree = tree["l"]
         return tree
 
-    @pytest.mark.parametrize("feature", [99, -1])
+    # 1.9, true and "1" would load as feature 1.
+    @pytest.mark.parametrize("feature", [99, -1, 1.9, True, "1"])
     def test_split_feature_out_of_range_et(self, blob_data, tmp_path, feature):
         path, doc = self._saved(ExtraTreesClassifier(n_trees=4, seed=1), blob_data, tmp_path)
         doc["params"]["trees"][2]["f"] = feature
         path.write_text(json.dumps(doc))
-        with pytest.raises(ModelFileError, match=rf"m\.json: tree 2 splits on feature {feature}"):
+        with pytest.raises(ModelFileError, match=rf"m\.json: tree 2 splits on feature {re.escape(repr(feature))}"):
             load_model(path)
 
     def test_split_feature_out_of_range_gb(self, blob_data, tmp_path):
@@ -294,7 +330,8 @@ class TestTreeStructure:
         with pytest.raises(ModelFileError, match=r"tree 1 has leaf value .*, expected 3 class probabilities"):
             load_model(path)
 
-    @pytest.mark.parametrize("leaf", [{"v": float("nan")}, {"v": float("inf")}, {"p": [0.5, 0.5]}])
+    @pytest.mark.parametrize("leaf", [{"v": float("nan")}, {"v": float("inf")}, {"p": [0.5, 0.5]},
+                                      {"v": "0.25"}, {"v": True}, {"v": None}])
     def test_gb_leaf_must_be_a_finite_float(self, blob_data, tmp_path, leaf):
         path, doc = self._saved(GradientBoostingClassifier(n_stages=3), blob_data, tmp_path)
         tree = self._first_leaf(doc["params"]["stages"][0][2])
@@ -304,7 +341,7 @@ class TestTreeStructure:
         with pytest.raises(ModelFileError, match="tree 2 has leaf value .*, expected a finite float"):
             load_model(path)
 
-    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf"), "0.25", True])
     def test_et_split_threshold_must_be_finite(self, blob_data, tmp_path, threshold):
         path, doc = self._saved(ExtraTreesClassifier(n_trees=4, seed=1), blob_data, tmp_path)
         doc["params"]["trees"][3]["t"] = threshold
@@ -320,7 +357,7 @@ class TestTreeStructure:
         with pytest.raises(ModelFileError, match=r"m\.json: tree 7 splits at threshold nan"):
             load_model(path)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "0.5", True])
     def test_et_leaf_must_be_finite(self, blob_data, tmp_path, bad):
         path, doc = self._saved(ExtraTreesClassifier(n_trees=4, seed=1), blob_data, tmp_path)
         self._first_leaf(doc["params"]["trees"][0])["p"] = [bad] * 3
@@ -394,8 +431,11 @@ class TestVersionGate:
         X, y = blob_data(seed=24)
         model = RidgeClassifier().fit(X, y)
         save_model(model, tmp_path / "m.json")
-        again = load_model(tmp_path / "m.json", expect_feature_version=model.feature_order_version)
+        again = load_model(tmp_path / "m.json", expect_feature_version=FEATURE_ORDER_VERSION)
         assert np.array_equal(again.predict(X), model.predict(X))
+        assert json.loads((tmp_path / "m.json").read_text())["feature_order_version"] == (
+            FEATURE_ORDER_VERSION
+        )
 
     def test_version_mismatch_rejected(self, blob_data, tmp_path):
         X, y = blob_data(seed=24)
@@ -403,6 +443,17 @@ class TestVersionGate:
         save_model(model, tmp_path / "m.json")
         with pytest.raises(VersionMismatchError):
             load_model(tmp_path / "m.json", expect_feature_version=999)
+
+    @pytest.mark.parametrize("version", [0, FEATURE_ORDER_VERSION + 1])
+    def test_every_load_checks_the_feature_order(self, blob_data, tmp_path, version):
+        # Without the keyword, a load expects the order features computes.
+        X, y = blob_data(seed=24)
+        path = save_model(GradientBoostingClassifier(n_stages=2).fit(X, y), tmp_path / "m.json")
+        doc = json.loads(path.read_text())
+        doc["feature_order_version"] = version
+        path.write_text(json.dumps(doc))
+        with pytest.raises(VersionMismatchError, match=rf"m\.json: model feature order v{version}"):
+            load_model(path)
 
 
 TRAIN_SCRIPT = """
