@@ -1,14 +1,20 @@
 """Binary CART trees shared by the tree-ensemble classifiers.
 
 Two builders live here. The classification builder,
-``build_random_split_tree``, draws candidate splits at random (attribute
-subset plus one uniform threshold each) and keeps the best Gini
-decrease; it grows nodes until pure or unsplittable and stores
+``build_random_split_forest``, draws candidate splits at random
+(attribute subset plus one uniform threshold each) and keeps the best
+Gini decrease; it grows nodes until pure or unsplittable and stores
 class-probability leaves. The regression builder,
 ``RegressionTreeBuilder(X).build``, scans every feature exactly,
 maximizing the least-squares gain with midpoint thresholds, up to a
 fixed depth; leaf values come from a caller-supplied function of the
 leaf's row indices.
+
+Both make as few numpy calls as they can without changing a tree: a
+call costs microseconds whatever the size of a node. The
+classification builder grows a whole forest in lockstep, each step
+scoring the next node of many trees at once, while each tree's
+generator still draws for its own nodes in preorder.
 
 The regression builder sorts nothing per node. ``presort`` orders the
 rows once per feature with a stable sort, and each child takes its
@@ -19,7 +25,9 @@ rows gives. Cumulative sums, gains and tie-breaks, and so the trees,
 are bit-identical to sorting at every node. A boosting fit shares one
 ``RegressionTreeBuilder``, and so one ``presort`` and one set of
 scratch buffers, across all its trees (the SLIQ pre-sorted attribute
-lists, Mehta et al., EDBT 1996).
+lists, Mehta et al., EDBT 1996). Each class's tree reuses the tie
+masks and child orders of that class's tree one stage earlier wherever
+a node holds the same rows (``NodeRows``).
 
 Prediction routes rows through a ``Forest``: every tree of an ensemble
 flattened into preorder arrays. A lone row (the device path: one
@@ -36,15 +44,17 @@ The split predicate is ``x[feature] <= threshold`` goes left, everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 __all__ = [
     "Forest",
     "Node",
+    "NodeRows",
     "RegressionTreeBuilder",
     "apply_tree",
-    "build_random_split_tree",
+    "build_random_split_forest",
     "presort",
 ]
 
@@ -178,76 +188,160 @@ class Forest:
         return out
 
 
-def _gini(counts: np.ndarray, n: int) -> float:
-    p = counts / n
-    return 1.0 - float(p @ p)
+# Rows scored together by one step of ``build_random_split_forest``. A
+# step's temporaries hold one entry per (row, candidate): with every
+# tree's root in one step, a 480-row, 100-tree fit would peak at about
+# 9 MB instead of about 1.5 MB.
+GROW_BLOCK = 4096
 
 
-def build_random_split_tree(
+def _dots(p: np.ndarray) -> np.ndarray:
+    """``p @ p`` over the last axis of ``p``, stacked over the others.
+
+    Bit-equal to the 1-D ``p @ p`` of each vector: ``(p * p).sum(-1)``
+    and ``einsum`` add the squares in another order."""
+    return np.matmul(p[..., None, :], p[..., :, None])[..., 0, 0]
+
+
+def build_random_split_forest(
     X: np.ndarray,
     y: np.ndarray,
     n_classes: int,
     k_features: int,
     min_samples_split: int,
-    rng: np.random.Generator,
-) -> Node:
-    """Grow a fully developed classification tree with randomized splits.
+    rngs: list[np.random.Generator],
+) -> list[Node]:
+    """Grow one fully developed classification tree with randomized
+    splits per generator in ``rngs``.
 
     At each node, ``k_features`` distinct attributes are drawn uniformly
     (constant ones simply yield no candidate), one threshold per
     attribute is drawn uniformly in the node-local [min, max), and the
     candidate with the largest Gini impurity decrease wins; ties keep
-    the earliest candidate drawn. Leaves hold probability vectors.
+    the earliest candidate drawn. A node becomes a leaf, holding its
+    class-probability vector, when it has fewer than
+    ``min_samples_split`` rows, one class, or no candidate with a
+    positive decrease.
+
+    The trees grow in lockstep. Each tree keeps a stack of its pending
+    nodes, and a step pops the top node of as many trees as fit in
+    ``GROW_BLOCK`` rows (at least one tree), then scores all their
+    candidates with one numpy call per stage of the work. Only the draws
+    and the child bookkeeping are per node. A split pushes its right
+    child and then its left, so each generator draws for its tree's
+    nodes in preorder, ``rng.choice(d, k, replace=False)`` and then
+    ``lo + (hi - lo) * rng.random(m)`` for the ``m`` non-constant
+    candidates: the same draws, in the same order, as one recursive
+    ``rng.uniform(lo, hi)`` per candidate, so the trees are bit-identical
+    to growing them one at a time. A child that must be a leaf is made
+    at its parent's step: leaves draw nothing. The row budget bounds a
+    step's ``(rows, k)`` temporaries; without it the first step would
+    score every tree's root at once.
+
+    Returns the roots, one per generator, in the order of ``rngs``.
 
     Parameters
     ----------
     X : (n, d) float array
     y : (n,) int array of class indices in [0, n_classes)
     """
-    d = X.shape[1]
+    X = np.ascontiguousarray(X)
+    n, d = X.shape
     k = min(k_features, d)
+    flat = X.ravel()
+    cand = np.arange(k) * n_classes
 
-    def grow(idx: np.ndarray) -> Node:
-        labels = y[idx]
-        counts = np.bincount(labels, minlength=n_classes)
-        n = idx.size
-        if n < min_samples_split or counts.max() == n:
-            return Node(value=counts / n)
+    def is_leaf(counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        return (sizes < min_samples_split) | (counts.max(axis=-1) == sizes)
 
-        parent = _gini(counts, n)
-        rows = X[idx]
-        best_gain = 0.0
-        best: tuple[int, float, np.ndarray] | None = None
-        for f in rng.choice(d, size=k, replace=False):
-            col = rows[:, f]
-            lo = col.min()
-            hi = col.max()
-            if not lo < hi:
-                continue
-            thr = rng.uniform(lo, hi)
-            if thr >= hi:  # uniform() can round up to hi
-                thr = lo
-            mask = col <= thr
-            n_left = int(mask.sum())
-            cl = np.bincount(labels[mask], minlength=n_classes)
-            cr = counts - cl
-            gain = parent - (
-                n_left * _gini(cl, n_left) + (n - n_left) * _gini(cr, n - n_left)
-            ) / n
-            if gain > best_gain:
-                best_gain = gain
-                best = (int(f), float(thr), mask)
-        if best is None:
-            return Node(value=counts / n)
-        f, thr, mask = best
-        return Node(
-            feature=f,
-            threshold=thr,
-            left=grow(idx[mask]),
-            right=grow(idx[~mask]),
+    roots = [Node() for _ in rngs]
+    counts = np.bincount(y, minlength=n_classes)
+    if k == 0 or is_leaf(counts, n):  # no draw would split anything
+        for root in roots:
+            root.value = counts / n
+        return roots
+    everything = np.arange(n)
+    stacks = [[(root, everything)] for root in roots]
+    active = list(range(len(roots)))
+
+    while active:
+        batch, sizes, total = [], [], 0
+        for t in active:
+            node, rows = stacks[t][-1]
+            if batch and total + rows.size > GROW_BLOCK:
+                break
+            stacks[t].pop()
+            batch.append((t, node, rows))
+            sizes.append(rows.size)
+            total += rows.size
+        B = len(batch)
+        ends = list(accumulate(sizes))
+        starts = [0] + ends[:-1]
+        size = np.array(sizes)
+        seg = np.repeat(np.arange(B), size)
+        rows = np.concatenate([r for _, _, r in batch])
+        lab = y.take(rows)
+
+        counts = np.bincount(seg * n_classes + lab, minlength=B * n_classes)
+        counts = counts.reshape(B, n_classes)
+        parent = 1.0 - _dots(counts / size[:, None])
+
+        F = np.array([rngs[t].choice(d, size=k, replace=False) for t, _, _ in batch])
+        vals = flat.take(rows[:, None] * d + F.take(seg, axis=0))  # (N, k)
+        lo = np.minimum.reduceat(vals, starts, axis=0)
+        hi = np.maximum.reduceat(vals, starts, axis=0)
+        valid = lo < hi
+        with np.errstate(over="ignore"):
+            span = hi - lo
+        if not np.isfinite(span).all():
+            raise OverflowError("Range exceeds valid bounds")  # as uniform()
+        u = np.zeros((B, k))
+        u[valid] = np.concatenate(
+            [rngs[t].random(m) for (t, _, _), m in zip(batch, valid.sum(1).tolist())]
         )
+        thr = lo + span * u
+        thr = np.where(thr >= hi, lo, thr)  # the draw can round up to hi
 
-    return grow(np.arange(X.shape[0]))
+        # Per (row, candidate): goes left; a constant candidate sends all
+        # rows left and is never chosen.
+        mask = vals <= thr.take(seg, axis=0)
+        keys = (seg * (k * n_classes) + lab)[:, None] + cand
+        cl = np.bincount(keys[mask], minlength=B * k * n_classes)
+        cl = cl.reshape(B, k, n_classes)
+        cr = counts[:, None, :] - cl
+        nl = cl.sum(axis=2)
+        nr = size[:, None] - nl
+        gl = 1.0 - _dots(cl / nl[..., None])
+        gr = 1.0 - _dots(cr / np.maximum(nr, 1)[..., None])  # nr = 0: constant
+        gain = parent[:, None] - (nl * gl + nr * gr) / size[:, None]
+        gain = np.where(valid, gain, -np.inf)
+        # argmax keeps the earliest drawn candidate among equal gains.
+        best = gain.argmax(axis=1)
+        at = np.arange(B), best
+        split = (gain[at] > 0.0).tolist()
+        goes_left = mask[np.arange(rows.size), best.take(seg)]
+        cl, cr, nl, nr = cl[at], cr[at], nl[at], nr[at]
+        leaf_l, leaf_r = is_leaf(cl, nl).tolist(), is_leaf(cr, nr).tolist()
+        feature, threshold = F[at].tolist(), thr[at].tolist()
+        nl, nr = nl.tolist(), nr.tolist()
+
+        for b, (t, node, r) in enumerate(batch):
+            if not split[b]:
+                node.value = counts[b] / sizes[b]  # a fresh array, not a view
+                continue
+            node.feature, node.threshold = feature[b], threshold[b]
+            node.left, node.right = Node(), Node()
+            m = goes_left[starts[b] : ends[b]]
+            if leaf_r[b]:
+                node.right.value = cr[b] / nr[b]
+            else:
+                stacks[t].append((node.right, r[~m]))
+            if leaf_l[b]:
+                node.left.value = cl[b] / nl[b]
+            else:
+                stacks[t].append((node.left, r[m]))
+        active = [t for t in active if stacks[t]]
+    return roots
 
 
 def presort(X: np.ndarray) -> np.ndarray:
@@ -259,28 +353,59 @@ def presort(X: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
 
 
+class NodeRows:
+    """A node's training rows, and what the regression builder derived
+    from them alone.
+
+    ``idx`` are the row indices, ascending, and ``order`` their
+    per-feature order (``None`` at the depth limit, where nothing is
+    split). ``ties`` marks each sorted position whose value equals the
+    next one. ``split`` is the last split chosen here, ``(feature,
+    position, threshold, left, right)`` with the children's ``NodeRows``.
+    None of it depends on the targets: the threshold and the children
+    follow from the rows and the chosen ``(feature, position)``.
+    """
+
+    __slots__ = ("idx", "order", "ties", "split")
+
+    def __init__(self, idx: np.ndarray, order: np.ndarray | None):
+        self.idx = idx
+        self.order = order
+        self.ties: np.ndarray | None = None
+        self.split: tuple | None = None
+
+
 class RegressionTreeBuilder:
     """Exact greedy least-squares trees over one training matrix.
 
     The builder sorts the rows once (``presort``) and allocates its
     scratch buffers once, at the size of the root node; every tree it
     builds, whatever its targets, reuses both. Per node, the gathered
-    values, cumulative sums, gains and masks go into views of those
-    buffers and the child orders into one buffer per depth; only the
-    boolean selection that filters a child's order is a fresh array.
+    values, cumulative sums and gains go into views of those buffers.
     Fresh ``(d, n)`` temporaries at every node made the allocator hand
     memory back to the system and fault it in again, node after node,
     so a fit's time followed the kernel's page-fault cost.
 
-    Each tree is grown depth-first, so at most one node per depth has
-    child orders in use at any time; the children of a node at depth
-    ``k`` are written side by side into the buffer of depth ``k + 1``.
+    Successive trees can also share their row sets. ``build`` keeps, per
+    node, a ``NodeRows``: the tie mask and the chosen split with its
+    children's rows and orders. Given the previous tree's root
+    ``NodeRows``, a node whose rows are those of the previous tree's
+    node at the same position reuses them. That holds at the root, and
+    at a child whenever its parent chose the previous tree's
+    ``(feature, position)``. A node that reuses gathers no sorted
+    values, compares no neighbours and partitions no orders; it sums its
+    targets in the stored order and scores the splits, as every node
+    does. Everything reused is a function of the row set, so the trees
+    are bit-identical to building each one afresh.
     """
 
     def __init__(self, X: np.ndarray):
         n, d = X.shape
         self.X = X
-        self.order = presort(X)
+        # Row orders are most of what the kept NodeRows hold; half-width
+        # indices halve that, and take() widens them at no measured cost.
+        small = np.int32 if n <= np.iinfo(np.int32).max else np.intp
+        self.order = presort(X).astype(small)
         # Sorted values are gathered as flat positions into X transposed.
         self._XT = np.ascontiguousarray(X.T).ravel()
         self._offsets = (np.arange(d) * n)[:, None]
@@ -292,10 +417,12 @@ class RegressionTreeBuilder:
         self._rs = np.empty(size)
         self._cs = np.empty(size)
         self._gains = np.empty(size)
-        self._ties = np.empty(size, dtype=bool)
         self._kept = np.empty(size, dtype=bool)
-        self._child_orders: list[np.ndarray] = []
         self._by_size: dict[int, tuple] = {}
+
+    def rows(self) -> NodeRows:
+        """The root's ``NodeRows``: every row, in presorted order."""
+        return NodeRows(np.arange(self.X.shape[0]), self.order)
 
     def _views(self, n: int) -> tuple:
         """The scratch buffers shaped for a node of ``n >= 2`` rows, made
@@ -313,7 +440,6 @@ class RegressionTreeBuilder:
                 # The gathered targets are spent once summed, so their
                 # buffer takes the right-hand gain term.
                 self._rs[:m].reshape(d, n - 1),
-                self._ties[:m].reshape(d, n - 1),
                 self._kept[:k].reshape(d, n),
                 self._counts[: n - 1],  # n_left = 1 .. n - 1
                 self._counts[n - 2 :: -1],  # n - n_left
@@ -321,17 +447,13 @@ class RegressionTreeBuilder:
             self._by_size[n] = views
         return views
 
-    def _level(self, depth: int) -> np.ndarray:
-        while len(self._child_orders) < depth:
-            self._child_orders.append(np.empty(self.order.size, dtype=np.intp))
-        return self._child_orders[depth - 1]
-
     def build(
         self,
         r: np.ndarray,
         max_depth: int,
         leaf_value,
         fitted: np.ndarray | None = None,
+        rows: NodeRows | None = None,
     ) -> Node:
         """Grow an exact greedy least-squares regression tree fitted to
         targets ``r``.
@@ -345,6 +467,11 @@ class RegressionTreeBuilder:
         ``leaf_value(row_indices)``, the row indices ascending. When
         ``fitted`` is given, each training row's leaf value is written to
         it.
+
+        ``rows`` is the root ``NodeRows`` of an earlier tree of this
+        builder, from ``rows()`` at first: the new tree reuses what it
+        can and leaves its own in it, for the next tree. Pass the same
+        ``max_depth`` each time.
         """
         r = np.asarray(r, dtype=np.float64)  # the scratch buffers are float64
         X, XT, offsets = self.X, self._XT, self._offsets
@@ -358,24 +485,27 @@ class RegressionTreeBuilder:
 
         # Depth-first with an explicit stack: a recursive closure would hold
         # this tree's nodes in a reference cycle until a full collection.
-        # Row indices stay ascending in every node.
         root = Node()
-        stack = [(root, np.arange(n_rows), self.order, 0)]
+        stack = [(root, self.rows() if rows is None else rows, 0)]
         while stack:
-            node, idx, node_order, depth = stack.pop()
+            node, here, depth = stack.pop()
+            idx = here.idx
             n = idx.size
-            if depth >= max_depth or n < 2:
+            if depth >= max_depth or n < 2 or d == 0:  # nothing to split on
                 make_leaf(node, idx)
                 continue
 
-            pos, sorted_vals, rs, cs, gains, right, ties, kept, n_left, n_right = (
+            pos, sorted_vals, rs, cs, gains, right, kept, n_left, n_right = (
                 self._views(n)
             )
-            # mode="clip" writes straight into out ("raise" would buffer);
-            # every index is in range, so nothing is clipped.
-            np.add(node_order, offsets, out=pos)
-            XT.take(pos, out=sorted_vals, mode="clip")
-            r.take(node_order, out=rs, mode="clip")
+            order = here.order
+            if here.ties is None:
+                # mode="clip" writes straight into out ("raise" would
+                # buffer); every index is in range, so nothing is clipped.
+                np.add(order, offsets, out=pos)
+                XT.take(pos, out=sorted_vals, mode="clip")
+                here.ties = sorted_vals[:, :-1] == sorted_vals[:, 1:]
+            r.take(order, out=rs, mode="clip")
             rs.cumsum(axis=1, out=cs)
             total = cs[0, -1]
 
@@ -391,42 +521,41 @@ class RegressionTreeBuilder:
             right /= n_right
             gains += right
             gains -= total**2 / n
-            np.equal(sorted_vals[:, :-1], sorted_vals[:, 1:], out=ties)
-            np.putmask(gains, ties, -np.inf)
+            np.putmask(gains, here.ties, -np.inf)
 
             # The first maximum in row-major order: the lowest feature, and
             # within it the smallest split position, among equal gains.
             best = int(gains.argmax())
             if not gains.item(best) > 0.0:
                 make_leaf(node, idx)
+                here.split = None  # keep no rows this tree does not use
                 continue
             f, i = divmod(best, n - 1)
-            v1 = sorted_vals[f, i]
-            v2 = sorted_vals[f, i + 1]
-            thr = (v1 + v2) / 2.0
-            if thr >= v2:  # midpoint rounded up between adjacent floats
-                thr = v1
-            mask = X[idx, f] <= thr
-            n_l = int(mask.sum())
-            if depth + 1 < max_depth:
-                # Filtering keeps each feature's order, so ties stay in
-                # ascending row index, as a stable sort of the child gives.
-                goes_left[idx] = mask
-                goes_left.take(node_order, out=kept, mode="clip")
-                flat, kept_flat = node_order.ravel(), kept.ravel()
-                child = self._level(depth + 1)
-                left_order = child[: d * n_l].reshape(d, n_l)
-                right_order = child[d * n_l : d * n].reshape(d, n - n_l)
-                left_order.ravel()[:] = flat[kept_flat]
-                np.logical_not(kept_flat, out=kept_flat)
-                right_order.ravel()[:] = flat[kept_flat]
-            else:
-                left_order = right_order = None
+            split = here.split
+            if split is None or split[0] != f or split[1] != i:
+                v1 = XT.item(f * n_rows + order.item(f, i))
+                v2 = XT.item(f * n_rows + order.item(f, i + 1))
+                thr = (v1 + v2) / 2.0
+                if thr >= v2:  # midpoint rounded up between adjacent floats
+                    thr = v1
+                mask = X[idx, f] <= thr
+                left_rows = NodeRows(idx[mask], None)
+                right_rows = NodeRows(idx[~mask], None)
+                if depth + 1 < max_depth:
+                    # Filtering keeps each feature's order, so ties stay in
+                    # ascending row index, as a stable sort of the child
+                    # gives.
+                    goes_left[idx] = mask
+                    goes_left.take(order, out=kept, mode="clip")
+                    flat, kept_flat = order.ravel(), kept.ravel()
+                    left_rows.order = flat[kept_flat].reshape(d, -1)
+                    np.logical_not(kept_flat, out=kept_flat)
+                    right_rows.order = flat[kept_flat].reshape(d, -1)
+                split = here.split = (f, i, thr, left_rows, right_rows)
             node.feature = f
-            node.threshold = float(thr)
+            node.threshold = split[2]
             node.left = Node()
             node.right = Node()
-            stack.append((node.right, idx[~mask], right_order, depth + 1))
-            stack.append((node.left, idx[mask], left_order, depth + 1))
+            stack.append((node.right, split[4], depth + 1))
+            stack.append((node.left, split[3], depth + 1))
         return root
-

@@ -2,7 +2,13 @@
 
 Each of the ``n_trees`` trees is grown on the full training set (no
 bootstrap); randomness enters only through the per-node attribute subset
-and the one uniform threshold drawn per candidate attribute. Prediction
+and the one uniform threshold drawn per candidate attribute (Geurts,
+Ernst & Wehenkel, Machine Learning 63(1), 2006). Each tree has its own
+generator, and ``cart.build_random_split_forest`` grows all the trees in
+lockstep: a step scores the next node of many trees at once, within a
+fixed budget of rows, while each generator draws for its own tree's
+nodes in preorder. The trees are bit-identical to growing each one
+recursively on its own, in about a quarter of the time. Prediction
 averages the trees' leaf probability vectors and takes the argmax, ties
 resolving to the lowest class index. A fit (or a model load) flattens
 the trees into one ``cart.Forest``, which sums the leaf vectors in tree
@@ -16,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cart import Forest, Node, build_random_split_tree
+from .cart import Forest, Node, build_random_split_forest
 from ._rows import feature_rows, labels, training_rows
 
 __all__ = ["ExtraTreesClassifier", "DEFAULT_K_FEATURES"]
@@ -74,14 +80,10 @@ class ExtraTreesClassifier:
         n_classes = len(self.classes_)
 
         streams = np.random.SeedSequence(self.seed).spawn(self.n_trees)
-
-        def grow(stream) -> Node:
-            rng = np.random.Generator(np.random.PCG64(stream))
-            return build_random_split_tree(
-                X, y_idx, n_classes, self.k_features, self.min_samples_split, rng
-            )
-
-        self.trees_ = [grow(s) for s in streams]
+        rngs = [np.random.Generator(np.random.PCG64(s)) for s in streams]
+        self.trees_ = build_random_split_forest(
+            X, y_idx, n_classes, self.k_features, self.min_samples_split, rngs
+        )
         self._rebuild_flat()
         return self
 

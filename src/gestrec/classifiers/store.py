@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -140,10 +141,17 @@ def _tree(path, i: int, obj, n_features: int, k: int | None) -> Node:
 
 def _param(path, params, name: str, shape: tuple, positive: bool = False):
     """``params[name]`` as a float64 array, or ModelFileError unless it has
-    ``shape`` and finite entries, all of them > 0 when ``positive``."""
-    a = np.array(params[name], dtype=np.float64)
+    ``shape`` and finite entries that are JSON numbers, all of them > 0
+    when ``positive``. numpy would read ``"1.5"`` or ``true`` as a float."""
+    value = params[name]
+    a = np.array(value, dtype=np.float64)
     if a.shape != shape:
         raise ModelFileError(f"{path}: {name} has shape {a.shape}, expected {shape}")
+    # With the shape checked, ``value`` is a list of entries, or of rows.
+    entries = value if len(shape) == 1 else chain.from_iterable(value)
+    bad = [v for v in entries if type(v) not in _NUMBERS]
+    if bad:
+        raise ModelFileError(f"{path}: {name} has entry {bad[0]!r}, expected a number")
     if not np.isfinite(a).all():
         raise ModelFileError(f"{path}: {name} has non-finite entries")
     if positive and not (a > 0.0).all():
@@ -176,8 +184,8 @@ def load_model(path, expect_feature_version: int = FEATURE_ORDER_VERSION):
     hyperparameters, on a version, feature count or hyperparameter of
     another JSON type than its declared one, on a tree node that predict
     could not use (the message names the tree), and on parameter arrays
-    of the wrong shape, with non-finite entries or a standard deviation
-    <= 0 (the message names the parameter).
+    of the wrong shape, with entries that are not finite JSON numbers or
+    a standard deviation <= 0 (the message names the parameter).
     """
     path = Path(path)
     if not path.is_file():

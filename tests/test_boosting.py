@@ -146,6 +146,14 @@ class TestTrainingBehaviour:
                 assert tree.value == 0.0
         assert np.all(model.predict(X) == 7)
 
+    def test_no_features_gives_leaves(self):
+        # As et and rc do, a fit on zero feature columns learns the
+        # class frequencies alone.
+        y = np.array([3, 5, 3, 5, 5, 5])
+        model = GradientBoostingClassifier(n_stages=4).fit(np.empty((6, 0)), y)
+        assert all(tree.feature == -1 for stage in model.stages_ for tree in stage)
+        assert model.predict(np.empty((2, 0))).tolist() == [5, 5]
+
     def test_training_log_loss_non_increasing(self, blob_data):
         X, y = blob_data(n_classes=4, n_per=15, spread=1.5, seed=3)
         model = GradientBoostingClassifier(n_stages=30).fit(X, y)

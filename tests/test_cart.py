@@ -1,10 +1,14 @@
 """Tree tests: exact greedy regression splits vs a brute-force oracle,
-bit-identity of the pre-sorted builder with a per-node sort, structural
-invariants of the randomized classification trees, and the flat
-``Forest`` router against one-row ``apply_tree`` routing."""
+bit-identity of the pre-sorted builder with a per-node sort and of
+trees that reuse the previous tree's rows with trees built alone,
+bit-identity of the lockstep forest builder with one recursive tree per
+generator, structural invariants of the randomized classification
+trees, the peak memory of default fits, and the flat ``Forest`` router
+against one-row ``apply_tree`` routing."""
 
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,13 +16,16 @@ import pytest
 
 from gestrec import ExtraTreesClassifier, GradientBoostingClassifier, save_model
 from gestrec.features import load_features
+from gestrec.classifiers.boosting import _softmax
 from gestrec.classifiers.cart import (
+    GROW_BLOCK,
     ROUTE_BLOCK,
     Forest,
     Node,
+    NodeRows,
     RegressionTreeBuilder,
     apply_tree,
-    build_random_split_tree,
+    build_random_split_forest,
     presort,
 )
 from gestrec.classifiers.store import _tree, node_to_dict
@@ -175,6 +182,24 @@ def sum_leaf(r):
     return value
 
 
+def bits(value) -> bytes:
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+def assert_same_tree(got: Node, want: Node) -> None:
+    """Node for node: the same split features, and the same bits in every
+    threshold and leaf value."""
+    stack = [(got, want)]
+    while stack:
+        g, w = stack.pop()
+        assert g.feature == w.feature
+        if w.feature < 0:
+            assert bits(g.value) == bits(w.value)
+        else:
+            assert bits(g.threshold) == bits(w.threshold)
+            stack += ((g.left, w.left), (g.right, w.right))
+
+
 class TestPresortedBuilderIsBitIdentical:
     @pytest.mark.parametrize("seed", range(12))
     def test_heavy_ties(self, seed):
@@ -261,10 +286,127 @@ class TestPresortedBuilderIsBitIdentical:
         )
 
 
+def split_records(rows: NodeRows) -> list:
+    """The split of every ``NodeRows`` under ``rows`` that has one."""
+    out, stack = [], [rows]
+    while stack:
+        here = stack.pop()
+        if here.split is not None:
+            out.append(here.split)
+            stack += (here.split[4], here.split[3])
+    return out
+
+
+class TestRowReuse:
+    """Trees built one after another through one ``NodeRows`` equal trees
+    built one at a time, whether a node's split repeats the previous
+    tree's (its children are reused) or not (they are made afresh)."""
+
+    @staticmethod
+    def run(X, targets, depth):
+        """Build a tree per target through one ``NodeRows``; return how
+        many splits were kept from the previous tree and how many were
+        made afresh after the first tree."""
+        builder = RegressionTreeBuilder(X)
+        rows = builder.rows()
+        fitted = np.full(len(X), np.nan)
+        kept = made = 0
+        for t, r in enumerate(targets):
+            before = split_records(rows)
+            tree = builder.build(r, depth, sum_leaf(r), fitted, rows)
+            assert_same_tree(tree, reference_regression_tree(X, r, depth, sum_leaf(r)))
+            assert np.array_equal(fitted, [apply_tree(tree, x) for x in X])
+            for split in split_records(rows):
+                if any(split is b for b in before):
+                    kept += 1
+                elif t > 0:
+                    made += 1
+        return kept, made
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_heavy_ties(self, depth, seed):
+        rng = np.random.default_rng(seed)
+        n, d = 90, 7
+        X = rng.normal(size=(n, d)).round(1) * rng.integers(1, 4, size=d)
+        X[:, 0] = rng.integers(0, 3, size=n)
+        r0, r1 = rng.choice([0.1, 0.7, -0.3, 1e-3], size=(2, n))
+        nudged = r1.copy()
+        nudged[rng.integers(n)] += 0.5
+        # Halving scales every gain by a quarter exactly: the same splits.
+        kept, made = self.run(X, [r0, r0 / 2, r1, r1 / 2, nudged, r0], depth)
+        assert kept >= 2 and made >= 2
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_near_zero_gains(self, depth):
+        rng = np.random.default_rng(100 + depth)
+        X = rng.integers(0, 4, size=(64, 5)).astype(np.float64)
+        targets = 0.1 + rng.choice([0.0, 1e-16, -1e-16, 3e-17], size=(8, 64))
+        self.run(X, targets, depth)
+
+    def test_a_changed_root_split_makes_new_children(self):
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(50, 2))
+        on_0, on_1 = (X[:, 0] > 0.0) * 1.0, (X[:, 1] > 0.5) * 1.0
+        builder = RegressionTreeBuilder(X)
+        rows = builder.rows()
+        features = []
+        for r in (on_0, on_1, on_0):
+            tree = builder.build(r, 3, mean_leaf(r), rows=rows)
+            assert_same_tree(tree, reference_regression_tree(X, r, 3, mean_leaf(r)))
+            features.append(tree.feature)
+        assert features == [0, 1, 0]
+
+
+class TestBoostingEqualsTreesBuiltOneAtATime:
+    """A boosting fit's trees, whose nodes reuse the row sets of the stage
+    before, equal the reference builder's trees grown one at a time on
+    the same residuals."""
+
+    @staticmethod
+    def check(X, y, max_depth, n_stages=12):
+        model = GradientBoostingClassifier(n_stages=n_stages, max_depth=max_depth)
+        model.fit(X, y)
+        _, y_idx = np.unique(y, return_inverse=True)
+        n, k = len(y), len(model.classes_)
+        onehot = np.zeros((n, k))
+        onehot[np.arange(n), y_idx] = 1.0
+        scores = np.tile(model.initial_scores_, (n, 1))
+        for stage in model.stages_:
+            p = _softmax(scores)
+            residual = onehot - p
+            for c, got in enumerate(stage):
+                r_c = residual[:, c]
+                pq = p[:, c] * (1.0 - p[:, c])
+
+                def newton_leaf(idx, r_c=r_c, pq=pq):
+                    denom = pq[idx].sum()
+                    return 0.0 if denom <= 0.0 else r_c[idx].sum() / denom
+
+                want = reference_regression_tree(X, r_c, max_depth, newton_leaf)
+                assert_same_tree(got, want)
+                scores[:, c] += model.learning_rate * np.array(
+                    [apply_tree(want, x) for x in X]
+                )
+
+    @pytest.mark.parametrize("max_depth", [1, 2, 3, 4])
+    def test_blobs(self, blob_data, max_depth):
+        X, y = blob_data(n_classes=4, n_per=15, d=5, spread=2.0, seed=max_depth)
+        self.check(X, y, max_depth)
+
+    @pytest.mark.parametrize("max_depth", [1, 3, 4])
+    def test_heavy_ties(self, max_depth):
+        rng = np.random.default_rng(30 + max_depth)
+        X = rng.normal(size=(80, 6)).round(1) * rng.integers(1, 4, size=6)
+        X[:, 0] = rng.integers(0, 3, size=80)
+        y = (X[:, 0] + rng.integers(0, 2, size=80)).astype(int)
+        self.check(X, y, max_depth)
+
+
 class TestRandomSplitTree:
     def grow(self, X, y, n_classes, seed=0, k=2, min_split=2):
         rng = np.random.Generator(np.random.PCG64(seed))
-        return build_random_split_tree(X, y, n_classes, k, min_split, rng)
+        return build_random_split_forest(X, y, n_classes, k, min_split, [rng])[0]
 
     def test_pure_data_is_single_leaf(self):
         X = np.random.default_rng(0).normal(size=(12, 3))
@@ -329,6 +471,195 @@ class TestRandomSplitTree:
         assert node_to_dict(t1) == node_to_dict(t2)
 
 
+def _gini(counts, n):
+    p = counts / n
+    return 1.0 - float(p @ p)
+
+
+def reference_random_split_tree(X, y, n_classes, k_features, min_samples_split, rng):
+    """The classification builder grown recursively, one tree and one
+    candidate at a time: the definition the lockstep forest builder must
+    match bit for bit, draws included."""
+    d = X.shape[1]
+    k = min(k_features, d)
+
+    def grow(idx: np.ndarray) -> Node:
+        labels = y[idx]
+        counts = np.bincount(labels, minlength=n_classes)
+        n = idx.size
+        if n < min_samples_split or counts.max() == n:
+            return Node(value=counts / n)
+
+        parent = _gini(counts, n)
+        rows = X[idx]
+        best_gain = 0.0
+        best = None
+        for f in rng.choice(d, size=k, replace=False):
+            col = rows[:, f]
+            lo = col.min()
+            hi = col.max()
+            if not lo < hi:
+                continue
+            thr = rng.uniform(lo, hi)
+            if thr >= hi:  # uniform() can round up to hi
+                thr = lo
+            mask = col <= thr
+            n_left = int(mask.sum())
+            cl = np.bincount(labels[mask], minlength=n_classes)
+            cr = counts - cl
+            gain = parent - (
+                n_left * _gini(cl, n_left) + (n - n_left) * _gini(cr, n - n_left)
+            ) / n
+            if gain > best_gain:
+                best_gain = gain
+                best = (int(f), float(thr), mask)
+        if best is None:
+            return Node(value=counts / n)
+        f, thr, mask = best
+        return Node(
+            feature=f,
+            threshold=thr,
+            left=grow(idx[mask]),
+            right=grow(idx[~mask]),
+        )
+
+    return grow(np.arange(X.shape[0]))
+
+
+def generators(n_trees, seed):
+    streams = np.random.SeedSequence(seed).spawn(n_trees)
+    return [np.random.Generator(np.random.PCG64(s)) for s in streams]
+
+
+class TestForestEqualsRecursiveBuilder:
+    """``build_random_split_forest`` grows every tree node for node as the
+    recursive reference does, and leaves every generator in the same
+    state."""
+
+    @staticmethod
+    def check(X, y, n_classes, k, min_split, n_trees=12, seed=0):
+        got_rngs = generators(n_trees, seed)
+        want_rngs = generators(n_trees, seed)
+        got = build_random_split_forest(X, y, n_classes, k, min_split, got_rngs)
+        assert len(got) == n_trees
+        for tree, rng, ref_rng in zip(got, got_rngs, want_rngs):
+            want = reference_random_split_tree(X, y, n_classes, k, min_split, ref_rng)
+            assert_same_tree(tree, want)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        return got
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 17, 64, 200])
+    @pytest.mark.parametrize("min_split", [2, 5])
+    def test_sizes(self, n, min_split):
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(n, 7))
+        y = rng.integers(0, 3, size=n).astype(np.intp)
+        self.check(X, y, 3, 3, min_split)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_constant_and_duplicated_columns_and_rows(self, seed):
+        rng = np.random.default_rng(10 + seed)
+        X = rng.normal(size=(40, 6)).round(1)
+        X[:, 0] = 2.5
+        X[:, 3] = X[:, 1]
+        X[:, 5] = rng.integers(0, 2, size=40)
+        X = np.vstack([X, X[:25]])
+        y = rng.integers(0, 4, size=len(X)).astype(np.intp)
+        y[40:] = y[:25]
+        self.check(X, y, 4, 2, 2, seed=seed)
+
+    def test_duplicate_rows_with_every_label(self):
+        # Splits gain nothing, or a rounding error's worth.
+        X = np.repeat(np.arange(4.0)[:, None], 3, axis=0) * [1.0, -1.0]
+        y = np.tile(np.arange(3), 4).astype(np.intp)
+        self.check(X, y, 3, 2, 2)
+
+    def test_adjacent_floats(self):
+        # Thresholds drawn between adjacent floats round up to hi, and
+        # the draw falls back to lo.
+        lo, hi = 1.0, np.nextafter(1.0, 2.0)
+        rng = np.random.default_rng(3)
+        X = rng.choice([lo, hi], size=(50, 3))
+        y = (X[:, 0] > lo).astype(np.intp) ^ rng.integers(0, 2, size=50).astype(np.intp)
+        self.check(X, y, 2, 3, 2, n_trees=20)
+
+    def test_one_class(self):
+        X = np.random.default_rng(4).normal(size=(30, 4))
+        trees = self.check(X, np.zeros(30, dtype=np.intp), 1, 2, 2)
+        assert all(t.feature == -1 for t in trees)
+
+    def test_no_features(self):
+        X = np.empty((6, 0))
+        trees = self.check(X, np.array([0, 1, 0, 1, 1, 1]), 2, 3, 2)
+        assert all(t.value.tolist() == [2 / 6, 4 / 6] for t in trees)
+
+    @pytest.mark.parametrize("k", [5, 6, 9])
+    def test_k_features_at_least_d(self, k):
+        rng = np.random.default_rng(k)
+        X = rng.normal(size=(60, 5))
+        y = rng.integers(0, 2, size=60).astype(np.intp)
+        self.check(X, y, 2, k, 2)
+
+    def test_steps_hit_the_row_budget(self):
+        # 200-row roots: about 20 fit in one step, so 60 trees take
+        # several steps even at the roots.
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(200, 8))
+        y = (X[:, 0] + 0.5 * rng.normal(size=200) > 0).astype(np.intp)
+        y += 2 * (X[:, 1] > 0.3)
+        assert 60 * 200 > 2 * GROW_BLOCK
+        self.check(X, y, 4, 3, 2, n_trees=60)
+
+    def test_a_root_larger_than_the_budget(self):
+        rng = np.random.default_rng(7)
+        n = GROW_BLOCK + 40
+        X = rng.normal(size=(n, 2)).round(2)
+        y = (X.sum(axis=1) > 0).astype(np.intp)
+        self.check(X, y, 2, 1, 5, n_trees=2)
+
+    def test_range_overflow_raises_as_uniform_does(self):
+        X = np.array([[-1e308], [1e308], [0.0], [1.0]])
+        y = np.array([0, 1, 0, 1], dtype=np.intp)
+        with pytest.raises(OverflowError):
+            reference_random_split_tree(X, y, 2, 1, 2, generators(1, 0)[0])
+        with pytest.raises(OverflowError):
+            build_random_split_forest(X, y, 2, 1, 2, generators(1, 0))
+
+
+class TestFitMemory:
+    """Peak traced memory of default fits on 480 x 33 matrices. The row
+    budget keeps an extra-trees step from scoring every root at once
+    (about 9 MB), and the boosting fit keeps one tree of row orders per
+    class (about 4.5 MB in all)."""
+
+    @staticmethod
+    def peak_mb(model, X, y) -> float:
+        tracemalloc.start()
+        try:
+            model.fit(X, y)
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+    def test_extra_trees(self, blob_data):
+        X, y = blob_data(n_classes=2, n_per=240, d=33, spread=0.3, seed=1)
+        model = ExtraTreesClassifier()
+        assert self.peak_mb(model, X, y) < 3.0
+        # A leaf value that viewed its step's counts would keep the whole
+        # step's array alive.
+        stack = list(model.trees_)
+        while stack:
+            node = stack.pop()
+            if node.feature < 0:
+                assert node.value.base is None
+            else:
+                stack += (node.left, node.right)
+
+    def test_gradient_boosting(self, blob_data):
+        X, y = blob_data(n_classes=8, n_per=60, d=33, spread=1.5, seed=2)
+        assert self.peak_mb(GradientBoostingClassifier(), X, y) < 8.0
+
+
 class TestNodeSerialization:
     """A tree written by ``store.node_to_dict`` and read back by the store's
     reader routes every row to the same leaf value."""
@@ -352,7 +683,7 @@ class TestNodeSerialization:
         X = rng_data.normal(size=(40, 3))
         y = rng_data.integers(0, 2, size=40).astype(np.intp)
         rng = np.random.Generator(np.random.PCG64(1))
-        tree = build_random_split_tree(X, y, 2, 2, 2, rng)
+        tree = build_random_split_forest(X, y, 2, 2, 2, [rng])[0]
         back = self.round_trip(tree, 3, 2)
         for x in X:
             assert np.array_equal(apply_tree(back, x), apply_tree(tree, x))

@@ -425,6 +425,36 @@ class TestParameterArrays:
         doc["params"]["weights"][1][3] = float("inf")
         self._rejected(path, doc, r"m\.json: weights has non-finite entries")
 
+    # numpy reads "0.5" and true as floats; save_model writes neither.
+
+    def test_rc_mean_of_strings(self, blob_data, tmp_path):
+        path, doc = self._saved(RidgeClassifier(), blob_data, tmp_path)
+        doc["params"]["mean"] = [repr(v) for v in doc["params"]["mean"]]
+        self._rejected(path, doc, r"m\.json: mean has entry '.*', expected a number")
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_rc_std_of_a_boolean(self, blob_data, tmp_path, flag):
+        path, doc = self._saved(RidgeClassifier(), blob_data, tmp_path)
+        doc["params"]["std"][0] = flag
+        self._rejected(path, doc, rf"m\.json: std has entry {flag}, expected a number")
+
+    def test_rc_weights_with_a_nested_string(self, blob_data, tmp_path):
+        path, doc = self._saved(RidgeClassifier(), blob_data, tmp_path)
+        doc["params"]["weights"][2][5] = "0.25"
+        self._rejected(path, doc, r"m\.json: weights has entry '0\.25', expected a number")
+
+    def test_gb_initial_scores_of_strings(self, blob_data, tmp_path):
+        path, doc = self._saved(GradientBoostingClassifier(n_stages=2), blob_data, tmp_path)
+        doc["params"]["initial_scores"] = [repr(v) for v in doc["params"]["initial_scores"]]
+        self._rejected(path, doc, r"m\.json: initial_scores has entry '.*', expected a number")
+
+    def test_integral_entries_load(self, blob_data, tmp_path):
+        # A JSON integer is a JSON number: 1 loads as 1.0.
+        path, doc = self._saved(RidgeClassifier(), blob_data, tmp_path)
+        doc["params"]["std"][0] = 1
+        path.write_text(json.dumps(doc))
+        assert load_model(path).std_[0] == 1.0
+
 
 class TestVersionGate:
     def test_matching_version_accepted(self, blob_data, tmp_path):
