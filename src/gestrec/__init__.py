@@ -47,9 +47,7 @@ from .evaluation import (
     FoldResults,
     SplitPlan,
     evaluate,
-    evaluate_folds,
     fit_plan,
-    per_user_table,
     plan_mixed,
     plan_user_dependent,
     plan_user_independent,
@@ -97,7 +95,6 @@ __all__ = [
     "SynthSpec",
     "VersionMismatchError",
     "evaluate",
-    "evaluate_folds",
     "extract_all",
     "feature_set",
     "fit_plan",
@@ -106,7 +103,6 @@ __all__ = [
     "load_manifest",
     "load_model",
     "make_classifier",
-    "per_user_table",
     "plan_mixed",
     "plan_user_dependent",
     "plan_user_independent",

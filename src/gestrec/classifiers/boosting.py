@@ -43,16 +43,14 @@ __all__ = ["GradientBoostingClassifier"]
 _LOSS_SLACK = 1e-9
 
 
-def _softmax(scores: np.ndarray) -> np.ndarray:
+def _softmax_loss(scores: np.ndarray, y_idx: np.ndarray) -> tuple[np.ndarray, float]:
+    """Softmax probabilities of the scores and their mean log-loss, from
+    one exponential pass over the row-max-shifted scores."""
     z = scores - scores.max(axis=1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _log_loss(scores: np.ndarray, y_idx: np.ndarray) -> float:
-    z = scores - scores.max(axis=1, keepdims=True)
-    log_p = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    return float(-log_p[np.arange(len(y_idx)), y_idx].mean())
+    total = e.sum(axis=1, keepdims=True)
+    loss = -(z[np.arange(len(y_idx)), y_idx] - np.log(total[:, 0])).mean()
+    return e / total, float(loss)
 
 
 class GradientBoostingClassifier:
@@ -112,13 +110,12 @@ class GradientBoostingClassifier:
         onehot[np.arange(n), y_idx] = 1.0
 
         scores = np.tile(self.initial_scores_, (n, 1))
-        loss = _log_loss(scores, y_idx)
+        p, loss = _softmax_loss(scores, y_idx)
         builder = RegressionTreeBuilder(X)
         rows = [builder.rows() for _ in range(k)]
         fitted = np.empty(n)
         self.stages_ = []
         for stage in range(self.n_stages):
-            p = _softmax(scores)
             residual = onehot - p
             stage_trees: list[Node] = []
             for c in range(k):
@@ -135,7 +132,7 @@ class GradientBoostingClassifier:
                 stage_trees.append(tree)
                 scores[:, c] += self.learning_rate * fitted
             self.stages_.append(stage_trees)
-            new_loss = _log_loss(scores, y_idx)
+            p, new_loss = _softmax_loss(scores, y_idx)
             if new_loss > loss + _LOSS_SLACK:
                 raise NumericError(
                     f"training log-loss increased at stage {stage + 1}: "

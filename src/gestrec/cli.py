@@ -52,8 +52,8 @@ from .evaluation import (
     USER_DEPENDENT,
     USER_INDEPENDENT,
     ClassifierSpec,
-    ConfusionMatrix,
     EvaluationReport,
+    FoldResults,
     SplitPlan,
     fit_plan,
     plan_mixed,
@@ -205,8 +205,8 @@ def _report_to_dict(rep: EvaluationReport) -> dict:
     return d
 
 
-def _format_report_txt(title: str, rep_dicts: list[dict], average: float,
-                       mean_time: float, confusion) -> str:
+def _format_report_txt(title: str, rep_dicts: list[dict],
+                       results: FoldResults) -> str:
     lines = [title, "=" * len(title), ""]
     lines.append(f"{'scope':>12}  {'n_train':>7}  {'n_test':>6}  {'accuracy':>8}  "
                  f"{'time_s':>10}")
@@ -217,10 +217,12 @@ def _format_report_txt(title: str, rep_dicts: list[dict], average: float,
             f"{_percent(d['accuracy']):>8}  {d['mean_classify_time_s']:>10.3e}"
         )
     lines.append("")
-    lines.append(f"average accuracy: {_percent(average)}")
-    lines.append(f"mean single-sample classify time: {mean_time:.3e} s")
+    lines.append(f"average accuracy: {_percent(results.average_accuracy)}")
+    lines.append("mean single-sample classify time: "
+                 f"{results.mean_classify_time_s:.3e} s")
     lines.append("")
     lines.append("confusion (row = true, percent):")
+    confusion = results.confusion
     head = "      " + "".join(f"{str(c):>8}" for c in confusion.classes)
     lines.append(head)
     for c, row in zip(confusion.classes, confusion.percents):
@@ -247,25 +249,21 @@ def _eval_cell(matrix: FeatureMatrix, mode: str, spec: ClassifierSpec,
                plans: list[SplitPlan], ratio: float, out_dir: Path,
                save_model_path: Path | None) -> dict:
     """Fit and score every plan of one mode x classifier cell, write its
-    artifacts, save the (last) fitted model if asked, return a summary."""
+    artifacts from the FoldResults of the reports, save the (last) fitted
+    model if asked, return a summary."""
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = []
     for plan in plans:
         model = fit_plan(matrix, plan, spec)
         reports.append(score(matrix, plan, spec, model))
-
-    rows = sorted(row for r in reports for row in r.per_user_accuracy.items())
-    average = float(np.mean([r.accuracy for r in reports]))
-    confusion = ConfusionMatrix.from_counts(
-        reports[0].confusion.classes, sum(r.confusion.counts for r in reports)
-    )
-    mean_time = float(np.mean([r.mean_classify_time_s for r in reports]))
+    results = FoldResults(tuple(reports))
+    average = results.average_accuracy
+    mean_time = results.mean_classify_time_s
     rep_dicts = [_report_to_dict(r) for r in reports]
 
     title = f"{mode} / {spec.kind} (seed {spec.seed})"
     (out_dir / "report.txt").write_text(
-        _format_report_txt(title, rep_dicts, average, mean_time, confusion),
-        encoding="utf-8",
+        _format_report_txt(title, rep_dicts, results), encoding="utf-8"
     )
     doc = {
         "mode": mode,
@@ -280,11 +278,11 @@ def _eval_cell(matrix: FeatureMatrix, mode: str, spec: ClassifierSpec,
     with open(out_dir / "report.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-    _write_confusion_csv(out_dir / "confusion.csv", confusion)
-    _write_per_user_csv(out_dir / "per_user.csv", rows,
+    _write_confusion_csv(out_dir / "confusion.csv", results.confusion)
+    _write_per_user_csv(out_dir / "per_user.csv", results.per_user,
                         None if mode == "mixed" else average)
     if mode == "user-independent":
-        _write_per_user_csv(out_dir / "crossval.csv", rows, None)
+        _write_per_user_csv(out_dir / "crossval.csv", results.per_user, None)
     if save_model_path is not None:
         save_model(model, save_model_path)
 

@@ -37,8 +37,6 @@ __all__ = [
     "fit_plan",
     "score",
     "evaluate",
-    "evaluate_folds",
-    "per_user_table",
     "time_single_predictions",
 ]
 
@@ -119,28 +117,52 @@ class EvaluationReport:
     classifier_kind: str
     hyperparams: dict
     seed: int
-    accuracy: float  # percent
     confusion: ConfusionMatrix
     mean_classify_time_s: float
     n_train: int
     n_test: int
     per_user_accuracy: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        trace_acc = 100.0 * self.confusion.counts.trace() / self.n_test
-        if abs(trace_acc - self.accuracy) > 1e-9:
-            raise ValueError(
-                f"accuracy {self.accuracy} inconsistent with confusion trace "
-                f"{trace_acc}"
-            )
+    @property
+    def accuracy(self) -> float:
+        """Percent of the test rows on the confusion diagonal."""
+        return 100.0 * float(self.confusion.counts.trace()) / self.n_test
 
 
 @dataclass(frozen=True)
 class FoldResults:
-    """Per-fold reports plus the cross-fold average accuracy."""
+    """The summary of the reports of a list of plans (one per user, one
+    pooled split, or one fold per user): the figures ``gestrec eval``
+    writes."""
 
     reports: tuple[EvaluationReport, ...]
-    average_accuracy: float
+
+    def __post_init__(self):
+        if not self.reports:
+            raise ValueError("FoldResults needs at least one report")
+
+    @property
+    def average_accuracy(self) -> float:
+        """Mean of the reports' accuracies."""
+        return float(np.mean([r.accuracy for r in self.reports]))
+
+    @property
+    def per_user(self) -> list[tuple[int, float]]:
+        """Sorted (user, accuracy) pairs of all reports."""
+        return sorted(row for r in self.reports for row in r.per_user_accuracy.items())
+
+    @property
+    def confusion(self) -> ConfusionMatrix:
+        """The confusion matrix of the summed counts."""
+        return ConfusionMatrix.from_counts(
+            self.reports[0].confusion.classes,
+            sum(r.confusion.counts for r in self.reports),
+        )
+
+    @property
+    def mean_classify_time_s(self) -> float:
+        """Mean of the reports' single-sample classify times."""
+        return float(np.mean([r.mean_classify_time_s for r in self.reports]))
 
 
 def _stratified_split(gestures: np.ndarray, scope: np.ndarray, ratio: float,
@@ -274,7 +296,6 @@ def score(matrix: FeatureMatrix, plan: SplitPlan, classifier_spec, model,
     classes = tuple(np.unique(matrix.gestures).tolist())
     confusion = ConfusionMatrix.from_predictions(classes, y_true.tolist(),
                                                  y_pred.tolist())
-    accuracy = 100.0 * float((y_true == y_pred).sum()) / test.size
 
     per_user = {}
     for u in np.unique(matrix.users[test]):
@@ -292,7 +313,6 @@ def score(matrix: FeatureMatrix, plan: SplitPlan, classifier_spec, model,
         classifier_kind=kind,
         hyperparams=hyper,
         seed=seed,
-        accuracy=accuracy,
         confusion=confusion,
         mean_classify_time_s=elapsed,
         n_train=plan.train_indices.size,
@@ -305,49 +325,13 @@ def evaluate(matrix: FeatureMatrix, plan, classifier_spec,
              timing: bool = True):
     """Fit on a plan's train rows, score its test rows.
 
-    Accepts a single SplitPlan (returns an EvaluationReport) or a
-    sequence of them (returns FoldResults via evaluate_folds). Call
-    fit_plan and score directly to keep the fitted model.
+    A single SplitPlan gives its EvaluationReport; a list of plans gives
+    the FoldResults of their reports, in plan order. Call fit_plan and
+    score directly to keep the fitted model.
     """
     if isinstance(plan, (list, tuple)):
-        return evaluate_folds(matrix, plan, classifier_spec, timing=timing)
+        return FoldResults(tuple(
+            evaluate(matrix, p, classifier_spec, timing=timing) for p in plan
+        ))
     model = fit_plan(matrix, plan, classifier_spec)
     return score(matrix, plan, classifier_spec, model, timing)
-
-
-def evaluate_folds(matrix: FeatureMatrix, folds, classifier_spec,
-                   timing: bool = True) -> FoldResults:
-    """Evaluate every fold independently and average the accuracies."""
-    reports = tuple(
-        evaluate(matrix, fold, classifier_spec, timing=timing) for fold in folds
-    )
-    if not reports:
-        raise ValueError("no folds to evaluate")
-    return FoldResults(
-        reports=reports,
-        average_accuracy=float(np.mean([r.accuracy for r in reports])),
-    )
-
-
-def per_user_table(reports) -> tuple[list[tuple[int, float]], float]:
-    """Rows of (user, accuracy) for per-user reports, plus the average.
-
-    Expects one UserDependent report per user; users must form a dense
-    1..U range or the missing ones are reported.
-    """
-    rows = []
-    for rep in reports:
-        if len(rep.per_user_accuracy) != 1:
-            raise ValueError("each report must cover exactly one user")
-        ((user, acc),) = rep.per_user_accuracy.items()
-        rows.append((user, acc))
-    if not rows:
-        raise ValueError("no reports given")
-    rows.sort()
-    users = [u for u, _ in rows]
-    missing = sorted(set(range(1, max(users) + 1)) - set(users))
-    if missing:
-        raise ValueError(f"missing user report(s): {missing}")
-    if len(users) != len(set(users)):
-        raise ValueError("duplicate user reports")
-    return rows, float(np.mean([a for _, a in rows]))

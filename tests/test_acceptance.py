@@ -23,10 +23,8 @@ from gestrec import (
     RidgeClassifier,
     SynthSpec,
     evaluate,
-    evaluate_folds,
     extract_all,
     generate,
-    per_user_table,
     plan_mixed,
     plan_user_dependent,
     plan_user_independent,
@@ -208,7 +206,7 @@ def test_criterion_4_synthetic_end_to_end(easy_matrix):
     spec = ClassifierSpec("et", {}, seed=0)
 
     mixed = evaluate(easy_matrix, plan_mixed(easy_matrix, seed=0), spec, timing=False)
-    folds = evaluate_folds(
+    folds = evaluate(
         easy_matrix, plan_user_independent(easy_matrix, seed=0), spec, timing=False
     )
 
@@ -256,27 +254,18 @@ def uwave_results():
     matrix = extract_all(load_sample_tree(UWAVE_DIR, UWAVE_ADAPTER), jobs=4)
     et = ClassifierSpec("et", {}, seed=0)
 
-    ud_reports = [
-        evaluate(matrix, plan_user_dependent(matrix, int(u), seed=0), et, timing=False)
-        for u in np.unique(matrix.users)
-    ]
-    ud_rows, ud_avg = per_user_table(ud_reports)
+    ud_plans = [plan_user_dependent(matrix, int(u), seed=0)
+                for u in np.unique(matrix.users)]
+    ud = evaluate(matrix, ud_plans, et, timing=False)
     mixed = evaluate(matrix, plan_mixed(matrix, seed=0), et, timing=False)
-    folds = evaluate_folds(
-        matrix, plan_user_independent(matrix, seed=0), et, timing=False
-    )
-
-    rc = ClassifierSpec("rc", {}, seed=0)
-    rc_rows, rc_ud_avg = per_user_table([
-        evaluate(matrix, plan_user_dependent(matrix, int(u), seed=0), rc, timing=False)
-        for u in np.unique(matrix.users)
-    ])
+    folds = evaluate(matrix, plan_user_independent(matrix, seed=0), et, timing=False)
+    rc = evaluate(matrix, ud_plans, ClassifierSpec("rc", {}, seed=0), timing=False)
     return {
-        "ud_rows": ud_rows,
-        "ud_avg": ud_avg,
+        "ud_rows": ud.per_user,
+        "ud_avg": ud.average_accuracy,
         "mixed": mixed.accuracy,
         "folds": folds,
-        "rc_ud_avg": rc_ud_avg,
+        "rc_ud_avg": rc.average_accuracy,
     }
 
 
@@ -306,14 +295,11 @@ def test_criterion_6_sony_reproduction():
     matrix = extract_all(load_sample_tree(SONY_DIR, SONY_ADAPTER), jobs=4)
     et = ClassifierSpec("et", {}, seed=0)
 
-    _, ud_avg = per_user_table([
-        evaluate(matrix, plan_user_dependent(matrix, int(u), seed=0), et, timing=False)
-        for u in np.unique(matrix.users)
-    ])
+    ud_avg = evaluate(matrix, [
+        plan_user_dependent(matrix, int(u), seed=0) for u in np.unique(matrix.users)
+    ], et, timing=False).average_accuracy
     mixed = evaluate(matrix, plan_mixed(matrix, seed=0), et, timing=False)
-    folds = evaluate_folds(
-        matrix, plan_user_independent(matrix, seed=0), et, timing=False
-    )
+    folds = evaluate(matrix, plan_user_independent(matrix, seed=0), et, timing=False)
 
     assert abs(ud_avg - 95.88) <= 3.0
     assert abs(mixed.accuracy - 98.63) <= 3.0

@@ -184,14 +184,15 @@ class TestTrainingBehaviour:
         X, y = blob_data(seed=6)
         import gestrec.classifiers.boosting as boosting
 
-        real = boosting._log_loss
+        real = boosting._softmax_loss
         calls = []
 
         def corrupted(scores, y_idx):
             calls.append(None)
-            return real(scores, y_idx) + (0.5 if len(calls) > 1 else 0.0)
+            p, loss = real(scores, y_idx)
+            return p, loss + (0.5 if len(calls) > 1 else 0.0)
 
-        monkeypatch.setattr(boosting, "_log_loss", corrupted)
+        monkeypatch.setattr(boosting, "_softmax_loss", corrupted)
         with pytest.raises(NumericError, match="log-loss increased"):
             GradientBoostingClassifier(n_stages=2).fit(X, y)
 

@@ -16,7 +16,7 @@ import pytest
 
 from gestrec import ExtraTreesClassifier, GradientBoostingClassifier, save_model
 from gestrec.features import load_features
-from gestrec.classifiers.boosting import _softmax
+from gestrec.classifiers.boosting import _softmax_loss
 from gestrec.classifiers.cart import (
     GROW_BLOCK,
     ROUTE_BLOCK,
@@ -137,6 +137,19 @@ class TestRegressionTree:
         assert tree.threshold < hi
         assert apply_tree(tree, np.array([lo])) == pytest.approx(0.0)
         assert apply_tree(tree, np.array([hi])) == pytest.approx(1.0)
+
+    def test_midpoint_rounded_up_falls_back_to_the_lower_value(self):
+        # (v1 + v2) / 2 rounds to v2 here (ties to even), which would send
+        # both rows left; the builder splits at v1 instead.
+        v1, v2 = 1.0000000000000002, 1.0000000000000004
+        assert (v1 + v2) / 2.0 == v2
+        X = np.array([[v1], [v2]])
+        r = np.array([0.0, 1.0])
+        tree = RegressionTreeBuilder(X).build(r, 1, mean_leaf(r))
+        assert tree.feature == 0
+        assert tree.threshold == v1
+        assert apply_tree(tree, X[0]) == 0.0
+        assert apply_tree(tree, X[1]) == 1.0
 
 
 def reference_regression_tree(X, r, max_depth, leaf_value):
@@ -373,7 +386,7 @@ class TestBoostingEqualsTreesBuiltOneAtATime:
         onehot[np.arange(n), y_idx] = 1.0
         scores = np.tile(model.initial_scores_, (n, 1))
         for stage in model.stages_:
-            p = _softmax(scores)
+            p, _ = _softmax_loss(scores, y_idx)
             residual = onehot - p
             for c, got in enumerate(stage):
                 r_c = residual[:, c]

@@ -18,7 +18,6 @@ from gestrec import (
     evaluate,
     load_features,
     load_model,
-    per_user_table,
     plan_mixed,
     plan_user_dependent,
     plan_user_independent,
@@ -150,6 +149,24 @@ class TestEval:
         assert len(doc["reports"]) == 1
         assert doc["reports"][0]["scope"] == "user 2"
 
+    def test_report_txt_flags_zero_support_rows(self, workspace, tmp_path):
+        # User 2 never recorded gesture 3, so its confusion row has no
+        # test rows; user 1 recorded every gesture.
+        m = load_features(workspace / "features.csv")
+        keep = ~((m.users == 2) & (m.gestures == 3))
+        sparse = tmp_path / "sparse.csv"
+        save_features(FeatureMatrix(m.X[keep], m.users[keep], m.gestures[keep]),
+                      sparse)
+        texts = {}
+        for user in (1, 2):
+            out = tmp_path / f"ud{user}"
+            assert main(["eval", str(sparse), "--out", str(out),
+                         "--mode", "user-dependent", "--user", str(user),
+                         "--classifier", "rc"]) == 0
+            texts[user] = (out / "report.txt").read_text()
+        assert "zero-support rows: [3]" in texts[2].splitlines()
+        assert "zero-support" not in texts[1]
+
     def test_user_independent_writes_crossval(self, workspace, tmp_path):
         out = tmp_path / "ui"
         assert main(["eval", str(workspace / "features.csv"), "--out", str(out),
@@ -213,21 +230,19 @@ class TestEvalMatchesLibrary:
     def test_user_dependent_per_user_table(self, workspace, tmp_path):
         matrix = load_features(workspace / "features.csv")
         spec = ClassifierSpec("rc", {}, seed=0)
-        rows, average = per_user_table([
-            evaluate(matrix, plan_user_dependent(matrix, u, seed=0), spec,
-                     timing=False)
-            for u in (1, 2, 3)
-        ])
+        results = evaluate(
+            matrix, [plan_user_dependent(matrix, u, seed=0) for u in (1, 2, 3)],
+            spec, timing=False)
         out = tmp_path / "ud"
         assert main(["eval", str(workspace / "features.csv"), "--out", str(out),
                      "--mode", "user-dependent", "--classifier", "rc"]) == 0
         assert _csv_rows(out / "per_user.csv") == (
             [["user", "accuracy"]]
-            + [[str(u), f"{acc:.2f}"] for u, acc in rows]
-            + [["avg", f"{average:.2f}"]]
+            + [[str(u), f"{acc:.2f}"] for u, acc in results.per_user]
+            + [["avg", f"{results.average_accuracy:.2f}"]]
         )
         doc = json.loads((out / "report.json").read_text())
-        assert doc["average_accuracy"] == average
+        assert doc["average_accuracy"] == results.average_accuracy
 
     def test_user_independent_folds(self, workspace, tmp_path):
         matrix = load_features(workspace / "features.csv")
@@ -237,9 +252,7 @@ class TestEvalMatchesLibrary:
         assert main(["eval", str(workspace / "features.csv"), "--out", str(out),
                      "--mode", "user-independent", "--classifier", "rc"]) == 0
         assert _csv_rows(out / "crossval.csv") == [["user", "accuracy"]] + [
-            [str(u), f"{r.accuracy:.2f}"]
-            for r in results.reports
-            for u in r.per_user_accuracy
+            [str(u), f"{acc:.2f}"] for u, acc in results.per_user
         ]
         doc = json.loads((out / "report.json").read_text())
         assert doc["average_accuracy"] == results.average_accuracy

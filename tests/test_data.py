@@ -463,6 +463,34 @@ class TestAdapterConfig:
         with pytest.raises(DataError, match="JSON"):
             load_adapter_config(p)
 
+    def test_missing_file_rejected(self, tmp_path):
+        with pytest.raises(DataError, match="adapter config not found"):
+            load_adapter_config(tmp_path / "absent.json")
+
+    def test_object_without_path_pattern_rejected(self, tmp_path):
+        p = tmp_path / "adapter.json"
+        p.write_text(json.dumps({"timestamp_columns": [0]}))
+        with pytest.raises(DataError, match="must set path_pattern"):
+            load_adapter_config(p)
+
+    def test_missing_tree_root_rejected(self, tmp_path):
+        with pytest.raises(DataError, match="sample tree root not found"):
+            load_sample_tree(tmp_path / "absent", UWAVE_ADAPTER)
+
+    def test_unmatched_optional_day_gives_no_day(self, tmp_path):
+        cfg = AdapterConfig(
+            path_pattern=(r"U(?P<user>\d+)/(?:D(?P<day>\d+)/)?"
+                          r"(?P<gesture>\d+)-(?P<trial>\d+)\.txt"),
+        )
+        rows = "\n".join(f"0.{i} 0.2 0.3" for i in range(6))
+        for user in (1, 2):
+            d = tmp_path / "tree" / f"U{user}"
+            d.mkdir(parents=True)
+            (d / "1-1.txt").write_text(rows + "\n")
+        ds = load_sample_tree(tmp_path / "tree", cfg)
+        assert [(s.user, s.day) for s in ds.samples] == [(1, None), (2, None)]
+        assert ds.meta.days is None
+
     def test_builtin_patterns_compile(self):
         assert UWAVE_ADAPTER.timestamp_columns == ()
         assert SONY_ADAPTER.timestamp_columns == (0, 1, 2)

@@ -13,13 +13,11 @@ from gestrec import (
     USER_INDEPENDENT,
     ClassifierSpec,
     ConfusionMatrix,
-    EvaluationReport,
     FeatureMatrix,
+    FoldResults,
     SplitPlan,
     evaluate,
-    evaluate_folds,
     fit_plan,
-    per_user_table,
     plan_mixed,
     plan_user_dependent,
     plan_user_independent,
@@ -243,14 +241,15 @@ class TestEvaluate:
         assert np.all(cm.percents[2] == 0.0)
         assert np.max(np.abs(cm.percents[:2].sum(axis=1) - 100.0)) <= 1e-9
 
-    def test_report_rejects_inconsistent_accuracy(self):
-        cm = ConfusionMatrix.from_predictions((1, 2), [1, 2], [1, 2])
-        with pytest.raises(ValueError, match="inconsistent"):
-            EvaluationReport(
-                mode=MIXED_USER, classifier_kind="rc", hyperparams={}, seed=0,
-                accuracy=50.0, confusion=cm, mean_classify_time_s=0.0,
-                n_train=2, n_test=2,
-            )
+    def test_accuracy_is_the_confusion_trace(self):
+        matrix = label_matrix(n_users=2, n_gestures=5, per_cell=8)
+        plan = plan_mixed(matrix, seed=3)
+        model = fit_plan(matrix, plan, ClassifierSpec("rc"))
+        report = score(matrix, plan, ClassifierSpec("rc"), model, timing=False)
+        y_true = matrix.gestures[plan.test_indices]
+        hits = int((model.predict(matrix.X[plan.test_indices]) == y_true).sum())
+        assert report.confusion.counts.trace() == hits
+        assert report.accuracy == 100.0 * hits / plan.test_indices.size
 
     def test_per_user_accuracy_breakdown(self):
         matrix = label_matrix(n_users=3, n_gestures=4, per_cell=6)
@@ -311,45 +310,51 @@ class TestFolds:
 
     def test_empty_fold_list_rejected(self):
         matrix = label_matrix(n_users=2, n_gestures=3, per_cell=6)
-        with pytest.raises(ValueError, match="no folds"):
-            evaluate_folds(matrix, [], PerfectStub, timing=False)
+        with pytest.raises(ValueError, match="at least one report"):
+            evaluate(matrix, [], PerfectStub, timing=False)
+        with pytest.raises(ValueError, match="at least one report"):
+            FoldResults(())
 
 
 class TestTables:
+    """FoldResults derives the figures gestrec eval writes: the per-user
+    rows, their average, the summed confusion and the mean time."""
+
     def test_per_user_table_rows_and_average(self):
         matrix = label_matrix(n_users=3, n_gestures=4, per_cell=8)
-        reports = [
-            evaluate(matrix, plan_user_dependent(matrix, user=u, seed=u),
-                     PerfectStub, timing=False)
-            for u in (1, 2, 3)
-        ]
-        rows, avg = per_user_table(reports)
-        assert rows == [(1, 100.0), (2, 100.0), (3, 100.0)]
-        assert avg == 100.0
+        plans = [plan_user_dependent(matrix, user=u, seed=u) for u in (1, 2, 3)]
+        results = evaluate(matrix, plans, PerfectStub, timing=False)
+        assert results.per_user == [(1, 100.0), (2, 100.0), (3, 100.0)]
+        assert results.average_accuracy == 100.0
 
-    def test_per_user_table_missing_user(self):
-        matrix = label_matrix(n_users=3, n_gestures=4, per_cell=8)
-        reports = [
-            evaluate(matrix, plan_user_dependent(matrix, user=u, seed=u),
-                     PerfectStub, timing=False)
-            for u in (1, 3)
-        ]
-        with pytest.raises(ValueError, match=r"missing user report\(s\): \[2\]"):
-            per_user_table(reports)
-
-    def test_per_user_table_rejects_multi_user_report(self):
-        matrix = label_matrix(n_users=2, n_gestures=3, per_cell=6)
-        report = evaluate(matrix, plan_mixed(matrix, seed=1), PerfectStub, timing=False)
-        with pytest.raises(ValueError, match="exactly one user"):
-            per_user_table([report])
+    def test_per_user_table_of_a_pooled_report(self):
+        matrix = label_matrix(n_users=3, n_gestures=3, per_cell=6)
+        report = evaluate(matrix, plan_mixed(matrix, seed=1), PerfectStub,
+                          timing=False)
+        results = FoldResults((report,))
+        assert results.per_user == sorted(report.per_user_accuracy.items())
+        assert [u for u, _ in results.per_user] == [1, 2, 3]
+        assert results.average_accuracy == report.accuracy
 
     def test_per_user_table_fold_reports_ordered(self):
         matrix = label_matrix(n_users=4, n_gestures=3, per_cell=6)
         results = evaluate(matrix, plan_user_independent(matrix),
                            PerfectStub, timing=False)
-        rows, avg = per_user_table(reversed(results.reports))
-        assert rows == [(1, 100.0), (2, 100.0), (3, 100.0), (4, 100.0)]
-        assert avg == results.average_accuracy
+        backwards = FoldResults(tuple(reversed(results.reports)))
+        assert backwards.per_user == [(1, 100.0), (2, 100.0), (3, 100.0), (4, 100.0)]
+        assert backwards.per_user == results.per_user
+
+    def test_summed_confusion_and_mean_time(self):
+        matrix = label_matrix(n_users=3, n_gestures=4, per_cell=8)
+        plans = [plan_user_dependent(matrix, user=u, seed=u) for u in (1, 2, 3)]
+        results = evaluate(matrix, plans, ClassifierSpec("rc"), timing=True)
+        counts = sum(r.confusion.counts for r in results.reports)
+        assert np.array_equal(results.confusion.counts, counts)
+        assert results.confusion.classes == results.reports[0].confusion.classes
+        assert np.max(np.abs(results.confusion.percents.sum(axis=1) - 100.0)) <= 1e-9
+        assert results.mean_classify_time_s == pytest.approx(
+            np.mean([r.mean_classify_time_s for r in results.reports]))
+        assert results.mean_classify_time_s > 0.0
 
 
 class TestTiming:
