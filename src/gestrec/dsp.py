@@ -9,10 +9,12 @@ The kernels work along the last axis: one call takes a stack of rows of
 equal length, such as the three axes of a recording stored as a
 contiguous ``(3, n)`` array, and gives one value (or row) per row. They
 trust their input; ``features.feature_set`` checks a recording once and
-then calls each kernel once per gesture. Rows reduce along the
-contiguous last axis, where numpy sums each row pairwise exactly as it
-sums a 1-D series, and its FFT transforms each row on its own, so a
-row's value has the bits of the 1-D call on that row. Reductions call
+then calls each kernel once per gesture, and ``features.extract_all``
+calls each once per group of equal-length recordings, on the ``(3k, n)``
+stack of their axes. Rows reduce along the contiguous last axis, where
+numpy sums each row pairwise exactly as it sums a 1-D series, and its
+FFT transforms each row on its own, so a row's value has the bits of
+the 1-D call on that row. Reductions call
 the ufuncs' ``reduce`` directly: ``np.add.reduce(a, -1) / n`` is how
 numpy's ``mean`` is defined, so the bits are the same without its
 Python wrapper, as are ``np.add``/``np.minimum``/``np.maximum.reduce``

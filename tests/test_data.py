@@ -223,6 +223,17 @@ class TestManifestRoundTrip:
         with pytest.raises(DataError, match="not found"):
             load_manifest(p)
 
+    def test_duplicate_identity_names_the_manifest(self, tmp_path):
+        (tmp_path / "s.csv").write_text("gx,gy,gz\n" + "1,2,3\n" * 4)
+        p = tmp_path / "m.csv"
+        p.write_text("user,gesture,trial,day,file\n1,1,1,,s.csv\n1,1,1,,s.csv\n")
+        with pytest.raises(DataError) as exc:
+            load_manifest(p)
+        assert str(exc.value) == (
+            f"{p}: duplicate sample identity (user=1, gesture=1, trial=1,"
+            " day=None) (while loading manifest)"
+        )
+
     def test_short_sample_rejected(self, tmp_path):
         (tmp_path / "s.csv").write_text("gx,gy,gz\n1,2,3\n4,5,6\n")
         p = tmp_path / "m.csv"

@@ -22,7 +22,9 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +41,7 @@ from gestrec.features import (
     FEATURE_NAMES,
     FEATURE_ORDER_VERSION,
     N_FEATURES,
+    FeatureMatrix,
     extract_all,
     feature_set,
     freq_features,
@@ -380,6 +383,25 @@ class TestExtractAll:
             extract_all(Dataset.from_samples([]), jobs=0)
 
 
+class TestFeatureMatrix:
+    @staticmethod
+    def labels(n):
+        return np.ones(n, dtype=np.int64)
+
+    def test_rows_must_match_the_labels(self):
+        with pytest.raises(ValueError, match=r"X has shape \(2, 32\), expected \(2, 33\)"):
+            FeatureMatrix(X=np.zeros((2, 32)), users=self.labels(2),
+                          gestures=self.labels(2))
+        with pytest.raises(ValueError, match=r"X has shape \(2, 33\), expected \(3, 33\)"):
+            FeatureMatrix(X=np.zeros((2, 33)), users=self.labels(3),
+                          gestures=self.labels(3))
+
+    def test_users_and_gestures_must_have_one_length(self):
+        with pytest.raises(ValueError, match="users and gestures length mismatch"):
+            FeatureMatrix(X=np.zeros((2, 33)), users=self.labels(2),
+                          gestures=self.labels(3))
+
+
 class TestFeatureCsv:
     def test_round_trip_is_exact(self, tmp_path, small_matrix):
         p = save_features(small_matrix, tmp_path / "f.csv")
@@ -504,7 +526,15 @@ PINNED = [
                length_range=(400, 1200), noise_sigma=0.15, seed=29),
      "c91c00adc497ffe2621375fa702c5fe3a15293b2166ff797edd3b0b9679efe51",
      "3136e400282271671ffaf0bdf9889ad52eded4664a9f501ef86248d5723b668a"),
+    # extract_all stacks the recordings of each length. The corpora above
+    # fall into 11, 1 and 1 lengths; EASY_SPEC's 640 recordings fall into
+    # 49, groups of 1 to 35 recordings. These digests were recorded with
+    # one pass per recording.
+    (EASY_SPEC,
+     "254722c3814b65f40c487d7494bd3d9d52ae67d4ca6012f01626992300602947",
+     "8bff51a08b8c6fe73bd4558659b54b4ab98b40b0190a34e96647d56d3e4c8578"),
 ]
+PINNED_IDS = ["noisy", "noise-free", "long", "easy"]
 
 
 class TestOnePassIsBitIdentical:
@@ -549,8 +579,7 @@ class TestOnePassIsBitIdentical:
         assert same_bits(freq_features(s), full[15:18])
         assert same_bits(hilbert_features(s), full[18:])
 
-    @pytest.mark.parametrize("spec,digest,time_digest", PINNED,
-                             ids=["noisy", "noise-free", "long"])
+    @pytest.mark.parametrize("spec,digest,time_digest", PINNED, ids=PINNED_IDS)
     def test_extract_all_digest(self, spec, digest, time_digest):
         X = extract_all(generate(spec)).X
         assert hashlib.sha256(X.tobytes()).hexdigest() == digest
@@ -583,6 +612,83 @@ class TestOnePassIsBitIdentical:
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == [digest for _, digest, _ in PINNED]
+
+
+def dataset_of(recordings) -> Dataset:
+    """One user's recordings as trials 1, 2, ... in the given order."""
+    samples = tuple(GestureSample(user=1, gesture=1, trial=t, readings=r)
+                    for t, r in enumerate(recordings, 1))
+    return Dataset(DatasetMeta(1, 1, len(samples), len(samples)), samples)
+
+
+def noisy(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(scale=1.5, size=(n, 3)) + [0.0, 0.0, 1.0]
+
+
+class TestGroupedPass:
+    """extract_all stacks the recordings of each length and runs one pass
+    per group; each row must keep the bits feature_set gives its
+    recording alone."""
+
+    @staticmethod
+    def check_rows(ds):
+        X = extract_all(ds).X
+        assert X.shape == (len(ds.samples), N_FEATURES)
+        for row, s in zip(X, ds.samples):
+            assert same_bits(row, feature_set(s))
+        return X
+
+    def test_groups_of_one_two_and_many(self):
+        lengths = [37] + [50] * 2 + [80] * 12 + [81] * 3
+        order = np.random.default_rng(1).permutation(len(lengths))
+        ds = dataset_of([noisy(lengths[i], int(i)) for i in order])
+        sizes = Counter(Counter(len(s.readings) for s in ds.samples).values())
+        assert {1, 2, 12} <= set(sizes)
+        self.check_rows(ds)
+
+    def test_rescaled_and_silent_recordings_in_groups(self):
+        # Scaled by 1e-140 or 1e140, a recording's rows are centred at
+        # unit peak and its cross-correlations rescaled; all-zero and
+        # silent rows are degenerate. Each shares its group with
+        # ordinary recordings, in several positions, or is alone.
+        recordings = []
+        for n in (64, 65):
+            base = noisy(n, n)
+            silent = base.copy()
+            silent[:, 1] = 0.0
+            recordings += [noisy(n, n + 1), base * 1e-140, noisy(n, n + 2),
+                           base * 1e140, np.zeros((n, 3)), silent, noisy(n, n + 3)]
+        alone = [noisy(66, 1) * 1e-140, noisy(67, 2) * 1e140, np.zeros((68, 3))]
+        X = self.check_rows(dataset_of(recordings[::-1] + alone + recordings))
+        assert np.isfinite(X).all()
+
+    def test_first_out_of_domain_recording_is_named(self):
+        # The longer bad recording comes first, and the shorter one's
+        # group is met first: a pass that checked each group as it ran,
+        # or the groups in length order, would name the shorter one.
+        ds = dataset_of([noisy(40, 1), noisy(90, 2) * 1e155, noisy(50, 3),
+                         noisy(40, 4) * 1e155])
+        with pytest.raises(DataError) as alone:
+            feature_set(ds.samples[1])
+        with pytest.raises(DataError) as grouped:
+            extract_all(ds)
+        assert "trial=2)" in str(grouped.value)
+        assert str(grouped.value) == str(alone.value)
+
+    def test_memory_is_bounded_on_one_length(self):
+        # 2 000 recordings of one length are one group. Unblocked, its
+        # temporaries peak near 57 MB; blocks of BLOCK_READINGS readings
+        # keep the peak near 2.5 MB, the 0.5 MB output included.
+        rng = np.random.default_rng(3)
+        ds = dataset_of(list(rng.normal(size=(2000, 64, 3))))
+        tracemalloc.start()
+        try:
+            extract_all(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestBoundaryCheck:
