@@ -152,22 +152,5 @@ class GradientBoostingClassifier:
         out = self.initial_scores_ + self.learning_rate * sums
         return out[0] if single else out
 
-    def staged_scores(self, X) -> np.ndarray:
-        """Scores after each stage, shape (n_stages, n, n_classes).
-
-        Exposes the additive recursion itself so it can be checked
-        stage by stage against an independent reference.
-        """
-        X, _ = feature_rows(X, self.n_features_)
-        n, k = X.shape[0], len(self.classes_)
-        leaves = self._forest.sums(X, width=self.n_stages * k)
-        leaves = leaves.reshape(n, self.n_stages, k)
-        scores = np.tile(self.initial_scores_, (n, 1))
-        out = np.empty((self.n_stages, n, k))
-        for s in range(self.n_stages):
-            scores += self.learning_rate * leaves[:, s]
-            out[s] = scores
-        return out
-
     def predict(self, X):
         return labels(self.classes_, self.decision_function(X))

@@ -105,18 +105,23 @@ def _write_run(out_dir: Path, command: str, params: dict) -> None:
 
 def _load_matrix(path: Path) -> FeatureMatrix:
     """Accept either a feature CSV or a manifest CSV, told apart by their
-    headers (each field stripped, as the table reader compares them)."""
+    headers (each field stripped, as the table reader compares them). An
+    input with no rows is a DataError: there is nothing to evaluate."""
     if not path.is_file():
         raise DataError("input file not found", path=path)
     with open(path, "rb") as fh:
         header = [h.strip() for h in utf8_text(fh.readline(), path).split(",")]
     if header == FEATURE_HEADER:
-        return load_features(path)
-    if header == MANIFEST_HEADER:
-        return extract_all(load_manifest(path))
-    raise DataError(
-        "input is neither a feature CSV nor a manifest CSV", path=path, line=1
-    )
+        matrix = load_features(path)
+    elif header == MANIFEST_HEADER:
+        matrix = extract_all(load_manifest(path))
+    else:
+        raise DataError(
+            "input is neither a feature CSV nor a manifest CSV", path=path, line=1
+        )
+    if matrix.n == 0:
+        raise DataError("input has no rows", path=path)
+    return matrix
 
 
 # ---------------------------------------------------------------- ingest
@@ -185,9 +190,9 @@ def _write_per_user_csv(path: Path, rows, average: float | None) -> None:
 def _report_to_dict(rep: EvaluationReport) -> dict:
     d = {
         "mode": rep.mode,
-        "classifier": rep.classifier_kind,
-        "hyperparams": rep.hyperparams,
-        "seed": rep.seed,
+        "classifier": rep.spec.kind,
+        "hyperparams": rep.spec.hyperparams,
+        "seed": rep.spec.seed,
         "accuracy": rep.accuracy,
         "n_train": rep.n_train,
         "n_test": rep.n_test,

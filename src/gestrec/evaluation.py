@@ -50,15 +50,20 @@ TIMING_CALLS_PER_GROUP = 20
 
 @dataclass(frozen=True)
 class SplitPlan:
-    """One train/test partition of a row scope."""
+    """One train/test partition of a row scope: two disjoint, non-empty
+    1-D arrays of non-negative row indices."""
 
     mode: str
     train_indices: np.ndarray
     test_indices: np.ndarray
-    seed: int
-    ratio: float
 
     def __post_init__(self):
+        for side in (self.train_indices, self.test_indices):
+            if not (isinstance(side, np.ndarray) and side.ndim == 1
+                    and side.dtype.kind in "iu"):
+                raise ValueError("split indices must be 1-D integer arrays")
+            if side.size and side.min() < 0:
+                raise ValueError(f"negative split index {side.min()}")
         train = set(self.train_indices.tolist())
         test = set(self.test_indices.tolist())
         if train & test:
@@ -81,12 +86,11 @@ class ClassifierSpec:
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
-    """Counts and row-percentage confusion over an ordered label set."""
+    """Confusion counts over an ordered label set, and the row
+    percentages derived from them."""
 
     classes: tuple
     counts: np.ndarray  # (k, k) int64, rows = true label
-    percents: np.ndarray  # (k, k) float64, rows sum to 100 or are flagged
-    zero_support: tuple  # labels with no test rows (all-zero percent rows)
 
     @staticmethod
     def from_predictions(classes, y_true, y_pred) -> "ConfusionMatrix":
@@ -96,27 +100,32 @@ class ConfusionMatrix:
         counts = np.zeros((k, k), dtype=np.int64)
         for t, p in zip(y_true, y_pred):
             counts[index[t], index[p]] += 1
-        return ConfusionMatrix.from_counts(classes, counts)
+        return ConfusionMatrix(classes, counts)
 
-    @staticmethod
-    def from_counts(classes, counts) -> "ConfusionMatrix":
-        classes = tuple(classes)
-        support = counts.sum(axis=1)
-        percents = np.zeros(counts.shape)
+    @property
+    def percents(self) -> np.ndarray:
+        """(k, k) float64: each row with test rows sums to 100, a row
+        without is all zero."""
+        support = self.counts.sum(axis=1)
+        percents = np.zeros(self.counts.shape)
         nz = support > 0
-        percents[nz] = 100.0 * counts[nz] / support[nz, None]
-        zero = tuple(c for c, s in zip(classes, support) if s == 0)
-        return ConfusionMatrix(classes, counts, percents, zero)
+        percents[nz] = 100.0 * self.counts[nz] / support[nz, None]
+        return percents
+
+    @property
+    def zero_support(self) -> tuple:
+        """Labels with no test rows (the all-zero percent rows)."""
+        support = self.counts.sum(axis=1)
+        return tuple(c for c, s in zip(self.classes, support) if s == 0)
 
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """Outcome of fitting on a plan's train rows and scoring its test rows."""
+    """Outcome of fitting the spec's classifier on a plan's train rows and
+    scoring its test rows."""
 
     mode: str
-    classifier_kind: str
-    hyperparams: dict
-    seed: int
+    spec: ClassifierSpec
     confusion: ConfusionMatrix
     mean_classify_time_s: float
     n_train: int
@@ -154,7 +163,7 @@ class FoldResults:
     @property
     def confusion(self) -> ConfusionMatrix:
         """The confusion matrix of the summed counts."""
-        return ConfusionMatrix.from_counts(
+        return ConfusionMatrix(
             self.reports[0].confusion.classes,
             sum(r.confusion.counts for r in self.reports),
         )
@@ -212,7 +221,7 @@ def plan_user_dependent(matrix: FeatureMatrix, user: int, ratio: float = 0.75,
     if scope.size == 0:
         raise ValueError(f"unknown user {user}")
     train, test = _stratified_split(matrix.gestures, scope, ratio, seed)
-    return SplitPlan(USER_DEPENDENT, train, test, seed, ratio)
+    return SplitPlan(USER_DEPENDENT, train, test)
 
 
 def plan_mixed(matrix: FeatureMatrix, ratio: float = 0.75, seed: int = 0) -> SplitPlan:
@@ -221,7 +230,7 @@ def plan_mixed(matrix: FeatureMatrix, ratio: float = 0.75, seed: int = 0) -> Spl
     if scope.size == 0:
         raise ValueError("empty feature matrix")
     train, test = _stratified_split(matrix.gestures, scope, ratio, seed)
-    return SplitPlan(MIXED_USER, train, test, seed, ratio)
+    return SplitPlan(MIXED_USER, train, test)
 
 
 def plan_user_independent(matrix: FeatureMatrix, seed: int = 0) -> list[SplitPlan]:
@@ -233,22 +242,8 @@ def plan_user_independent(matrix: FeatureMatrix, seed: int = 0) -> list[SplitPla
     for u in users:
         test = np.flatnonzero(matrix.users == u)
         train = np.flatnonzero(matrix.users != u)
-        folds.append(SplitPlan(USER_INDEPENDENT, train, test, seed, 1.0 - 1.0 / users.size))
+        folds.append(SplitPlan(USER_INDEPENDENT, train, test))
     return folds
-
-
-def _build_classifier(spec):
-    if isinstance(spec, ClassifierSpec):
-        return spec.build()
-    if callable(spec):
-        return spec()
-    raise TypeError("classifier_spec must be a ClassifierSpec or a factory callable")
-
-
-def _spec_fields(spec, model) -> tuple[str, dict, int]:
-    if isinstance(spec, ClassifierSpec):
-        return spec.kind, dict(spec.hyperparams), spec.seed
-    return getattr(model, "kind", type(model).__name__), {}, getattr(model, "seed", 0)
 
 
 def time_single_predictions(model, X_test: np.ndarray) -> float:
@@ -271,13 +266,18 @@ def time_single_predictions(model, X_test: np.ndarray) -> float:
     return float(np.median(means))
 
 
-def fit_plan(matrix: FeatureMatrix, plan: SplitPlan, classifier_spec):
+def fit_plan(matrix: FeatureMatrix, plan: SplitPlan, classifier_spec: ClassifierSpec):
     """Build the classifier and fit it on a plan's train rows.
 
-    Refuses a UserIndependent plan whose sides share a user.
+    Refuses a plan with a row index past the matrix, and a
+    UserIndependent plan whose sides share a user.
     """
-    model = _build_classifier(classifier_spec)
     train, test = plan.train_indices, plan.test_indices
+    for side in (train, test):
+        if side.max() >= matrix.n:
+            raise ValueError(
+                f"split index {side.max()} is out of range for {matrix.n} rows")
+    model = classifier_spec.build()
     if plan.mode == USER_INDEPENDENT:
         leak = set(matrix.users[train].tolist()) & set(matrix.users[test].tolist())
         if leak:
@@ -286,8 +286,8 @@ def fit_plan(matrix: FeatureMatrix, plan: SplitPlan, classifier_spec):
     return model
 
 
-def score(matrix: FeatureMatrix, plan: SplitPlan, classifier_spec, model,
-          timing: bool = True) -> EvaluationReport:
+def score(matrix: FeatureMatrix, plan: SplitPlan, classifier_spec: ClassifierSpec,
+          model, timing: bool = True) -> EvaluationReport:
     """Score a fitted model on a plan's test rows."""
     test = plan.test_indices
     y_true = matrix.gestures[test]
@@ -307,12 +307,9 @@ def score(matrix: FeatureMatrix, plan: SplitPlan, classifier_spec, model,
     elapsed = (
         time_single_predictions(model, matrix.X[test]) if timing else 0.0
     )
-    kind, hyper, seed = _spec_fields(classifier_spec, model)
     return EvaluationReport(
         mode=plan.mode,
-        classifier_kind=kind,
-        hyperparams=hyper,
-        seed=seed,
+        spec=classifier_spec,
         confusion=confusion,
         mean_classify_time_s=elapsed,
         n_train=plan.train_indices.size,
@@ -321,7 +318,7 @@ def score(matrix: FeatureMatrix, plan: SplitPlan, classifier_spec, model,
     )
 
 
-def evaluate(matrix: FeatureMatrix, plan, classifier_spec,
+def evaluate(matrix: FeatureMatrix, plan, classifier_spec: ClassifierSpec,
              timing: bool = True):
     """Fit on a plan's train rows, score its test rows.
 

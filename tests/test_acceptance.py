@@ -31,7 +31,7 @@ from gestrec import (
     time_single_predictions,
 )
 from gestrec.data import SONY_ADAPTER, UWAVE_ADAPTER, load_sample_tree
-from test_boosting import oracle_staged_scores, toy_problem
+from test_boosting import oracle_staged_scores, staged_scores, toy_problem
 from test_dsp import naive_dft, rel_err
 from test_ridge import oracle_weights
 
@@ -105,7 +105,7 @@ def test_criterion_2_classifier_oracles(blob_data):
     X, y = toy_problem()
     gb = GradientBoostingClassifier(n_stages=2, learning_rate=0.1, max_depth=1).fit(X, y)
     worst_gb = float(
-        np.max(np.abs(gb.staged_scores(X) - oracle_staged_scores(X, y, 2, 0.1)))
+        np.max(np.abs(staged_scores(gb, X) - oracle_staged_scores(X, y, 2, 0.1)))
     )
     assert worst_gb <= 1e-10
 
@@ -131,7 +131,7 @@ def test_criterion_2_classifier_oracles(blob_data):
     assert gb_acc == 1.0
 
     # Training log-loss of every stage, non-increasing.
-    staged = gb_model.staged_scores(matrix.X)
+    staged = staged_scores(gb_model, matrix.X)
     y_idx = np.searchsorted(gb_model.classes_, matrix.gestures)
     losses = []
     for scores in staged:

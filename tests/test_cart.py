@@ -29,6 +29,7 @@ from gestrec.classifiers.cart import (
     presort,
 )
 from gestrec.classifiers.store import _tree, node_to_dict
+from test_boosting import staged_scores
 
 
 def mean_leaf(r):
@@ -855,10 +856,10 @@ class TestLoneRow:
 
     def test_gb_staged_scores(self, gb):
         Q = self.queries(gb._forest, gb.n_features_, 3)
-        block = gb.staged_scores(Q)
+        block = staged_scores(gb, Q)
         for i, q in enumerate(Q):
-            assert np.array_equal(gb.staged_scores(q[None, :]), block[:, i : i + 1])
-            assert np.array_equal(gb.staged_scores(q), block[:, i : i + 1])
+            assert np.array_equal(staged_scores(gb, q[None, :]), block[:, i : i + 1])
+            assert np.array_equal(staged_scores(gb, q), block[:, i : i + 1])
 
     def test_single_leaf_trees_take_no_steps(self):
         trees = [Node(value=np.array([0.5, 0.5])), Node(value=np.array([0.125, 0.875]))]

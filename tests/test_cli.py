@@ -3,9 +3,12 @@
 import csv
 import inspect
 import json
+import os
 import re
 import shlex
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -380,7 +383,7 @@ class TestExitCodes:
         assert not out.exists()
         capsys.readouterr()
 
-    def test_data_errors_exit_3(self, workspace, tmp_path):
+    def test_data_errors_exit_3(self, workspace, tmp_path, capsys):
         missing = str(tmp_path / "nope.csv")
         assert main(["features", missing, "--out", str(tmp_path / "f.csv")]) == 3
         assert main(["eval", missing, "--out", str(tmp_path / "e"),
@@ -390,6 +393,15 @@ class TestExitCodes:
         corrupt.write_text("user,gesture,f01\n1,1,not-a-number\n")
         assert main(["eval", str(corrupt), "--out", str(tmp_path / "e2"),
                      "--mode", "mixed"]) == 3
+
+        # A feature CSV or a manifest with a header and no rows.
+        for source in (workspace / "features.csv", workspace / "data" / "manifest.csv"):
+            empty = tmp_path / f"empty-{source.name}"
+            empty.write_text(source.read_text().splitlines()[0] + "\n")
+            for mode in ("mixed", "user-independent"):
+                assert main(["eval", str(empty), "--out", str(tmp_path / "e3"),
+                             "--mode", mode]) == 3
+                assert f"{empty}: input has no rows" in capsys.readouterr().err
 
     @pytest.mark.parametrize("site", ["eval-input", "feature-csv", "manifest",
                                       "sample-csv", "raw-tree", "adapter-config"])
@@ -535,3 +547,15 @@ def test_readme_commands_parse():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command does not parse: gestrec {shlex.join(argv)}")
+
+
+def test_readme_python_blocks_run(tmp_path):
+    """Every python block of the README runs to completion, as written."""
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"),
+                        re.S)
+    assert blocks
+    env = dict(os.environ, PYTHONPATH=str(README.parent / "src"))
+    for block in blocks:
+        done = subprocess.run([sys.executable, "-c", block], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr

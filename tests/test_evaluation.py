@@ -24,6 +24,7 @@ from gestrec import (
     score,
     time_single_predictions,
 )
+from gestrec.classifiers import CLASSIFIER_KINDS
 from gestrec.features import N_FEATURES
 
 # ---------------------------------------------------------------- stubs
@@ -32,7 +33,8 @@ from gestrec.features import N_FEATURES
 class PerfectStub:
     """Reads the true label straight out of feature column 0."""
 
-    kind = "perfect-stub"
+    def __init__(self, seed=0):
+        pass
 
     def fit(self, X, y):
         return self
@@ -45,7 +47,8 @@ class PerfectStub:
 class ConstantStub:
     """Always answers with the label it saw most (lowest on ties)."""
 
-    kind = "constant-stub"
+    def __init__(self, seed=0):
+        pass
 
     def fit(self, X, y):
         values, counts = np.unique(y, return_counts=True)
@@ -55,6 +58,17 @@ class ConstantStub:
     def predict(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return np.full(X.shape[0], self.answer_)
+
+
+PERFECT = ClassifierSpec("perfect-stub")
+CONSTANT = ClassifierSpec("constant-stub")
+
+
+@pytest.fixture
+def stubs(monkeypatch):
+    """Registers the stubs as classifier kinds, so specs can name them."""
+    monkeypatch.setitem(CLASSIFIER_KINDS, "perfect-stub", PerfectStub)
+    monkeypatch.setitem(CLASSIFIER_KINDS, "constant-stub", ConstantStub)
 
 
 def label_matrix(n_users: int, n_gestures: int, per_cell: int) -> FeatureMatrix:
@@ -187,29 +201,47 @@ class TestUserIndependentPlans:
 class TestSplitPlanInvariants:
     def test_overlapping_sides_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
-            SplitPlan(MIXED_USER, np.array([0, 1, 2]), np.array([2, 3]), 0, 0.5)
+            SplitPlan(MIXED_USER, np.array([0, 1, 2]), np.array([2, 3]))
 
     def test_empty_side_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            SplitPlan(MIXED_USER, np.array([0, 1]), np.array([], dtype=np.int64), 0, 0.5)
+            SplitPlan(MIXED_USER, np.array([0, 1]), np.array([], dtype=np.int64))
+
+    def test_non_integer_or_non_1d_indices_rejected(self):
+        for bad in (np.array([0.0, 1.0]), np.array([[0], [1]]), np.array([True, False])):
+            with pytest.raises(ValueError, match="1-D integer"):
+                SplitPlan(MIXED_USER, bad, np.array([2, 3]))
+            with pytest.raises(ValueError, match="1-D integer"):
+                SplitPlan(MIXED_USER, np.array([2, 3]), bad)
+
+    def test_rows_outside_the_matrix_rejected(self, easy_matrix):
+        # Row -1 is row n - 1, the first test row: a plan holding it
+        # would train on a test row.
+        n = easy_matrix.n
+        assert n == 640
+        with pytest.raises(ValueError, match="negative split index -1"):
+            SplitPlan(MIXED_USER, np.array([0, 1, 2, -1]), np.array([n - 1, 5]))
+        past = SplitPlan(MIXED_USER, np.array([0, 1, 2, n]), np.array([n - 1, 5]))
+        with pytest.raises(ValueError, match=f"split index {n} is out of range"):
+            fit_plan(easy_matrix, past, ClassifierSpec("rc"))
 
 
 # ------------------------------------------------------------- evaluate
 
 
 class TestEvaluate:
-    def test_perfect_stub_scores_100(self):
+    def test_perfect_stub_scores_100(self, stubs):
         matrix = label_matrix(n_users=2, n_gestures=8, per_cell=6)
         plan = plan_mixed(matrix, seed=1)
-        report = evaluate(matrix, plan, PerfectStub, timing=False)
+        report = evaluate(matrix, plan, PERFECT, timing=False)
         assert report.accuracy == 100.0
         assert np.array_equal(report.confusion.counts.diagonal(),
                               report.confusion.counts.sum(axis=1))
 
-    def test_constant_stub_scores_chance_on_balanced_labels(self):
+    def test_constant_stub_scores_chance_on_balanced_labels(self, stubs):
         matrix = label_matrix(n_users=1, n_gestures=8, per_cell=8)
         plan = plan_user_dependent(matrix, user=1, ratio=0.75, seed=5)
-        report = evaluate(matrix, plan, ConstantStub, timing=False)
+        report = evaluate(matrix, plan, CONSTANT, timing=False)
         assert report.accuracy == pytest.approx(12.5)
 
     def test_report_bookkeeping(self):
@@ -218,9 +250,7 @@ class TestEvaluate:
         spec = ClassifierSpec("rc", {"alpha": 2.0}, seed=4)
         report = evaluate(matrix, plan, spec, timing=False)
         assert report.mode == MIXED_USER
-        assert report.classifier_kind == "rc"
-        assert report.hyperparams == {"alpha": 2.0}
-        assert report.seed == 4
+        assert report.spec is spec
         assert report.n_train == plan.train_indices.size
         assert report.n_test == plan.test_indices.size
         assert report.mean_classify_time_s == 0.0
@@ -240,6 +270,9 @@ class TestEvaluate:
         assert cm.zero_support == (3,)
         assert np.all(cm.percents[2] == 0.0)
         assert np.max(np.abs(cm.percents[:2].sum(axis=1) - 100.0)) <= 1e-9
+        again = ConfusionMatrix((1, 2, 3), cm.counts)
+        assert again.zero_support == (3,)
+        assert np.array_equal(again.percents, cm.percents)
 
     def test_accuracy_is_the_confusion_trace(self):
         matrix = label_matrix(n_users=2, n_gestures=5, per_cell=8)
@@ -251,10 +284,10 @@ class TestEvaluate:
         assert report.confusion.counts.trace() == hits
         assert report.accuracy == 100.0 * hits / plan.test_indices.size
 
-    def test_per_user_accuracy_breakdown(self):
+    def test_per_user_accuracy_breakdown(self, stubs):
         matrix = label_matrix(n_users=3, n_gestures=4, per_cell=6)
         plan = plan_mixed(matrix, seed=4)
-        report = evaluate(matrix, plan, PerfectStub, timing=False)
+        report = evaluate(matrix, plan, PERFECT, timing=False)
         assert sorted(report.per_user_accuracy) == [1, 2, 3]
         assert all(v == 100.0 for v in report.per_user_accuracy.values())
 
@@ -286,32 +319,27 @@ class TestEvaluate:
 
 
 class TestFolds:
-    def test_fold_results_average(self):
+    def test_fold_results_average(self, stubs):
         matrix = label_matrix(n_users=4, n_gestures=3, per_cell=6)
         folds = plan_user_independent(matrix)
-        results = evaluate(matrix, folds, PerfectStub, timing=False)
+        results = evaluate(matrix, folds, PERFECT, timing=False)
         assert len(results.reports) == 4
         assert results.average_accuracy == pytest.approx(
             np.mean([r.accuracy for r in results.reports])
         )
         assert all(r.mode == USER_INDEPENDENT for r in results.reports)
 
-    def test_leak_detection_trips(self):
+    def test_leak_detection_trips(self, stubs):
         matrix = label_matrix(n_users=2, n_gestures=3, per_cell=6)
-        bad = SplitPlan(
-            USER_INDEPENDENT,
-            np.arange(0, matrix.n, 2),
-            np.arange(1, matrix.n, 2),
-            0,
-            0.5,
-        )
+        bad = SplitPlan(USER_INDEPENDENT, np.arange(0, matrix.n, 2),
+                        np.arange(1, matrix.n, 2))
         with pytest.raises(AssertionError, match="both fold sides"):
-            evaluate(matrix, bad, PerfectStub, timing=False)
+            evaluate(matrix, bad, PERFECT, timing=False)
 
-    def test_empty_fold_list_rejected(self):
+    def test_empty_fold_list_rejected(self, stubs):
         matrix = label_matrix(n_users=2, n_gestures=3, per_cell=6)
         with pytest.raises(ValueError, match="at least one report"):
-            evaluate(matrix, [], PerfectStub, timing=False)
+            evaluate(matrix, [], PERFECT, timing=False)
         with pytest.raises(ValueError, match="at least one report"):
             FoldResults(())
 
@@ -320,26 +348,25 @@ class TestTables:
     """FoldResults derives the figures gestrec eval writes: the per-user
     rows, their average, the summed confusion and the mean time."""
 
-    def test_per_user_table_rows_and_average(self):
+    def test_per_user_table_rows_and_average(self, stubs):
         matrix = label_matrix(n_users=3, n_gestures=4, per_cell=8)
         plans = [plan_user_dependent(matrix, user=u, seed=u) for u in (1, 2, 3)]
-        results = evaluate(matrix, plans, PerfectStub, timing=False)
+        results = evaluate(matrix, plans, PERFECT, timing=False)
         assert results.per_user == [(1, 100.0), (2, 100.0), (3, 100.0)]
         assert results.average_accuracy == 100.0
 
-    def test_per_user_table_of_a_pooled_report(self):
+    def test_per_user_table_of_a_pooled_report(self, stubs):
         matrix = label_matrix(n_users=3, n_gestures=3, per_cell=6)
-        report = evaluate(matrix, plan_mixed(matrix, seed=1), PerfectStub,
-                          timing=False)
+        report = evaluate(matrix, plan_mixed(matrix, seed=1), PERFECT, timing=False)
         results = FoldResults((report,))
         assert results.per_user == sorted(report.per_user_accuracy.items())
         assert [u for u, _ in results.per_user] == [1, 2, 3]
         assert results.average_accuracy == report.accuracy
 
-    def test_per_user_table_fold_reports_ordered(self):
+    def test_per_user_table_fold_reports_ordered(self, stubs):
         matrix = label_matrix(n_users=4, n_gestures=3, per_cell=6)
-        results = evaluate(matrix, plan_user_independent(matrix),
-                           PerfectStub, timing=False)
+        results = evaluate(matrix, plan_user_independent(matrix), PERFECT,
+                           timing=False)
         backwards = FoldResults(tuple(reversed(results.reports)))
         assert backwards.per_user == [(1, 100.0), (2, 100.0), (3, 100.0), (4, 100.0)]
         assert backwards.per_user == results.per_user

@@ -68,24 +68,3 @@ def test_fit_names_the_first_bad_row_and_feature(blob_data, kind, bad):
         MODELS[kind]().fit(X, y)
     assert (info.value.row, info.value.feature) == (17, 3)
 
-
-class TestStagedScores:
-    """``staged_scores`` takes the same input check as ``predict``."""
-
-    def test_unfitted_is_rejected(self):
-        with pytest.raises(ValueError, match="not fitted"):
-            GradientBoostingClassifier().staged_scores(np.zeros((1, 3)))
-
-    def test_non_finite_row_is_rejected(self, blob_data):
-        X, y = blob_data(n_classes=3, n_per=10, seed=31)
-        model = GradientBoostingClassifier(n_stages=3).fit(X, y)
-        batch = X[:4].copy()
-        batch[2, 1] = np.nan
-        with pytest.raises(NonFiniteFeatureError, match="row 2, feature 1"):
-            model.staged_scores(batch)
-
-    def test_feature_count_is_checked(self, blob_data):
-        X, y = blob_data(n_classes=3, n_per=10, seed=31)
-        model = GradientBoostingClassifier(n_stages=3).fit(X, y)
-        with pytest.raises(ValueError, match="features"):
-            model.staged_scores(X[:, :-1])
