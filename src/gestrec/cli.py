@@ -9,7 +9,8 @@ canonical dataset).
 pooled split, or one leave-one-user-out fold per user); every plan is
 fitted and scored once, and ``--save-model`` saves the model that was
 scored. Flags are checked, plans built and classifiers configured
-before anything is written.
+before anything is written. An input that no plan of a mode can split
+(one user, or a gesture with one recording in a scope) is a data error.
 
 Every run writes a ``run.json`` provenance record with the fully
 resolved configuration next to its outputs. Exit codes: 0 success,
@@ -317,8 +318,9 @@ def cmd_eval(args) -> int:
         if args.mode == "user-dependent" and args.user is None:
             raise UsageError("--save-model with user-dependent mode needs --user")
     ratio = args.ratio if args.ratio is not None else 0.75
+    if not 0.0 < ratio < 1.0:
+        raise UsageError(f"--ratio must be in (0, 1), got {ratio}")
     out = Path(args.out)
-    matrix = _load_matrix(Path(args.input))
     modes = MODES if args.all else (args.mode,)
     kinds = sorted(CLASSIFIER_KINDS) if args.all else [args.classifier]
     try:
@@ -326,9 +328,16 @@ def cmd_eval(args) -> int:
                  for k in kinds]
         for spec in specs:
             spec.build()  # the constructor checks the hyperparameters
-        plans = {m: _plans(matrix, m, ratio, args.seed, args.user) for m in modes}
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    matrix = _load_matrix(Path(args.input))
+    if args.user is not None and args.user not in matrix.users:
+        raise UsageError(f"--user {args.user}: unknown user")
+    try:
+        plans = {m: _plans(matrix, m, ratio, args.seed, args.user) for m in modes}
+    except ValueError as exc:
+        # The flags are good, so the input is too small to split.
+        raise DataError(str(exc), path=args.input) from None
 
     _write_run(out, "eval", {
         "input": str(args.input),

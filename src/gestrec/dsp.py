@@ -34,17 +34,14 @@ SIMD targets (baseline, AVX2, AVX-512); a product or a sum rounds the
 same way on every target. The scalar ``m2**1.5`` and ``m2**2`` stay on
 Python floats.
 
-Numeric contract. Skewness, kurtosis and Pearson correlation are
-scale-free. Each row has a scale: its peak magnitude, or that of the
-series it was derived from (a Hilbert transform takes its axis's). A
-row is centred as it is when its scale is at most ``MAX_SCALE`` and its
-variance at least ``DEGENERATE_VARIANCE * max(1, scale**2)``; such rows
-keep their exact bits. Any other row is centred after dividing it by
-its scale, and there variance below ``DEGENERATE_VARIANCE`` marks a
-constant row, whose values are 0. So rows of any magnitude give the
-values of their unit-peak shapes, and no power of a centred value can
-overflow. The cross-correlation feature follows the same pattern on its
-energy product.
+Numeric contract. Skewness, kurtosis, Pearson and cross-correlation
+are scale-free, and are taken on unit rows: each row divided by its
+scale, the peak magnitude of the row or of the series it was derived
+from (a Hilbert transform takes its axis's), with a row of scale 0 kept
+at 0. On a unit row, variance below ``DEGENERATE_VARIANCE`` marks a
+constant row, whose values are 0. No power or sum of squares of a unit
+row can overflow. A division is correctly rounded, so a recording
+scaled by a power of two has the same unit rows, and the same bits.
 """
 
 from __future__ import annotations
@@ -60,6 +57,7 @@ __all__ = [
     "mean",
     "minimum",
     "maximum",
+    "unit_rows",
     "centred_rows",
     "skews",
     "kurtoses",
@@ -75,13 +73,6 @@ __all__ = [
 # zero (constant signal): correlation and moment-shape features return 0
 # instead of dividing by ~0.
 DEGENERATE_VARIANCE = 1e-24
-
-# Rows whose scale exceeds this are centred at unit peak: below it, the
-# third and fourth powers of the centred values, m2**1.5 and m2**2 stay
-# far from the float64 limit.
-MAX_SCALE = 1e75
-
-_TINY = np.finfo(np.float64).tiny  # smallest normal float64
 
 
 def _as_series(x, min_len: int = 1) -> np.ndarray:
@@ -147,37 +138,19 @@ def maximum(x) -> float:
     return float(np.maximum.reduce(_as_series(x)))
 
 
-def centred_rows(rows: np.ndarray, scale: np.ndarray):
-    """Mean, centred rows d, their squares d*d and population variance
-    m2 of each row.
+def unit_rows(rows: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Each row divided by its scale (module docstring); a row of scale 0
+    is all-zero and stays so."""
+    return rows / np.where(scale > 0.0, scale, 1.0)[..., None]
 
-    ``scale`` holds each row's peak magnitude, or that of the series the
-    row was derived from. A row that fails the numeric contract (module
-    docstring) is centred, and its variance taken, after dividing it by
-    its scale; its mean is always the raw one. The higher moments taken
-    from the centred rows (``skews``, ``kurtoses``) then cannot overflow.
-    """
-    n = rows.shape[-1]
-    mu = np.add.reduce(rows, -1) / n
-    d = rows - mu[..., None]
+
+def centred_rows(unit: np.ndarray):
+    """Centred rows d, their squares d*d and population variance m2 of
+    each unit row."""
+    n = unit.shape[-1]
+    d = unit - (np.add.reduce(unit, -1) / n)[..., None]
     d2 = d * d
-    m2 = np.add.reduce(d2, -1) / n
-    # A few rows are decided faster on Python floats than by array calls;
-    # c * c is the square that ** 2 takes on an array.
-    scales = scale.tolist()
-    redo = [
-        not (s <= MAX_SCALE and v >= DEGENERATE_VARIANCE * (c * c))
-        for s, c, v in zip(scales, [max(1.0, s) for s in scales], m2.tolist())
-    ]
-    if any(redo):
-        redo = np.array(redo)
-        # An all-zero row has scale 0 and stays all-zero.
-        unit = rows[redo] / np.where(scale[redo] > 0.0, scale[redo], 1.0)[..., None]
-        du = unit - (np.add.reduce(unit, -1) / n)[..., None]
-        d[redo] = du
-        d2[redo] = du * du
-        m2[redo] = np.add.reduce(d2[redo], -1) / n
-    return mu, d, d2, m2
+    return d, d2, np.add.reduce(d2, -1) / n
 
 
 def skews(d, d2, m2) -> list[float]:
@@ -212,11 +185,9 @@ def pearsons(da, db, va, vb) -> list[float]:
     ]
 
 
-def _centred(*series):
+def _unit(*series) -> np.ndarray:
     rows = np.stack(series)
-    # Beyond MAX_SCALE the raw moments overflow and are then recomputed.
-    with np.errstate(over="ignore"):
-        return centred_rows(rows, np.maximum.reduce(np.abs(rows), -1))
+    return unit_rows(rows, np.maximum.reduce(np.abs(rows), -1))
 
 
 def skew(x) -> float:
@@ -224,7 +195,7 @@ def skew(x) -> float:
 
     Returns 0 for (near-)constant series.
     """
-    _, d, d2, m2 = _centred(_as_series(x, min_len=3))
+    d, d2, m2 = centred_rows(_unit(_as_series(x, min_len=3)))
     return skews(d, d2, m2)[0]
 
 
@@ -233,7 +204,7 @@ def kurtosis(x) -> float:
 
     Returns 0 for (near-)constant series.
     """
-    _, _, d2, m2 = _centred(_as_series(x, min_len=4))
+    _, d2, m2 = centred_rows(_unit(_as_series(x, min_len=4)))
     return kurtoses(d2, m2)[0]
 
 
@@ -243,40 +214,24 @@ def pearson_corr(a, b) -> float:
     Returns 0 when either side has (near-)zero variance; constant axes
     occur in one-dimensional gestures and must not fail extraction.
     """
-    _, d, _, m2 = _centred(*_pair(a, b))
+    d, _, m2 = centred_rows(_unit(*_pair(a, b)))
     return pearsons(d[:1], d[1:], m2[:1], m2[1:])[0]
 
 
-def max_cross_corrs(rows: np.ndarray, first, second, energies) -> list[float]:
-    """``cross_corr_feature`` of each pair of rows (rows[first[p]],
-    rows[second[p]]) of a checked ``(k, n)`` array whose row sums of
-    squares are ``energies``.
+def max_cross_corrs(unit: np.ndarray, first, second) -> list[float]:
+    """``cross_corr_feature`` of each pair of unit rows (unit[first[p]],
+    unit[second[p]]) of a ``(k, n)`` array.
 
-    One batched rFFT of all rows, zero-padded to a power of two
-    L >= 2n - 1 so that no lag wraps around, gives every pair's lagged
-    sums. A pair whose energy product is 0, subnormal or not finite is
-    correlated on unit-peak copies of its rows, which join the batch.
+    A unit row's sum of squares is 0 or at least 1, so a pair's energy
+    product never underflows, and a pair with a zero row gives 0. One
+    batched rFFT of all rows, zero-padded to a power of two L >= 2n - 1
+    so that no lag wraps around, gives every pair's lagged sums.
     """
-    first, second = list(first), list(second)
+    energies = np.add.reduce(unit * unit, -1).tolist()
     norm = [energies[i] * energies[j] for i, j in zip(first, second)]
-    zero = set()
-    for p, v in enumerate(norm):
-        if _TINY <= v < np.inf:
-            continue
-        x, y = rows[first[p]], rows[second[p]]
-        peak_x, peak_y = np.maximum.reduce(np.abs(x)), np.maximum.reduce(np.abs(y))
-        if peak_x == 0.0 or peak_y == 0.0:
-            zero.add(p)
-            continue
-        unit = np.stack((x / peak_x, y / peak_y))
-        first[p], second[p] = len(rows), len(rows) + 1
-        rows = np.concatenate((rows, unit))
-        norm[p] = float(np.add.reduce(unit[0] * unit[0])) * float(
-            np.add.reduce(unit[1] * unit[1])
-        )
-    n = rows.shape[-1]
+    n = unit.shape[-1]
     size = 1 << (2 * n - 2).bit_length()
-    spectra = np.fft.rfft(rows, size)
+    spectra = np.fft.rfft(unit, size)
     a, b = spectra.take(first, 0), spectra.take(second, 0)
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     # A * conj(B) from real products: sum_j a_{j+tau} b_j at index tau.
@@ -289,10 +244,7 @@ def max_cross_corrs(rows: np.ndarray, first, second, energies) -> list[float]:
         np.maximum.reduce(lagged[:, :n], -1),
         np.maximum.reduce(lagged[:, size - n + 1 :], -1),
     )
-    return [
-        0.0 if p in zero else c / math.sqrt(v)
-        for p, (c, v) in enumerate(zip(best.tolist(), norm))
-    ]
+    return [c / math.sqrt(v) if v else 0.0 for c, v in zip(best.tolist(), norm)]
 
 
 def cross_corr_feature(a, b) -> float:
@@ -302,12 +254,7 @@ def cross_corr_feature(a, b) -> float:
     normalized by sqrt(sum a^2 * sum b^2); out-of-range terms are zero.
     The maximum over lags makes the feature insensitive to the relative
     timing of the two axes, i.e. to gesture speed. Returns 0 when either
-    signal is all-zero.
-
-    The feature is scale-free. When the energy product ``ea * eb`` is 0,
-    subnormal or not finite, both series are first scaled to unit peak,
-    so tiny and huge signals give the value of their unit-scale shapes;
-    every other input is computed unscaled.
+    signal is all-zero. The feature is scale-free: both series are
+    correlated at unit peak.
     """
-    rows = np.stack(_pair(a, b))
-    return max_cross_corrs(rows, [0], [1], np.add.reduce(rows * rows, -1).tolist())[0]
+    return max_cross_corrs(_unit(*_pair(a, b)), [0], [1])[0]

@@ -266,29 +266,35 @@ def time_single_predictions(model, X_test: np.ndarray) -> float:
     return float(np.median(means))
 
 
-def fit_plan(matrix: FeatureMatrix, plan: SplitPlan, classifier_spec: ClassifierSpec):
-    """Build the classifier and fit it on a plan's train rows.
-
-    Refuses a plan with a row index past the matrix, and a
-    UserIndependent plan whose sides share a user.
-    """
+def _check_plan(matrix: FeatureMatrix, plan: SplitPlan) -> None:
+    """ValueError for a plan with a row index past the matrix, or a
+    UserIndependent plan whose sides share a user."""
     train, test = plan.train_indices, plan.test_indices
     for side in (train, test):
         if side.max() >= matrix.n:
             raise ValueError(
                 f"split index {side.max()} is out of range for {matrix.n} rows")
-    model = classifier_spec.build()
     if plan.mode == USER_INDEPENDENT:
-        leak = set(matrix.users[train].tolist()) & set(matrix.users[test].tolist())
-        if leak:
-            raise AssertionError(f"user(s) {sorted(leak)} appear on both fold sides")
+        leak = np.intersect1d(matrix.users[train], matrix.users[test])
+        if leak.size:
+            raise ValueError(f"user(s) {leak.tolist()} appear on both fold sides")
+
+
+def fit_plan(matrix: FeatureMatrix, plan: SplitPlan, classifier_spec: ClassifierSpec):
+    """Build the classifier and fit it on a plan's train rows; refuses a
+    plan that does not fit the matrix (``_check_plan``)."""
+    _check_plan(matrix, plan)
+    model = classifier_spec.build()
+    train = plan.train_indices
     model.fit(matrix.X[train], matrix.gestures[train])
     return model
 
 
 def score(matrix: FeatureMatrix, plan: SplitPlan, classifier_spec: ClassifierSpec,
           model, timing: bool = True) -> EvaluationReport:
-    """Score a fitted model on a plan's test rows."""
+    """Score a fitted model on a plan's test rows; refuses a plan that
+    does not fit the matrix (``_check_plan``)."""
+    _check_plan(matrix, plan)
     test = plan.test_indices
     y_true = matrix.gestures[test]
     y_pred = np.asarray(model.predict(matrix.X[test]))

@@ -109,20 +109,22 @@ def _values(r: np.ndarray) -> np.ndarray:
     # Rows :a are the axes, rows a: their Hilbert transforms.
     rows = np.concatenate((axes, dsp.hilbert_rows(axes)))
     low, high = np.minimum.reduce(rows, -1), np.maximum.reduce(rows, -1)
-    peak = np.maximum(high[:a], -low[:a])
-    mu, d, d2, m2 = dsp.centred_rows(rows, np.concatenate((peak, peak)))
-    skew = dsp.skews(d, d2, m2)
-    mu = mu.tolist()
-    nxt, order = _layout(k)
-    # Sums of squares: the energies (Parseval) and cross-correlation norms.
+    mu = (np.add.reduce(rows, -1) / n).tolist()
+    # Sums of squares: the energies (Parseval).
     sq = np.add.reduce(rows * rows, -1).tolist()
+    # The scale-free values: every row at its axis's unit peak.
+    peak = np.maximum(high[:a], -low[:a])
+    unit = dsp.unit_rows(rows, np.concatenate((peak, peak)))
+    d, d2, m2 = dsp.centred_rows(unit)
+    skew = dsp.skews(d, d2, m2)
+    nxt, order = _layout(k)
     # Eleven blocks of 3k values in FEATURE_NAMES order.
     return np.array(
         mu[:a]
         + skew[:a]
         + dsp.kurtoses(d2[:a], m2[:a])
         + dsp.pearsons(d[:a], d.take(nxt, 0), m2[:a], m2.take(nxt))
-        + dsp.max_cross_corrs(axes, range(a), nxt, sq[:a])
+        + dsp.max_cross_corrs(unit[:a], range(a), nxt)
         + sq[:a]
         + mu[a:]
         + skew[a:]
@@ -149,18 +151,21 @@ def feature_set(sample) -> np.ndarray:
     """Full 33-value feature vector in the frozen FEATURE_NAMES order.
 
     One pass over the (3, n) readings. One batched rFFT and inverse rFFT
-    give the axes' Hilbert transforms. One centred array per axis and per
-    Hilbert transform, and its squares, give the means, skewness,
-    kurtosis and Pearson values; one sum of squares per row gives the
-    spectral energies (Parseval) and the cross-correlation norms. One
-    zero-padded rFFT and inverse rFFT of the axes give the lagged sums
-    of all three cross-correlations.
+    give the axes' Hilbert transforms. These six rows give the means,
+    the spectral energies (sums of squares, Parseval), minima and maxima.
+    The scale-free values come from the same rows divided by their axis's
+    peak magnitude: the centred unit rows and their squares give the
+    skewness, kurtosis and Pearson values, and one zero-padded rFFT and
+    inverse rFFT of the unit axes give the lagged sums of all three
+    cross-correlations.
 
     Raises ValueError for a raw array that is not (n, 3), n >= 4 and
     finite. Input domain: readings whose peak magnitude is 0 or within
     [1e-150, 1e150], at most 10 000 of them, give 33 finite values. Any
     other recording gives finite values or raises DataError naming the
-    sample. The scale-free values follow the numeric contract in ``dsp``.
+    sample. The scale-free values follow the numeric contract in ``dsp``,
+    so a recording scaled by a power of two within the domain gives them
+    with the same bits.
     """
     # The only input check: a GestureSample was checked when it was made.
     r = sample.readings if isinstance(sample, GestureSample) else check_readings(sample)

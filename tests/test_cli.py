@@ -403,6 +403,29 @@ class TestExitCodes:
                              "--mode", mode]) == 3
                 assert f"{empty}: input has no rows" in capsys.readouterr().err
 
+    def test_input_too_small_to_split_exits_3(self, workspace, tmp_path, capsys):
+        # The flags are good; the rows cannot make the mode's plans.
+        m = load_features(workspace / "features.csv")
+        one_user = tmp_path / "one-user.csv"
+        keep = m.users == 1
+        save_features(FeatureMatrix(m.X[keep], m.users[keep], m.gestures[keep]),
+                      one_user)
+        scarce = tmp_path / "scarce.csv"
+        drop = np.flatnonzero((m.users == 2) & (m.gestures == 1))[1:]
+        keep = np.setdiff1d(np.arange(m.n), drop)
+        save_features(FeatureMatrix(m.X[keep], m.users[keep], m.gestures[keep]),
+                      scarce)
+        cases = [
+            (one_user, "user-independent", "user-independent evaluation needs >= 2 users"),
+            (scarce, "user-dependent", "gesture 1 has 1 sample(s) in scope, need >= 2"),
+        ]
+        for path, mode, message in cases:
+            out = tmp_path / mode
+            assert main(["eval", str(path), "--out", str(out), "--mode", mode,
+                         "--classifier", "rc"]) == 3, mode
+            assert f"gestrec: {path}: {message}" in capsys.readouterr().err
+            assert not out.exists()
+
     @pytest.mark.parametrize("site", ["eval-input", "feature-csv", "manifest",
                                       "sample-csv", "raw-tree", "adapter-config"])
     def test_bytes_that_are_not_utf8_exit_3(self, site, workspace, make_uwave_tree,

@@ -247,9 +247,18 @@ class TestMoments:
         rng = np.random.default_rng(8)
         rows = rng.normal(size=(4, 37)) * [[1.0], [3.0], [1e-30], [1e90]]
         rows[2] = 0.0
-        _, d, d2, m2 = dsp.centred_rows(rows, np.abs(rows).max(axis=-1))
+        unit = dsp.unit_rows(rows, np.abs(rows).max(axis=-1))
+        assert unit[2].tolist() == [0.0] * 37
+        d, d2, m2 = dsp.centred_rows(unit)
         assert dsp.skews(d, d2, m2) == [dsp.skew(r) for r in rows]
         assert dsp.kurtoses(d2, m2) == [dsp.kurtosis(r) for r in rows]
+        pairs = [(0, 1), (1, 3), (3, 2)]
+        first, second = zip(*pairs)
+        assert dsp.pearsons(d.take(first, 0), d.take(second, 0), m2.take(first),
+                            m2.take(second)) == [
+            dsp.pearson_corr(rows[i], rows[j]) for i, j in pairs]
+        assert dsp.max_cross_corrs(unit, first, second) == [
+            dsp.cross_corr_feature(rows[i], rows[j]) for i, j in pairs]
         h = np.stack([dsp.hilbert_imag(r) for r in rows])
         assert dsp.hilbert_rows(rows).tobytes() == h.tobytes()
         energies = np.add.reduce(rows * rows, -1)
@@ -359,18 +368,20 @@ class TestCrossCorrFeature:
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_in_range_values_keep_their_bits(self):
-        # An energy product in the normal range is correlated unscaled:
+        # Each series is divided by its peak magnitude, then correlated:
         # one rFFT pair zero-padded to 128 >= 2*50 - 1, A*conj(B) from
-        # real products, the max over the 99 valid lags.
+        # real products, the max over the 99 valid lags, over the root of
+        # the product of the unit series' sums of squares.
         rng = np.random.default_rng(4)
         a = rng.normal(size=50) * 3.0
         b = rng.normal(size=50) * 3.0
-        A, B = np.fft.rfft(a, 128), np.fft.rfft(b, 128)
+        ua, ub = a / np.abs(a).max(), b / np.abs(b).max()
+        A, B = np.fft.rfft(ua, 128), np.fft.rfft(ub, 128)
         cross = np.empty(A.shape, dtype=np.complex128)
         cross.real = A.real * B.real + A.imag * B.imag
         cross.imag = A.imag * B.real - A.real * B.imag
         lagged = np.fft.irfft(cross, 128)
-        norm = float(np.sum(a**2)) * float(np.sum(b**2))
+        norm = float(np.sum(ua * ua)) * float(np.sum(ub * ub))
         want = max(lagged[:50].max(), lagged[79:].max()) / np.sqrt(norm)
         assert dsp.cross_corr_feature(a, b) == want
         assert want == pytest.approx(correlate_feature(a, b), rel=1e-12, abs=1e-12)

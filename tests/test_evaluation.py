@@ -224,6 +224,11 @@ class TestSplitPlanInvariants:
         past = SplitPlan(MIXED_USER, np.array([0, 1, 2, n]), np.array([n - 1, 5]))
         with pytest.raises(ValueError, match=f"split index {n} is out of range"):
             fit_plan(easy_matrix, past, ClassifierSpec("rc"))
+        # score refuses the same plans, and one past the end on its test side.
+        model = ConstantStub().fit(easy_matrix.X, easy_matrix.gestures)
+        for plan in (past, SplitPlan(MIXED_USER, np.array([0, 1, 2]), np.array([n, 5]))):
+            with pytest.raises(ValueError, match=f"split index {n} is out of range"):
+                score(easy_matrix, plan, ClassifierSpec("rc"), model, timing=False)
 
 
 # ------------------------------------------------------------- evaluate
@@ -333,8 +338,11 @@ class TestFolds:
         matrix = label_matrix(n_users=2, n_gestures=3, per_cell=6)
         bad = SplitPlan(USER_INDEPENDENT, np.arange(0, matrix.n, 2),
                         np.arange(1, matrix.n, 2))
-        with pytest.raises(AssertionError, match="both fold sides"):
+        with pytest.raises(ValueError, match=r"user\(s\) \[1, 2\] appear on both fold sides"):
             evaluate(matrix, bad, PERFECT, timing=False)
+        model = PERFECT.build().fit(matrix.X, matrix.gestures)
+        with pytest.raises(ValueError, match="both fold sides"):
+            score(matrix, bad, PERFECT, model, timing=False)
 
     def test_empty_fold_list_rejected(self, stubs):
         matrix = label_matrix(n_users=2, n_gestures=3, per_cell=6)

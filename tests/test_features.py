@@ -9,10 +9,11 @@ explicit lag loops), sharing no code with the package's kernels.
 re-centring its series, with numpy's ``pow`` for the third and fourth
 moments, ``np.correlate`` for the lags and ``np.abs(X)**2`` for the
 power spectra and a complex FFT pair for the Hilbert transforms. The
-one-pass ``feature_set`` gives its bits exactly on the 6 means and
-Pearson values, and agrees to 1e-12 on the other 27, whose arithmetic is
-now products, one rFFT pair per axis pair, one rFFT pair for the
-Hilbert transforms and sums of squares for the energies.
+one-pass ``feature_set`` gives its bits exactly on the 3 means, and
+agrees to 1e-12 on the other 30, whose arithmetic is now products of
+series divided by their peak magnitudes, one rFFT pair per axis pair,
+one rFFT pair for the Hilbert transforms and sums of squares for the
+energies.
 
 ``composed_feature_set`` is that new arithmetic one series (or pair) at
 a time; the pass must give its bits exactly.
@@ -208,18 +209,18 @@ def reference_feature_set(readings) -> np.ndarray:
 # --------------------------------------- the same values, one series at a time
 
 
+def _unit(x, scale):
+    """x divided by its scale, the peak magnitude of x or of the axis it
+    was derived from (numeric contract of ``gestrec.dsp``)."""
+    return x / (scale if scale > 0.0 else 1.0)
+
+
 def _centred(x, scale):
-    """Centred values, their squares and variance under the numeric
-    contract of ``gestrec.dsp`` (relative floor, unit-peak recentring)."""
-    d = x - x.mean()
+    """Centred values, their squares and variance of x at unit scale."""
+    u = _unit(x, scale)
+    d = u - u.mean()
     d2 = d * d
-    m2 = float(d2.mean())
-    if not (scale <= 1e75 and m2 >= 1e-24 * max(1.0, min(scale, 1e75)) ** 2):
-        u = x / (scale if scale > 0.0 else 1.0)
-        d = u - u.mean()
-        d2 = d * d
-        m2 = float(d2.mean())
-    return d, d2, m2
+    return d, d2, float(d2.mean())
 
 
 def _skew(d, d2, m2):
@@ -237,14 +238,12 @@ def _pearson(da, db, va, vb):
 
 
 def _xcorr(a, b):
-    """Max over the 2n - 1 lags of one zero-padded rFFT pair, A*conj(B)
-    formed from real products, with the unit-peak rescale."""
+    """Max over the 2n - 1 lags of one zero-padded rFFT pair of the unit
+    series, A*conj(B) formed from real products."""
+    a, b = _unit(a, float(np.abs(a).max())), _unit(b, float(np.abs(b).max()))
     norm = float(np.sum(a * a)) * float(np.sum(b * b))
-    if not np.finfo(np.float64).tiny <= norm < np.inf:
-        if np.abs(a).max() == 0.0 or np.abs(b).max() == 0.0:
-            return 0.0
-        a, b = a / np.abs(a).max(), b / np.abs(b).max()
-        norm = float(np.sum(a * a)) * float(np.sum(b * b))
+    if norm == 0.0:
+        return 0.0
     n = a.size
     size = 1 << (2 * n - 2).bit_length()
     A, B = np.fft.rfft(a, size), np.fft.rfft(b, size)
@@ -269,8 +268,9 @@ def _hilbert(x):
 
 def composed_feature_set(readings) -> np.ndarray:
     """The 33 values one series or pair at a time, in the arithmetic of
-    the pass: moments from products, one rFFT pair per axis pair, the
-    Hilbert transform from one rFFT pair, energies as sums of squares."""
+    the pass: moments from products of unit series, one rFFT pair per
+    axis pair, the Hilbert transform from one rFFT pair, energies as sums
+    of squares."""
     r = np.asarray(readings, dtype=np.float64)
     axes = [r[:, k].copy() for k in range(3)]
     scale = [float(np.abs(a).max()) for a in axes]
@@ -469,11 +469,10 @@ def same_bits(a, b) -> bool:
 
 
 # Columns whose arithmetic the one-pass extractor kept from the earlier
-# one, and those it moved by rounding (products for the moments, rFFT
-# cross-correlation, the Hilbert transforms from one rFFT pair, energies
-# as sums of squares).
-UNMOVED = [i for i, n in enumerate(FEATURE_NAMES)
-           if n.split("_")[0] in ("mean", "pearson")]
+# one, and those it moved by rounding (moments and Pearson values of
+# unit-peak series from products, rFFT cross-correlation, the Hilbert
+# transforms from one rFFT pair, energies as sums of squares).
+UNMOVED = [i for i, n in enumerate(FEATURE_NAMES) if n.split("_")[0] == "mean"]
 MOVED = [i for i in range(N_FEATURES) if i not in UNMOVED]
 
 
@@ -516,23 +515,23 @@ PINNED = [
     (SynthSpec(users=2, gestures=4, samples_per_gesture_per_user=3,
                length_range=(40, 120), user_speed_jitter=0.2, noise_sigma=0.1,
                user_style_offset=0.3, seed=5),
-     "01c88f3317ab16baf8005046c104641f69e437bb329648acd7431b5b1f427d2b",
-     "c845fea00f47871e7d5c5bdd1fef34cf1b9ac2b238abe721763ce17e4952e635"),
+     "723bf37a10bad6bb0f45cd1a465d40adac8e1f5bf9bd54fc55487734ce88a013",
+     "ee32296eaac2fe64f879f343ba4bc51c1e4a5cd45db87c56e35ad6aadc94d4ef"),
     (SynthSpec(users=2, gestures=4, samples_per_gesture_per_user=2,
                length_range=(40, 120), seed=6),
-     "efd493fd7711a6745f6ac68e888d1fb4ef0696275eb411ae1ebf2de73f3adcd4",
-     "cb91adec14db3eac1b96c5eee249b510836af1557a350966a9430fcf421113c5"),
+     "956936cad6ad0ce5c99816b7db5b118e008622a806d6857fce37defaa0e07a3c",
+     "dd2fc3e8d6ee9c217ee3f75579ceda415a0d2205371d46a3208f2587778a83f2"),
     (SynthSpec(users=2, gestures=3, samples_per_gesture_per_user=1,
                length_range=(400, 1200), noise_sigma=0.15, seed=29),
-     "c91c00adc497ffe2621375fa702c5fe3a15293b2166ff797edd3b0b9679efe51",
-     "3136e400282271671ffaf0bdf9889ad52eded4664a9f501ef86248d5723b668a"),
+     "8cf965c9699fb80406a6f4c776c9f793e51a1ace8f6d7f243d1b2966224bde9f",
+     "b73e81226926870fddf2a8fc2d06fe5057b6135ec3d99070cbeea25a4127a259"),
     # extract_all stacks the recordings of each length. The corpora above
     # fall into 11, 1 and 1 lengths; EASY_SPEC's 640 recordings fall into
     # 49, groups of 1 to 35 recordings. These digests were recorded with
     # one pass per recording.
     (EASY_SPEC,
-     "254722c3814b65f40c487d7494bd3d9d52ae67d4ca6012f01626992300602947",
-     "8bff51a08b8c6fe73bd4558659b54b4ab98b40b0190a34e96647d56d3e4c8578"),
+     "a945a44816ca7e74f725a945733b4a14a171f9b4060dbe59b98191571b7d43aa",
+     "8d99f05d42f35fe618e1904c76741f7f67e4391dd452e6d2d35c0d32787262b8"),
 ]
 PINNED_IDS = ["noisy", "noise-free", "long", "easy"]
 
@@ -648,10 +647,9 @@ class TestGroupedPass:
         self.check_rows(ds)
 
     def test_rescaled_and_silent_recordings_in_groups(self):
-        # Scaled by 1e-140 or 1e140, a recording's rows are centred at
-        # unit peak and its cross-correlations rescaled; all-zero and
-        # silent rows are degenerate. Each shares its group with
-        # ordinary recordings, in several positions, or is alone.
+        # Recordings scaled by 1e-140 or 1e140, all-zero ones and ones
+        # with a silent (degenerate) axis each share a group with
+        # ordinary recordings, in several positions, or are alone.
         recordings = []
         for n in (64, 65):
             base = noisy(n, n)
@@ -765,6 +763,18 @@ class TestNumericContract:
         np.testing.assert_allclose(got[SQUARED] / scale**2, base[SQUARED],
                                    rtol=1e-9, atol=1e-9)
 
+    @pytest.mark.parametrize("which", range(len(RECORDINGS)))
+    def test_power_of_two_scale_keeps_the_bits(self, which):
+        # Scaling by 2**k is exact, the Hilbert transform and the peak
+        # scale by 2**k exactly, and the division by the peak then gives
+        # the same unit rows: the scale-free values keep their bits
+        # across the domain (peaks from about 3e-148 to 8e147 here).
+        r = RECORDINGS[which]
+        base = feature_set(r)[SCALE_FREE].tobytes()
+        moved = [k for k in range(-490, 491, 10)
+                 if feature_set(r * 2.0**k)[SCALE_FREE].tobytes() != base]
+        assert moved == []
+
     def test_out_of_domain_names_the_sample(self):
         s = GestureSample(user=2, gesture=5, trial=7, readings=RECORDINGS[0] * 1e155)
         with pytest.raises(DataError, match=r"user=2, gesture=5, trial=7.*energy_x"):
@@ -780,11 +790,11 @@ class TestNumericContract:
     def test_jittered_still_axis_is_degenerate(self):
         # A still axis near 9.81 with 1e-11 jitter: its variance, and its
         # Hilbert transform's, is above DEGENERATE_VARIANCE but below
-        # DEGENERATE_VARIANCE * peak**2. In this band the floor relative
-        # to the peak gives 0 on purpose, where the earlier extractor
-        # computed skew, kurtosis and Pearson values of the jitter: a
-        # still axis must stay degenerate at every scale, so that its
-        # Hilbert noise never reads as a shape.
+        # DEGENERATE_VARIANCE * peak**2, so at unit peak it is below the
+        # floor. In this band the feature is 0 on purpose, where the
+        # earlier extractor computed skew, kurtosis and Pearson values of
+        # the jitter: a still axis must stay degenerate at every scale,
+        # so that its Hilbert noise never reads as a shape.
         r = RECORDINGS[0].copy()
         r[:, 1] = 9.81 + 1e-11 * np.sin(np.arange(len(r)))
         y = r[:, 1]
