@@ -23,7 +23,7 @@ class RidgeClassifier:
 
     Parameters
     ----------
-    alpha : float >= 0
+    alpha : finite float >= 0
         L2 penalty on the feature weights. alpha = 0 is accepted only
         when the standardized design matrix has full column rank.
     """
@@ -31,8 +31,8 @@ class RidgeClassifier:
     kind = "ridge"
 
     def __init__(self, alpha: float = 1.0, seed: int = 0):
-        if alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        if not (np.isfinite(alpha) and alpha >= 0):
+            raise ValueError("alpha must be finite and >= 0")
         if seed < 0:
             raise ValueError("seed must be >= 0")
         self.alpha = alpha

@@ -385,18 +385,18 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     given = {name: getattr(args, name) for name in SHAPE_FLAGS
              if getattr(args, name) is not None}
-    if args.preset == "easy":
-        if given:
-            flags = ", ".join("--" + name.replace("_", "-") for name in given)
-            raise UsageError(f"--preset easy fixes the corpus shape; drop {flags}")
-        spec = (
-            EASY_SPEC
-            if args.seed is None
-            else dataclasses.replace(EASY_SPEC, seed=args.seed)
-        )
-    else:
-        shape = {**SHAPE_FLAGS, **given}
-        try:
+    if args.preset == "easy" and given:
+        flags = ", ".join("--" + name.replace("_", "-") for name in given)
+        raise UsageError(f"--preset easy fixes the corpus shape; drop {flags}")
+    try:  # the spec checks every value, the preset's seed included
+        if args.preset == "easy":
+            spec = (
+                EASY_SPEC
+                if args.seed is None
+                else dataclasses.replace(EASY_SPEC, seed=args.seed)
+            )
+        else:
+            shape = {**SHAPE_FLAGS, **given}
             spec = SynthSpec(
                 users=shape["users"],
                 gestures=shape["gestures"],
@@ -407,8 +407,8 @@ def cmd_synth(args) -> int:
                 user_style_offset=shape["style_offset"],
                 seed=args.seed if args.seed is not None else 0,
             )
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     dataset = generate(spec)
     manifest = save_manifest(dataset, out)
     _write_run(out, "synth", {**dataclasses.asdict(spec), "preset": args.preset})

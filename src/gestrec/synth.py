@@ -12,10 +12,16 @@ Gaussian noise.
 Every random draw comes from a stream pre-split out of the spec seed,
 one per class, user and sample, so generation is bit-reproducible and
 order-independent.
+
+The noise-free signal depends only on the user, the gesture and the
+length, so it is computed once per (user, gesture, length) and shared by
+every trial of that length; each recording pays only for its own draws
+(its stream, its rate and its noise) and its copy into a GestureSample.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,12 +52,15 @@ class SynthSpec:
             raise ValueError("length_range max must be >= min")
         if min(self.users, self.gestures, self.samples_per_gesture_per_user) < 1:
             raise ValueError("users, gestures and samples counts must be >= 1")
-        if self.user_speed_jitter < 0:
-            raise ValueError("user_speed_jitter must be >= 0")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
-        if self.user_style_offset < 0:
-            raise ValueError("user_style_offset must be >= 0")
+        for name in ("user_speed_jitter", "noise_sigma", "user_style_offset"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0")
+        # Below 1 every speed is positive; at 1 or more some are not.
+        if self.user_speed_jitter >= 1:
+            raise ValueError("user_speed_jitter must be < 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     @property
     def total_samples(self) -> int:
@@ -129,6 +138,7 @@ def generate(spec: SynthSpec) -> Dataset:
         phase_shift = spec.user_style_offset * urng.uniform(-np.pi, np.pi, size=3)
         for g in range(1, spec.gestures + 1):
             template = templates[g - 1]
+            clean = {}  # length -> noise-free signal, shared by its trials
             for trial in range(1, spec.samples_per_gesture_per_user + 1):
                 k = (u - 1) * s_per_user + (g - 1) * spec.samples_per_gesture_per_user \
                     + (trial - 1)
@@ -136,8 +146,10 @@ def generate(spec: SynthSpec) -> Dataset:
                 rate = user_rate * (
                     1.0 + 0.5 * spec.user_speed_jitter * srng.uniform(-1.0, 1.0)
                 )
-                n = int(np.clip(round(base_len / rate), lo, hi))
-                readings = template.sample(n, amp_scale, phase_shift)
+                n = min(max(round(base_len / rate), lo), hi)
+                if n not in clean:
+                    clean[n] = template.sample(n, amp_scale, phase_shift)
+                readings = clean[n]
                 if spec.noise_sigma > 0:
                     readings = readings + srng.normal(
                         0.0, spec.noise_sigma, size=(n, 3)

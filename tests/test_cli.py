@@ -373,6 +373,29 @@ class TestExitCodes:
         # Every case is refused before any output, cell directories included.
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["synth", "--seed", "-1"], "seed must be >= 0"),
+        (["synth", "--preset", "easy", "--seed", "-1"], "seed must be >= 0"),
+        (["synth", "--noise-sigma", "nan"], "noise_sigma must be finite and >= 0"),
+        (["synth", "--style-offset", "inf"],
+         "user_style_offset must be finite and >= 0"),
+        (["synth", "--speed-jitter", "nan"],
+         "user_speed_jitter must be finite and >= 0"),
+        (["synth", "--speed-jitter", "1.5"], "user_speed_jitter must be < 1"),
+        (["eval", "FEATS", "--mode", "mixed", "--classifier", "rc",
+          "--alpha", "nan", "--save-model", "MODEL"], "alpha must be finite and >= 0"),
+        (["eval", "FEATS", "--mode", "mixed", "--classifier", "rc",
+          "--alpha", "inf", "--save-model", "MODEL"], "alpha must be finite and >= 0"),
+    ])
+    def test_refused_values_exit_2_before_writing(self, workspace, tmp_path, capsys,
+                                                  argv, message):
+        out, model = tmp_path / "out", tmp_path / "m.json"
+        names = {"FEATS": str(workspace / "features.csv"), "MODEL": str(model)}
+        argv = [names.get(a, a) for a in argv] + ["--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"gestrec: {message}\n"
+        assert not out.exists() and not model.exists()
+
     def test_argparse_errors_exit_2(self, tmp_path, capsys):
         assert main(["eval"]) == 2  # missing required arguments
         assert main(["frobnicate"]) == 2

@@ -138,6 +138,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             RidgeClassifier(alpha=-0.1)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        # nan passes a test for alpha < 0 and would fit NaN weights.
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            RidgeClassifier(alpha=alpha)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
             RidgeClassifier(seed=-1)

@@ -1,9 +1,20 @@
 """Synthetic corpus generator: determinism, structure, separability."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from gestrec import EASY_SPEC, ExtraTreesClassifier, SynthSpec, extract_all, generate
+from gestrec import (
+    EASY_SPEC,
+    Dataset,
+    ExtraTreesClassifier,
+    GestureSample,
+    SynthSpec,
+    extract_all,
+    generate,
+)
+from gestrec.synth import _class_template
 
 
 def small_spec(**overrides):
@@ -19,6 +30,55 @@ def small_spec(**overrides):
     )
     base.update(overrides)
     return SynthSpec(**base)
+
+
+def reference_generate(spec: SynthSpec) -> Dataset:
+    """The generator written one recording at a time: every recording
+    computes its own noise-free signal, and its length is clipped by
+    numpy. generate must give the same bits."""
+    root = np.random.SeedSequence(spec.seed)
+    class_root, user_root, sample_root = root.spawn(3)
+    class_streams = class_root.spawn(spec.gestures)
+    user_streams = user_root.spawn(spec.users)
+    s_per_user = spec.gestures * spec.samples_per_gesture_per_user
+    sample_streams = sample_root.spawn(spec.users * s_per_user)
+    templates = [
+        _class_template(g, class_streams[g - 1])
+        for g in range(1, spec.gestures + 1)
+    ]
+    lo, hi = spec.length_range
+    base_len = (lo + hi) // 2
+    samples = []
+    for u in range(1, spec.users + 1):
+        urng = np.random.Generator(np.random.PCG64(user_streams[u - 1]))
+        user_rate = 1.0 + spec.user_speed_jitter * urng.uniform(-1.0, 1.0)
+        amp_scale = 1.0 + spec.user_style_offset * urng.uniform(-1.0, 1.0, size=3)
+        phase_shift = spec.user_style_offset * urng.uniform(-np.pi, np.pi, size=3)
+        for g in range(1, spec.gestures + 1):
+            for trial in range(1, spec.samples_per_gesture_per_user + 1):
+                k = (u - 1) * s_per_user + (g - 1) * spec.samples_per_gesture_per_user \
+                    + (trial - 1)
+                srng = np.random.Generator(np.random.PCG64(sample_streams[k]))
+                rate = user_rate * (
+                    1.0 + 0.5 * spec.user_speed_jitter * srng.uniform(-1.0, 1.0)
+                )
+                n = int(np.clip(round(base_len / rate), lo, hi))
+                readings = templates[g - 1].sample(n, amp_scale, phase_shift)
+                if spec.noise_sigma > 0:
+                    readings = readings + srng.normal(
+                        0.0, spec.noise_sigma, size=(n, 3)
+                    )
+                samples.append(
+                    GestureSample(user=u, gesture=g, trial=trial, readings=readings)
+                )
+    return Dataset.from_samples(samples)
+
+
+def readings_digest(ds: Dataset) -> str:
+    """sha256 of the lengths (int64) and then every reading, in order."""
+    h = hashlib.sha256(np.array([s.n for s in ds.samples], dtype=np.int64).tobytes())
+    h.update(np.concatenate([s.readings for s in ds.samples]).tobytes())
+    return h.hexdigest()
 
 
 class TestStructure:
@@ -110,6 +170,47 @@ class TestDeterminism:
                 reference[s.gesture] = s.readings
 
 
+class TestSharedCleanSignal:
+    """generate computes one noise-free signal per (user, gesture,
+    length) and shares it among that length's trials."""
+
+    # Many trials and a small jitter make lengths repeat within a cell.
+    @pytest.mark.parametrize("spec", [
+        small_spec(samples_per_gesture_per_user=30, user_speed_jitter=0.05,
+                   noise_sigma=0.0),
+        small_spec(samples_per_gesture_per_user=30, user_speed_jitter=0.05,
+                   noise_sigma=0.1),
+        small_spec(samples_per_gesture_per_user=12, user_speed_jitter=0.0,
+                   noise_sigma=0.2, seed=9),
+        EASY_SPEC,
+    ], ids=["repeats-noise-free", "repeats-noisy", "one-length", "easy"])
+    def test_equals_the_per_recording_reference(self, spec):
+        got, want = generate(spec), reference_generate(spec)
+        assert got.meta == want.meta
+        lengths = [s.n for s in got.samples]
+        assert len(set(lengths)) < len(lengths)  # the specs do repeat lengths
+        for a, b in zip(got.samples, want.samples, strict=True):
+            assert a.identity == b.identity
+            assert a.readings.tobytes() == b.readings.tobytes()
+
+    def test_easy_spec_digest_is_pinned(self):
+        # Recorded before the noise-free signal was shared.
+        assert readings_digest(generate(EASY_SPEC)) == (
+            "d4d7e9cd8d829a1f602aec8f60abe233a59161a9e107977c1ef10fe77d99481d"
+        )
+
+    def test_noise_free_trials_own_read_only_copies(self):
+        ds = generate(small_spec(user_speed_jitter=0.0, noise_sigma=0.0))
+        first, second = ds.samples[0], ds.samples[1]
+        assert (first.user, first.gesture) == (second.user, second.gesture)
+        assert first.n == second.n
+        assert np.array_equal(first.readings, second.readings)
+        assert first.readings is not second.readings
+        assert not np.shares_memory(first.readings, second.readings)
+        assert not first.readings.flags.writeable
+        assert not second.readings.flags.writeable
+
+
 class TestSeparability:
     def test_noiseless_corpus_is_learnable(self):
         spec = small_spec(noise_sigma=0.0, user_style_offset=0.2)
@@ -141,3 +242,26 @@ class TestValidation:
             small_spec(noise_sigma=-0.1)
         with pytest.raises(ValueError):
             small_spec(user_style_offset=-0.1)
+
+    @pytest.mark.parametrize("name", ["user_speed_jitter", "noise_sigma",
+                                      "user_style_offset"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_shape_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
+            small_spec(**{name: value})
+
+    @pytest.mark.parametrize("jitter", [1.0, 1.5, 3.0])
+    def test_jitter_of_one_or_more_rejected(self, jitter):
+        # At 1 or more, a user or trial rate can be 0 or negative.
+        with pytest.raises(ValueError, match="user_speed_jitter must be < 1"):
+            small_spec(user_speed_jitter=jitter)
+
+    def test_jitter_below_one_keeps_every_rate_positive(self):
+        # No recording is pinned at the minimum by a negative speed.
+        spec = small_spec(user_speed_jitter=0.99, length_range=(8, 10_000),
+                          samples_per_gesture_per_user=10, users=8)
+        assert min(s.n for s in generate(spec).samples) > 8
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            small_spec(seed=-1)
