@@ -48,6 +48,8 @@ from itertools import accumulate
 
 import numpy as np
 
+from ..errors import NumericError
+
 __all__ = [
     "Forest",
     "Node",
@@ -239,6 +241,9 @@ def build_random_split_forest(
     score every tree's root at once.
 
     Returns the roots, one per generator, in the order of ``rngs``.
+    Raises NumericError naming the feature when a drawn feature's node
+    range ``hi - lo`` overflows float64, which needs values of both signs
+    near the largest float.
 
     Parameters
     ----------
@@ -293,8 +298,10 @@ def build_random_split_forest(
         valid = lo < hi
         with np.errstate(over="ignore"):
             span = hi - lo
-        if not np.isfinite(span).all():
-            raise OverflowError("Range exceeds valid bounds")  # as uniform()
+        overflow = ~np.isfinite(span)
+        if overflow.any():  # where uniform() raises OverflowError
+            raise NumericError(f"feature {F[overflow][0]} has a node range "
+                               "that overflows float64")
         u = np.zeros((B, k))
         u[valid] = np.concatenate(
             [rngs[t].random(m) for (t, _, _), m in zip(batch, valid.sum(1).tolist())]

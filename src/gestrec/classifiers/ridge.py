@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..dsp import DEGENERATE_VARIANCE
-from ..errors import SingularSystemError
+from ..errors import NumericError, SingularSystemError
 from ._rows import feature_rows, labels, training_rows
 
 __all__ = ["RidgeClassifier"]
@@ -20,6 +20,9 @@ __all__ = ["RidgeClassifier"]
 
 class RidgeClassifier:
     """Linear classifier solved in closed form.
+
+    ``fit`` raises NumericError naming the first feature whose mean or
+    variance overflows float64, before ``mean_`` or ``std_`` is set.
 
     Parameters
     ----------
@@ -51,8 +54,13 @@ class RidgeClassifier:
             raise ValueError("need at least 2 distinct labels")
         self.n_features_ = d
 
-        self.mean_ = X.mean(axis=0)
-        var = X.var(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, var = X.mean(axis=0), X.var(axis=0)
+        overflow = ~(np.isfinite(mean) & np.isfinite(var))
+        if overflow.any():
+            raise NumericError(f"feature {overflow.argmax()} has a mean or "
+                               "variance that overflows float64")
+        self.mean_ = mean
         self.std_ = np.where(var > DEGENERATE_VARIANCE, np.sqrt(var), 1.0)
         Z = np.empty((n, d + 1))
         Z[:, :d] = (X - self.mean_) / self.std_

@@ -95,17 +95,15 @@ def save_model(model, path) -> Path:
     return path
 
 
-def _leaf(k: int | None) -> str:
-    return "a finite float" if k is None else f"{k} class probabilities"
-
-
 def _tree(path, i: int, obj, n_features: int, k: int | None) -> Node:
     """Tree ``i`` of a model file, each ``Node`` built as it is read.
 
-    Raises ModelFileError naming the file and tree ``i`` at the first node
-    that predict could not use: a split feature that is not a JSON integer
-    in ``[0, n_features)``, a threshold that is not a finite JSON number,
-    or a leaf that is not ``k`` JSON numbers (one when ``k`` is None).
+    Each node is checked once, as it is read: ModelFileError names the
+    file and tree ``i`` at the first node that predict could not use, a
+    split feature that is not a JSON integer in ``[0, n_features)``, a
+    threshold that is not a finite JSON number, or a leaf that is not
+    ``k`` finite JSON numbers (one when ``k`` is None). So a load names
+    the first bad node in file order.
     """
     root = Node()
     stack = [(root, obj)]
@@ -127,15 +125,16 @@ def _tree(path, i: int, obj, n_features: int, k: int | None) -> Node:
             stack += ((node.right, obj["r"]), (node.left, obj["l"]))
             continue
         leaf = obj.get("v" if k is None else "p", obj)
-        if k is None and type(leaf) in _NUMBERS:
+        if k is None and type(leaf) in _NUMBERS and math.isfinite(leaf):
             node.value = float(leaf)
         elif k is not None and type(leaf) is list and len(leaf) == k and (
             _NUMBERS.issuperset(map(type, leaf))
-        ):
+        ) and all(map(math.isfinite, leaf)):
             node.value = np.array(leaf, dtype=np.float64)
         else:
-            raise ModelFileError(f"{path}: tree {i} has leaf value {leaf!r}, "
-                                 f"expected {_leaf(k)}")
+            raise ModelFileError(f"{path}: tree {i} has leaf value {leaf!r}, expected "
+                                 + ("a finite float" if k is None
+                                    else f"{k} class probabilities"))
     return root
 
 
@@ -182,10 +181,10 @@ def load_model(path, expect_feature_version: int = FEATURE_ORDER_VERSION):
     list that is empty, repeats a label, mixes JSON types or holds
     booleans, on a tree or stage count that does not match the
     hyperparameters, on a version, feature count or hyperparameter of
-    another JSON type than its declared one, on a tree node that predict
-    could not use (the message names the tree), and on parameter arrays
-    of the wrong shape, with entries that are not finite JSON numbers or
-    a standard deviation <= 0 (the message names the parameter).
+    another JSON type than its declared one, on the first tree node in
+    file order that predict could not use (named by its tree), and on
+    parameter arrays of the wrong shape, with entries that are not finite
+    JSON numbers or a standard deviation <= 0 (named by the parameter).
     """
     path = Path(path)
     if not path.is_file():
@@ -254,17 +253,7 @@ def load_model(path, expect_feature_version: int = FEATURE_ORDER_VERSION):
                 for s, stage in enumerate(stages)
             ]
         if cls is not RidgeClassifier:
-            # One check of every leaf value after flattening: a numpy call
-            # per leaf would add a quarter to the load of an et file.
             model._rebuild_flat()
-            value, roots = model._forest.value, model._forest.roots
-            finite = np.isfinite(value.reshape(len(value), -1)).all(axis=1)
-            if not finite.all():
-                j = int(finite.argmin())
-                tree = int(np.searchsorted(roots, j, side="right")) - 1
-                leaf = _leaf(k if cls is ExtraTreesClassifier else None)
-                raise ModelFileError(f"{path}: tree {tree} has leaf value "
-                                     f"{value[j].tolist()!r}, expected {leaf}")
     except ModelFileError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

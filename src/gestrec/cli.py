@@ -312,6 +312,13 @@ def cmd_eval(args) -> int:
         raise UsageError("--ratio does not apply to user-independent mode")
     if args.user is not None and args.mode != "user-dependent":
         raise UsageError("--user only applies to user-dependent mode")
+    if not args.all:
+        foreign = [name for kind, flags in HYPER_FLAGS.items()
+                   if kind != args.classifier
+                   for name in flags if getattr(args, name) is not None]
+        if foreign:
+            raise UsageError(f"--{foreign[0].replace('_', '-')} does not apply "
+                             f"to --classifier {args.classifier}")
     if args.save_model:
         if args.all or args.mode == "user-independent":
             raise UsageError("--save-model needs a single-split mode")

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from gestrec import ExtraTreesClassifier, GradientBoostingClassifier, save_model
+from gestrec.errors import NumericError
 from gestrec.features import load_features
 from gestrec.classifiers.boosting import _softmax_loss
 from gestrec.classifiers.cart import (
@@ -636,7 +637,8 @@ class TestForestEqualsRecursiveBuilder:
         y = np.array([0, 1, 0, 1], dtype=np.intp)
         with pytest.raises(OverflowError):
             reference_random_split_tree(X, y, 2, 1, 2, generators(1, 0)[0])
-        with pytest.raises(OverflowError):
+        # The lockstep builder refuses it with a typed error instead.
+        with pytest.raises(NumericError, match="^feature 0 has a node range that overflows"):
             build_random_split_forest(X, y, 2, 1, 2, generators(1, 0))
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: pipelines, artifacts, exit-code discipline."""
 
 import csv
+import dataclasses
 import inspect
 import json
 import os
@@ -15,16 +16,20 @@ import numpy as np
 import pytest
 
 from gestrec import (
+    EASY_SPEC,
     ClassifierSpec,
+    Dataset,
     FeatureMatrix,
     RidgeClassifier,
     evaluate,
+    generate,
     load_features,
     load_model,
     plan_mixed,
     plan_user_dependent,
     plan_user_independent,
     save_features,
+    save_manifest,
 )
 from gestrec.classifiers import CLASSIFIER_KINDS
 from gestrec.cli import HYPER_FLAGS, MODES, build_parser, main
@@ -386,6 +391,13 @@ class TestExitCodes:
           "--alpha", "nan", "--save-model", "MODEL"], "alpha must be finite and >= 0"),
         (["eval", "FEATS", "--mode", "mixed", "--classifier", "rc",
           "--alpha", "inf", "--save-model", "MODEL"], "alpha must be finite and >= 0"),
+        # A hyperparameter flag of another classifier would be dropped.
+        (["eval", "FEATS", "--mode", "mixed", "--classifier", "rc",
+          "--n-trees", "3"], "--n-trees does not apply to --classifier rc"),
+        (["eval", "FEATS", "--mode", "mixed", "--classifier", "et",
+          "--alpha", "0.5"], "--alpha does not apply to --classifier et"),
+        (["eval", "FEATS", "--mode", "mixed", "--n-trees", "3",
+          "--max-depth", "2"], "--max-depth does not apply to --classifier et"),
     ])
     def test_refused_values_exit_2_before_writing(self, workspace, tmp_path, capsys,
                                                   argv, message):
@@ -560,6 +572,38 @@ class TestExitCodes:
                      "--mode", "mixed", "--classifier", "rc",
                      "--alpha", "0"]) == 4
 
+    def test_feature_range_past_float64_exits_4_for_et(self, workspace, tmp_path,
+                                                       capsys):
+        # Finite values of both signs near the largest float: a node's
+        # range hi - lo overflows. gb never subtracts them.
+        m = load_features(workspace / "features.csv")
+        X = m.X.copy()
+        X[:, 0] = np.where(np.arange(m.n) % 2, 1.7e308, -1.7e308)
+        feats = tmp_path / "wide.csv"
+        save_features(FeatureMatrix(X, m.users, m.gestures), feats)
+        argv = ["eval", str(feats), "--mode", "mixed", "--out"]
+        capsys.readouterr()
+        assert main(argv + [str(tmp_path / "et"), "--classifier", "et"]) == 4
+        assert capsys.readouterr().err == (
+            "gestrec: numeric error: feature 0 has a node range that overflows float64\n")
+        assert main(argv + [str(tmp_path / "gb"), "--classifier", "gb",
+                            "--n-stages", "5"]) == 0
+
+    def test_ridge_overflow_exits_4_without_a_model_file(self, tmp_path, capsys):
+        # EASY_SPEC at 1e100: inside the feature domain, but the energy
+        # columns' variance overflows, and the fit would drop them.
+        data = generate(EASY_SPEC)
+        scaled = Dataset.from_samples(
+            dataclasses.replace(s, readings=s.readings * 1e100) for s in data.samples)
+        manifest = save_manifest(scaled, tmp_path / "data")
+        model = tmp_path / "rc.json"
+        capsys.readouterr()
+        assert main(["eval", str(manifest), "--out", str(tmp_path / "e"),
+                     "--mode", "mixed", "--classifier", "rc",
+                     "--save-model", str(model)]) == 4
+        assert "feature 15 has a mean or variance" in capsys.readouterr().err
+        assert not model.exists()
+
 
 def test_hyper_flags_match_classifier_parameters():
     """Every constructor parameter but ``seed`` has an eval flag of its
@@ -593,6 +637,16 @@ def test_readme_commands_parse():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command does not parse: gestrec {shlex.join(argv)}")
+
+
+def test_readme_hyper_flag_table():
+    """The README's table of eval's hyperparameter flags is HYPER_FLAGS."""
+    rows = re.findall(r"^\| `(\w+)` \| (`--.*`) \|$",
+                      README.read_text(encoding="utf-8"), re.M)
+    assert {kind: re.findall(r"`--([\w-]+)`", flags) for kind, flags in rows} == {
+        kind: [name.replace("_", "-") for name in flags]
+        for kind, flags in HYPER_FLAGS.items()
+    }
 
 
 def test_readme_python_blocks_run(tmp_path):

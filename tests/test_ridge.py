@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from gestrec import RidgeClassifier
-from gestrec.errors import SingularSystemError
+from dataclasses import replace
+
+from gestrec import EASY_SPEC, Dataset, RidgeClassifier, extract_all, generate
+from gestrec.errors import NumericError, SingularSystemError
 
 
 def oracle_weights(X, y, alpha):
@@ -147,6 +149,25 @@ class TestValidation:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
             RidgeClassifier(seed=-1)
+
+    def test_overflowing_column_named(self):
+        X = np.zeros((6, 3))
+        X[:, 1] = [1e200, -1e200] * 3  # finite, but its variance overflows
+        X[:, 2] = 1e308  # its mean overflows
+        y = np.array([0, 1] * 3)
+        with pytest.raises(NumericError, match="^feature 1 has a mean or variance"):
+            RidgeClassifier().fit(X, y)
+
+    def test_easy_spec_at_1e100_refused(self):
+        # Peaks near 1e100 are inside the feature domain and every value
+        # is finite, but the energy columns' variance overflows.
+        data = generate(EASY_SPEC)
+        scaled = Dataset.from_samples(
+            replace(s, readings=s.readings * 1e100) for s in data.samples)
+        matrix = extract_all(scaled)
+        assert np.isfinite(matrix.X).all()
+        with pytest.raises(NumericError, match="^feature 15 has a mean or variance"):
+            RidgeClassifier().fit(matrix.X, matrix.gestures)
 
     def test_determinism(self, blob_data):
         X, y = blob_data(seed=13)

@@ -365,6 +365,26 @@ class TestTreeStructure:
         with pytest.raises(ModelFileError, match=r"m\.json: tree 0 has leaf value .*, expected 3 class probabilities"):
             load_model(path)
 
+    def test_first_bad_node_in_file_order_is_named(self, blob_data, tmp_path):
+        # A non-finite leaf in tree 0 comes before a bad split in tree 2.
+        path, doc = self._saved(ExtraTreesClassifier(n_trees=4, seed=1), blob_data, tmp_path)
+        self._first_leaf(doc["params"]["trees"][0])["p"] = [float("nan")] * 3
+        doc["params"]["trees"][2]["f"] = 99
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFileError) as info:
+            load_model(path)
+        assert str(info.value) == (
+            f"{path}: tree 0 has leaf value [nan, nan, nan], expected 3 class probabilities")
+
+    def test_gb_nan_leaf_message(self, blob_data, tmp_path):
+        path, doc = self._saved(GradientBoostingClassifier(n_stages=3), blob_data, tmp_path)
+        self._first_leaf(doc["params"]["stages"][1][2])["v"] = float("nan")
+        path.write_text(json.dumps(doc))
+        # Stage 1, class 2 of 3 is tree 5.
+        with pytest.raises(ModelFileError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}: tree 5 has leaf value nan, expected a finite float"
+
 
 class TestParameterArrays:
     """Parameter arrays of the wrong shape or with non-finite entries are
