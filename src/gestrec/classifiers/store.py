@@ -38,6 +38,15 @@ _CLASSES = {
 _NUMBERS = frozenset((int, float))
 
 
+def _finite(x) -> bool:
+    """Whether the JSON number ``x`` is a finite float. A JSON integer too
+    large for a float (``10**400``) is not."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def node_to_dict(node: Node) -> dict:
     """A tree in its model-file form; leaf values become lists or floats."""
     if node.feature >= 0:
@@ -117,7 +126,7 @@ def _tree(path, i: int, obj, n_features: int, k: int | None) -> Node:
             if type(f) is not int or not 0 <= f < n_features:
                 raise ModelFileError(f"{path}: tree {i} splits on feature {f!r}, "
                                      f"expected an integer in [0, {n_features})")
-            if type(t) not in _NUMBERS or not math.isfinite(t):
+            if type(t) not in _NUMBERS or not _finite(t):
                 raise ModelFileError(f"{path}: tree {i} splits at threshold {t!r}, "
                                      "expected a finite float")
             node.feature, node.threshold = f, float(t)
@@ -125,11 +134,11 @@ def _tree(path, i: int, obj, n_features: int, k: int | None) -> Node:
             stack += ((node.right, obj["r"]), (node.left, obj["l"]))
             continue
         leaf = obj.get("v" if k is None else "p", obj)
-        if k is None and type(leaf) in _NUMBERS and math.isfinite(leaf):
+        if k is None and type(leaf) in _NUMBERS and _finite(leaf):
             node.value = float(leaf)
         elif k is not None and type(leaf) is list and len(leaf) == k and (
             _NUMBERS.issuperset(map(type, leaf))
-        ) and all(map(math.isfinite, leaf)):
+        ) and all(map(_finite, leaf)):
             node.value = np.array(leaf, dtype=np.float64)
         else:
             raise ModelFileError(f"{path}: tree {i} has leaf value {leaf!r}, expected "
@@ -143,14 +152,21 @@ def _param(path, params, name: str, shape: tuple, positive: bool = False):
     ``shape`` and finite entries that are JSON numbers, all of them > 0
     when ``positive``. numpy would read ``"1.5"`` or ``true`` as a float."""
     value = params[name]
-    a = np.array(value, dtype=np.float64)
+    try:
+        a = np.array(value, dtype=np.float64)
+    except OverflowError:  # an integer too large for a float
+        a = np.array(value, dtype=object)
     if a.shape != shape:
         raise ModelFileError(f"{path}: {name} has shape {a.shape}, expected {shape}")
     # With the shape checked, ``value`` is a list of entries, or of rows.
-    entries = value if len(shape) == 1 else chain.from_iterable(value)
+    entries = list(value if len(shape) == 1 else chain.from_iterable(value))
     bad = [v for v in entries if type(v) not in _NUMBERS]
     if bad:
         raise ModelFileError(f"{path}: {name} has entry {bad[0]!r}, expected a number")
+    if a.dtype == object:
+        huge = next(v for v in entries if not _finite(v))
+        raise ModelFileError(f"{path}: {name} has entry {huge!r}, "
+                             "expected a finite float")
     if not np.isfinite(a).all():
         raise ModelFileError(f"{path}: {name} has non-finite entries")
     if positive and not (a > 0.0).all():
@@ -169,7 +185,12 @@ def _typed(path, section: dict, name: str, type_: type, what: str = ""):
         raise ModelFileError(
             f"{path}: {what}{name} is {value!r}, expected {expected}"
         )
-    return type_(value)
+    try:
+        return type_(value)
+    except OverflowError:  # an integer too large for a float
+        raise ModelFileError(
+            f"{path}: {what}{name} is {value!r}, expected a finite float"
+        ) from None
 
 
 def load_model(path, expect_feature_version: int = FEATURE_ORDER_VERSION):

@@ -13,7 +13,8 @@ before anything is written. An input that no plan of a mode can split
 (one user, or a gesture with one recording in a scope) is a data error.
 
 Every run writes a ``run.json`` provenance record with the fully
-resolved configuration next to its outputs. Exit codes: 0 success,
+resolved configuration next to its outputs; ``eval`` writes it after
+its reports, so a failed evaluation leaves none. Exit codes: 0 success,
 2 usage errors, 3 data/file errors (an output path that cannot be
 written, such as ``--out`` naming an existing file, included),
 4 numeric errors.
@@ -346,19 +347,6 @@ def cmd_eval(args) -> int:
         # The flags are good, so the input is too small to split.
         raise DataError(str(exc), path=args.input) from None
 
-    _write_run(out, "eval", {
-        "input": str(args.input),
-        "mode": args.mode,
-        "all": args.all,
-        "classifier": args.classifier,
-        "seed": args.seed,
-        "ratio": ratio if args.mode != "user-independent" else None,
-        "user": args.user,
-        "hyperparams": {s.kind: s.hyperparams for s in specs}
-        if args.all
-        else specs[0].hyperparams,
-        "save_model": str(args.save_model) if args.save_model else None,
-    })
     save_path = Path(args.save_model) if args.save_model else None
     grid = [
         _eval_cell(matrix, m, spec, plans[m], ratio,
@@ -375,6 +363,20 @@ def cmd_eval(args) -> int:
                 writer.writerow([cell["mode"], cell["classifier"],
                                  _percent(cell["accuracy"]),
                                  f"{cell['mean_classify_time_s']:.6e}"])
+    # Written last, so that a run that fails leaves no record of a finished one.
+    _write_run(out, "eval", {
+        "input": str(args.input),
+        "mode": args.mode,
+        "all": args.all,
+        "classifier": args.classifier,
+        "seed": args.seed,
+        "ratio": ratio if args.mode != "user-independent" else None,
+        "user": args.user,
+        "hyperparams": {s.kind: s.hyperparams for s in specs}
+        if args.all
+        else specs[0].hyperparams,
+        "save_model": str(args.save_model) if args.save_model else None,
+    })
     return EXIT_OK
 
 

@@ -66,7 +66,14 @@ def check_readings(readings) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GestureSample:
-    """One variable-length tri-axial gesture recording."""
+    """One variable-length tri-axial gesture recording.
+
+    ``readings`` is checked by ``check_readings`` on every construction.
+    An array nobody can write (C-contiguous float64 that owns its data
+    and is not writeable) is adopted as it is, so re-labelling a sample
+    shares its readings; anything else is copied and the copy made
+    read-only. An adopted array must not be made writeable again.
+    """
 
     user: int
     gesture: int
@@ -75,8 +82,10 @@ class GestureSample:
     day: int | None = None
 
     def __post_init__(self):
-        r = check_readings(self.readings).copy()
-        r.flags.writeable = False
+        r = check_readings(self.readings)
+        if r.flags.writeable or r.base is not None or not r.flags.c_contiguous:
+            r = r.copy()
+            r.flags.writeable = False
         object.__setattr__(self, "readings", r)
         for name in ("user", "gesture", "trial"):
             if getattr(self, name) < 1:
@@ -218,7 +227,8 @@ def read_table(path, what: str, header: list[str], text: str | None = None):
 
 
 def _read_sample_csv(path: Path) -> np.ndarray:
-    """Readings of a sample CSV as an (n, 3) float64 array.
+    """Readings of a sample CSV as a read-only (n, 3) float64 array of
+    its own.
 
     The file is read once. When it holds no carriage return and every
     non-empty line after the header holds three plain numbers, numpy's
@@ -241,8 +251,15 @@ def _read_sample_csv(path: Path) -> np.ndarray:
             pass
         else:
             if rows.shape[1] == 3:
-                return rows
+                return _sealed(rows)
     return _parse_sample_rows(path, text)
+
+
+def _sealed(readings: np.ndarray) -> np.ndarray:
+    """``readings``, an array its reader made and holds alone, marked
+    read-only so that GestureSample adopts it instead of copying it."""
+    readings.flags.writeable = False
+    return readings
 
 
 def _parse_sample_rows(path: Path, text: str) -> np.ndarray:
@@ -254,7 +271,8 @@ def _parse_sample_rows(path: Path, text: str) -> np.ndarray:
             raise DataError(
                 f"malformed g-value in {row!r}", path=path, line=lineno
             ) from None
-    return np.array(triples, dtype=np.float64).reshape(len(triples), 3)
+    # (n, 3) for n = 0 too, and not a view as .reshape would give.
+    return _sealed(np.fromiter(triples, dtype=(np.float64, 3), count=len(triples)))
 
 
 def _make_sample(user, gesture, trial, day, readings, path, line=None) -> GestureSample:
@@ -403,9 +421,10 @@ def load_adapter_config(path) -> AdapterConfig:
 
 
 def _read_raw_sample(path: Path, config: AdapterConfig) -> np.ndarray:
-    """Readings of a raw sample file as an (n, 3) float64 array: each
-    non-blank line split into floats, the config's timestamp columns
-    dropped and the other columns kept bit-identical, in file order.
+    """Readings of a raw sample file as a read-only (n, 3) float64 array
+    of its own: each non-blank line split into floats, the config's
+    timestamp columns dropped and the other columns kept bit-identical,
+    in file order.
 
     Raises DataError naming the file when it is empty, at ``path:line``
     for a malformed value or a row of another width than the first,
@@ -447,7 +466,9 @@ def _read_raw_sample(path: Path, config: AdapterConfig) -> np.ndarray:
         )
     if stamps and (np.diff(table[:, stamps[0]]) < 0).any():
         warnings.warn(f"{path}: non-monotone timestamps; row order preserved as given")
-    return np.delete(table, stamps, axis=1)
+    # take gives a C-ordered array of its own; np.delete may give a view.
+    keep = [c for c in range(width) if c not in stamps]
+    return _sealed(table.take(keep, axis=1))
 
 
 def load_sample_tree(root, config: AdapterConfig) -> Dataset:

@@ -16,7 +16,9 @@ order-independent.
 The noise-free signal depends only on the user, the gesture and the
 length, so it is computed once per (user, gesture, length) and shared by
 every trial of that length; each recording pays only for its own draws
-(its stream, its rate and its noise) and its copy into a GestureSample.
+(its stream, its rate and its noise). A noisy recording's array is made
+read-only and adopted by its GestureSample as it is; a noise-free one
+gets its own copy of the shared signal.
 """
 
 from __future__ import annotations
@@ -154,6 +156,7 @@ def generate(spec: SynthSpec) -> Dataset:
                     readings = readings + srng.normal(
                         0.0, spec.noise_sigma, size=(n, 3)
                     )
+                    readings.flags.writeable = False
                 samples.append(
                     GestureSample(user=u, gesture=g, trial=trial, readings=readings)
                 )

@@ -586,8 +586,11 @@ class TestExitCodes:
         assert main(argv + [str(tmp_path / "et"), "--classifier", "et"]) == 4
         assert capsys.readouterr().err == (
             "gestrec: numeric error: feature 0 has a node range that overflows float64\n")
+        # A failed run leaves no record that looks like a finished one.
+        assert not (tmp_path / "et" / "run.json").exists()
         assert main(argv + [str(tmp_path / "gb"), "--classifier", "gb",
                             "--n-stages", "5"]) == 0
+        assert (tmp_path / "gb" / "run.json").is_file()
 
     def test_ridge_overflow_exits_4_without_a_model_file(self, tmp_path, capsys):
         # EASY_SPEC at 1e100: inside the feature domain, but the energy
@@ -603,6 +606,7 @@ class TestExitCodes:
                      "--save-model", str(model)]) == 4
         assert "feature 15 has a mean or variance" in capsys.readouterr().err
         assert not model.exists()
+        assert not (tmp_path / "e" / "run.json").exists()
 
 
 def test_hyper_flags_match_classifier_parameters():

@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -21,8 +22,10 @@ from gestrec.data import (
     load_sample_tree,
     save_manifest,
 )
+from gestrec import data
 from gestrec.errors import DataError
 from gestrec.features import N_FEATURES, load_features
+from gestrec.synth import EASY_SPEC, generate
 
 
 def sample(user=1, gesture=1, trial=1, day=None, n=6, seed=0):
@@ -64,6 +67,113 @@ class TestGestureSample:
         s = sample()
         with pytest.raises(ValueError):
             s.readings[0, 0] = 9.9
+
+
+def read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+def owns_read_only(r):
+    return r.base is None and r.flags.c_contiguous and not r.flags.writeable
+
+
+class TestAdoption:
+    """A sample adopts a read-only float64 (n, 3) C-ordered array that
+    owns its data, and copies anything that someone could still write."""
+
+    def test_writeable_input_is_copied(self):
+        a = np.arange(18.0).reshape(6, 3).copy()
+        s = GestureSample(1, 1, 1, a)
+        assert not np.shares_memory(s.readings, a)
+        a[0, 0] = 99.0
+        assert np.array_equal(s.readings, np.arange(18.0).reshape(6, 3))
+
+    def test_read_only_view_of_a_writeable_base_is_copied(self):
+        base = np.arange(18.0).reshape(6, 3).copy()
+        s = GestureSample(1, 1, 1, read_only(base[:]))
+        assert not np.shares_memory(s.readings, base)
+        base[0, 0] = 99.0
+        assert np.array_equal(s.readings, np.arange(18.0).reshape(6, 3))
+
+    @pytest.mark.parametrize("make", [
+        lambda a: read_only(a.astype(np.float32)),
+        lambda a: read_only(np.asfortranarray(a)),
+    ], ids=["float32", "fortran"])
+    def test_other_layouts_are_copied(self, make):
+        a = np.arange(18.0).reshape(6, 3).copy()
+        given = make(a)
+        s = GestureSample(1, 1, 1, given)
+        assert np.array_equal(s.readings, a)
+        assert s.readings.dtype == np.float64 and s.readings.flags.c_contiguous
+        assert not np.shares_memory(s.readings, given)
+        assert owns_read_only(s.readings)
+
+    def test_transposed_input_is_refused(self):
+        with pytest.raises(ValueError, match=r"shape \(n, 3\), got \(3, 6\)"):
+            GestureSample(1, 1, 1, read_only(np.arange(18.0).reshape(3, 6)))
+
+    def test_owned_read_only_array_is_adopted(self):
+        a = read_only(np.arange(18.0).reshape(6, 3).copy())
+        s = GestureSample(1, 1, 1, a)
+        assert s.readings is a
+        assert np.array_equal(s.readings, np.arange(18.0).reshape(6, 3))
+
+    def test_relabelling_shares_the_readings(self):
+        s = sample()
+        t = GestureSample(s.user, s.gesture, s.trial + 1, s.readings)
+        assert np.shares_memory(t.readings, s.readings)
+        assert np.array_equal(t.readings, s.readings)
+
+    def test_relabelling_allocates_no_readings(self):
+        # A copy per sample would hold 100 recordings' bytes.
+        s = sample(n=1000)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = [GestureSample(1, 1, t, s.readings) for t in range(1, 101)]
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(kept) == 100
+        assert grown < s.readings.nbytes
+
+    @staticmethod
+    def adopted(monkeypatch, produce) -> list:
+        """The samples of ``produce()``, after checking that each one kept
+        the array its producer handed to GestureSample."""
+        given = []
+        check = data.check_readings
+        monkeypatch.setattr(data, "check_readings", lambda r: given.append(r) or check(r))
+        samples = produce().samples
+        assert len(given) == len(samples)
+        for s, r in zip(samples, given):
+            assert s.readings is r and owns_read_only(r)
+        return samples
+
+    def test_loaded_and_generated_readings_are_adopted(self, tmp_path, monkeypatch):
+        ds = Dataset.from_samples([sample(trial=t) for t in (1, 2)])
+        manifest = save_manifest(ds, tmp_path / "out")
+        # A carriage return sends the second file through the csv reader.
+        crlf = tmp_path / "out" / "samples" / "u01_g01_t002.csv"
+        crlf.write_bytes(crlf.read_bytes().replace(b"\n", b"\r\n"))
+        back = self.adopted(monkeypatch, lambda: load_manifest(manifest))
+        for a, b in zip(ds.samples, back):
+            assert np.array_equal(a.readings, b.readings)
+        self.adopted(monkeypatch, lambda: generate(EASY_SPEC))
+
+    @pytest.mark.parametrize("stamps", [(), (0, 1, 2)])
+    def test_raw_readings_are_adopted(self, tmp_path, monkeypatch, stamps):
+        lines = ["1 2 3 0.5 0.25 0.125", "2 3 4 1.5 1.25 1.125",
+                 "3 4 5 2.5 2.25 2.125", "4 5 6 3.5 3.25 3.125"]
+        if not stamps:
+            lines = [" ".join(line.split()[3:]) for line in lines]
+        (tmp_path / "U1").mkdir()
+        (tmp_path / "U1" / "1-1.txt").write_text("".join(line + "\n" for line in lines))
+        config = AdapterConfig(SONY_ADAPTER.path_pattern, stamps)
+        (s,) = self.adopted(monkeypatch, lambda: load_sample_tree(tmp_path, config))
+        assert s.readings.tolist() == [[0.5, 0.25, 0.125], [1.5, 1.25, 1.125],
+                                       [2.5, 2.25, 2.125], [3.5, 3.25, 3.125]]
 
 
 def load_raw(tmp_path, lines, timestamp_columns=()):

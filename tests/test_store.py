@@ -259,7 +259,7 @@ class TestCorruption:
     @pytest.mark.parametrize("where", ["alpha", "mean", "threshold", "leaf"])
     def test_integer_too_large_for_a_float(self, blob_data, tmp_path, where):
         # 10**400 written out is a JSON integer; float() and numpy refuse
-        # it with OverflowError, which load reports as a corrupt file.
+        # it with OverflowError. Load names the field or node it is in.
         X, y = blob_data(n_classes=2, seed=23)
         model = RidgeClassifier() if where in ("alpha", "mean") else ExtraTreesClassifier(n_trees=1)
         path = save_model(model.fit(X, y), tmp_path / "m.json")
@@ -277,7 +277,13 @@ class TestCorruption:
                     tree = tree["l"]
                 tree["p"][0] = 10**400
         path.write_text(json.dumps(doc))
-        with pytest.raises(ModelFileError, match=r"m\.json"):
+        message = {
+            "alpha": r"hyperparameter alpha is 10+, expected a finite float",
+            "mean": r"mean has entry 10+, expected a finite float",
+            "threshold": r"tree 0 splits at threshold 10+, expected a finite float",
+            "leaf": r"tree 0 has leaf value \[10+, .*\], expected 2 class probabilities",
+        }[where]
+        with pytest.raises(ModelFileError, match=rf"m\.json: {message}$"):
             load_model(path)
 
 
