@@ -22,10 +22,8 @@ building each one afresh. In a default fit on 480 rows of 8 gestures,
 
 Prediction flattens all stage trees, stage by stage and class by class,
 into one ``cart.Forest``, and the leaf values of each class are summed
-in stage order. A lone row is compared with every node at once and then
-takes at most ``max_depth`` hops, one entry per tree; two or more rows
-are routed in blocks through every tree in at most ``max_depth``
-vectorized steps.
+in stage order. Each row is compared with every split node at once and
+then takes at most ``max_depth`` hops, one entry per tree.
 """
 
 from __future__ import annotations

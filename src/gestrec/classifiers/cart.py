@@ -30,13 +30,14 @@ masks and child orders of that class's tree one stage earlier wherever
 a node holds the same rows (``NodeRows``).
 
 Prediction routes rows through a ``Forest``: every tree of an ensemble
-flattened into preorder arrays. A lone row (the device path: one
-recording, one label) decides every node in one comparison and then
-hops from node to next node, one entry per tree per step. Two or more
-rows are routed in blocks, one gather per step across all trees at
-once. Both ensembles predict through it; ``apply_tree`` walks ``Node``
-pointers one row at a time and is kept as the reference that the
-forest must match bit for bit.
+flattened into node arrays, split nodes first and grouped by feature
+(QuickScorer, Lucchese et al., SIGIR 2015). Each row, like the device
+path's one recording, decides every split node in one comparison and
+then hops from node to next node, one entry per tree per step (VPred,
+Asadi, Lin and de Vries, IEEE TKDE 26(9), 2014). Both ensembles
+predict through it; ``apply_tree`` walks ``Node`` pointers one row at a
+time and is kept as the reference that the forest must match bit for
+bit.
 
 The split predicate is ``x[feature] <= threshold`` goes left, everywhere.
 """
@@ -83,30 +84,27 @@ def apply_tree(node: Node, x: np.ndarray):
     return node.value
 
 
-# Rows routed together by ``Forest.sums``. The routing scratch holds one
-# entry per (tree, row) of a block, so its size does not grow with the
-# batch: a check that predicts thousands of rows at once would otherwise
-# add tens of MB to the peak memory.
-ROUTE_BLOCK = 32
-
-
 class Forest:
-    """A list of trees as flat preorder arrays.
+    """A list of trees as flat node arrays.
 
-    Node ``j`` splits on ``feature[j]`` at ``threshold[j]``; its children
-    are ``child[2 * j]`` (left) and ``child[2 * j + 1]`` (right), and
-    ``roots[i]`` is the root of tree ``i``. A leaf is its own child on
-    both sides, so ``steps`` routing steps (the depth of the deepest leaf)
-    park every row at its leaf in every tree. ``value[j]`` is a leaf's
-    value: a float, or a class-probability vector. ``left`` and
-    ``delta`` (right child minus left child, 0 at a leaf) serve the
-    lone-row schedule of ``sums``.
+    Split nodes hold the ids below ``n_split``, by ascending ``feature``
+    and in walk order (tree by tree, preorder) within a feature; the
+    leaves follow in walk order. ``counts[f]`` split nodes test feature
+    ``f``, so ``np.repeat(x[:counts.size], counts)`` is
+    ``x[feature[:n_split]]``. Node ``j`` splits on ``feature[j]`` at
+    ``threshold[j]``, with children ``left[j]`` and ``left[j] +
+    delta[j]``. A leaf is its own next node (``left[j] == j``,
+    ``delta[j] == 0``), so ``steps`` routing steps (the depth of the
+    deepest leaf) park a row at its leaf in every tree. ``roots[i]`` is
+    the root of tree ``i``; ``value[j]`` is a leaf's value, a float or a
+    class-probability vector.
     """
 
     def __init__(self, trees: list[Node]):
         # Count first, then fill preallocated arrays: per-node Python lists
         # would cost more memory than the arrays themselves.
         n_nodes = steps = 0
+        counts = []  # split nodes per feature
         stack = [(root, 0) for root in trees]
         while stack:
             node, depth = stack.pop()
@@ -115,35 +113,44 @@ class Forest:
                 steps = max(steps, depth)
                 leaf = node
             else:
+                counts += [0] * (node.feature + 1 - len(counts))
+                counts[node.feature] += 1
                 stack += ((node.left, depth + 1), (node.right, depth + 1))
         self.steps = steps
+        self.counts = np.array(counts, dtype=np.intp)
+        next_split = [0, *accumulate(counts)]  # the next id per feature
+        next_leaf = self.n_split = next_split[-1]
         self.roots = np.empty(len(trees), dtype=np.intp)
         self.feature = np.zeros(n_nodes, dtype=np.intp)
         self.threshold = np.zeros(n_nodes)
-        self.child = np.empty(2 * n_nodes, dtype=np.intp)
+        # Half-width indices shrink the memory a route streams through.
+        small = np.int32 if n_nodes <= np.iinfo(np.int32).max else np.intp
+        self.left = np.empty(n_nodes, dtype=small)
+        self.delta = np.zeros(n_nodes, dtype=small)
         self.value = np.zeros((n_nodes,) + np.shape(leaf.value))
-        j = 0
         for i, root in enumerate(trees):
-            self.roots[i] = j
-            stack = [(root, -1)]  # (node, slot of its index in child)
+            stack = [(root, -1, False)]  # (node, parent, is right child)
             while stack:
-                node, slot = stack.pop()
-                if slot >= 0:
-                    self.child[slot] = j
-                if node.feature < 0:
-                    self.child[2 * j] = self.child[2 * j + 1] = j
+                node, parent, right = stack.pop()
+                f = node.feature
+                if f < 0:
+                    j = next_leaf
+                    next_leaf += 1
+                    self.left[j] = j
                     self.value[j] = node.value
                 else:
-                    self.feature[j] = node.feature
+                    j = next_split[f]
+                    next_split[f] += 1
+                    self.feature[j] = f
                     self.threshold[j] = node.threshold
-                    stack += ((node.right, 2 * j + 1), (node.left, 2 * j))
-                j += 1
-        # The lone-row schedule's next node is left + delta * (goes right);
-        # a leaf's delta is 0. Half-width indices shrink the memory that
-        # deciding every node streams through the cache.
-        small = np.int32 if n_nodes <= np.iinfo(np.int32).max else np.intp
-        self.left = self.child[0::2].astype(small)
-        self.delta = self.child[1::2].astype(small) - self.left
+                    stack += ((node.right, j, True), (node.left, j, False))
+                # Preorder: a left child gets its id before its sibling.
+                if parent < 0:
+                    self.roots[i] = j
+                elif right:
+                    self.delta[parent] = j - self.left[parent]
+                else:
+                    self.left[parent] = j
 
     def sums(self, X: np.ndarray, width: int = 1) -> np.ndarray:
         """Per row of the finite matrix ``X``, the sum of its leaf values in
@@ -153,40 +160,27 @@ class Forest:
         value. With ``width`` equal to the number of trees, it is each
         tree's leaf value.
 
-        Two schedules give the same leaves. A lone row decides every node
-        at once, forms each node's next node, and then takes ``steps``
-        one-entry-per-tree hops through that array. Two or more rows are
-        routed in blocks of ``ROUTE_BLOCK``, one gather per step over
-        every (tree, row) pair: deciding every node for every row would
-        cost more than following only the visited paths.
+        Each row on its own decides every split node at once, which gives
+        each node's next node, and then takes ``steps`` hops through that
+        array, one entry per tree. Its scratch, reused row after row, does
+        not grow with the batch.
         """
         n_trees = self.roots.size
         if n_trees % width:
             raise ValueError(f"{n_trees} trees do not form groups of {width}")
-        leaf_shape = self.value.shape[1:]
-        if X.shape[0] == 1:
+        s, counts = self.n_split, self.counts
+        left, delta, threshold = self.left[:s], self.delta[:s], self.threshold[:s]
+        nxt = self.left.copy()  # the leaves stay parked
+        out = np.empty((X.shape[0], width) + self.value.shape[1:])
+        for x, row in zip(X, out):
             # X is finite, so ">" is exactly "not <=": True goes right.
-            nxt = self.delta * (X[0].take(self.feature) > self.threshold)
-            nxt += self.left
+            nxt[:s] = delta * (np.repeat(x[: counts.size], counts) > threshold) + left
             pos = self.roots
             for _ in range(self.steps):
                 pos = nxt.take(pos)
-            leaves = self.value[pos].reshape((-1, width, 1) + leaf_shape)
-            return leaves.cumsum(axis=0)[-1].swapaxes(0, 1)
-        out = np.empty((X.shape[0], width) + leaf_shape)
-        for start in range(0, X.shape[0], ROUTE_BLOCK):
-            rows = X[start : start + ROUTE_BLOCK]
-            b = rows.shape[0]
-            flat = rows.ravel()
-            offsets = np.arange(b) * X.shape[1]
-            pos = np.repeat(self.roots[:, None], b, axis=1)  # (tree, row)
-            for _ in range(self.steps):
-                x = flat.take(self.feature.take(pos) + offsets)
-                # X is finite, so ">" is exactly "not <=": True goes right.
-                pos = self.child.take(2 * pos + (x > self.threshold.take(pos)))
-            leaves = self.value[pos].reshape((-1, width, b) + leaf_shape)
+            leaves = self.value[pos].reshape((-1,) + row.shape)
             # cumsum adds in tree order; sum may pair the terms up.
-            out[start : start + b] = leaves.cumsum(axis=0)[-1].swapaxes(0, 1)
+            row[...] = leaves.cumsum(axis=0)[-1]
         return out
 
 

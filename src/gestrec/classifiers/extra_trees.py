@@ -12,10 +12,9 @@ recursively on its own, in about a quarter of the time. Prediction
 averages the trees' leaf probability vectors and takes the argmax, ties
 resolving to the lowest class index. A fit (or a model load) flattens
 the trees into one ``cart.Forest``, which sums the leaf vectors in tree
-order. A lone row is compared with every node at once and then hops to
-its leaves, one entry per tree per step, as many steps as the deepest
-leaf; two or more rows are routed in blocks, one gather per step over
-all trees.
+order. Each row is compared with every split node at once and then
+hops to its leaves, one entry per tree per step, as many steps as the
+deepest leaf.
 """
 
 from __future__ import annotations

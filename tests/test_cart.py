@@ -20,7 +20,6 @@ from gestrec.features import load_features
 from gestrec.classifiers.boosting import _softmax_loss
 from gestrec.classifiers.cart import (
     GROW_BLOCK,
-    ROUTE_BLOCK,
     Forest,
     Node,
     NodeRows,
@@ -712,10 +711,11 @@ class TestNodeSerialization:
 
 class TestForest:
     """The router equals sequential ``apply_tree`` sums in tree order, bit
-    for bit, for one row and for blocks of rows."""
+    for bit, for one row and for many rows, and lays its nodes out split
+    nodes first, grouped by feature."""
 
-    # One row, and more rows than one block with a ragged last block.
-    ROW_COUNTS = [1, 2 * ROUTE_BLOCK + 5]
+    # One row, and many rows.
+    ROW_COUNTS = [1, 69]
 
     @pytest.mark.parametrize("n_rows", ROW_COUNTS)
     def test_et_equals_sequential_reference(self, blob_data, n_rows):
@@ -727,6 +727,7 @@ class TestForest:
             for tree in model.trees_:
                 acc += apply_tree(tree, q)
         want /= model.n_trees
+        assert_layout(model._forest, model.trees_)
         assert np.array_equal(model.predict_proba(Q), want)
         assert np.array_equal(model.predict_proba(Q[0]), want[0])
 
@@ -741,6 +742,7 @@ class TestForest:
                 for c, tree in enumerate(stage):
                     acc[c] += apply_tree(tree, q)
         want = model.initial_scores_ + model.learning_rate * sums
+        assert_layout(model._forest, [t for stage in model.stages_ for t in stage])
         assert np.array_equal(model.decision_function(Q), want)
         assert np.array_equal(model.decision_function(Q[0]), want[0])
 
@@ -753,7 +755,8 @@ class TestForest:
         trees = [Node(value=1.5), deep, Node(value=-0.25), shallow]
         forest = Forest(trees)
         assert forest.steps == Forest([deep]).steps > Forest([shallow]).steps == 1
-        Q = rng.normal(size=(ROUTE_BLOCK + 3, 4))
+        assert_layout(forest, trees)
+        Q = rng.normal(size=(35, 4))
         Q[:5, deep.feature] = deep.threshold  # a tie goes left
         per_tree = forest.sums(Q, width=len(trees))
         assert np.array_equal(
@@ -775,14 +778,54 @@ class TestForest:
         assert forest.sums(np.zeros((1, 1))).item() == want
 
     def test_only_root_leaves_need_no_steps(self):
-        forest = Forest([Node(value=np.array([0.25, 0.75]))] * 3)
-        assert forest.steps == 0
+        trees = [Node(value=np.array([0.25, 0.75])) for _ in range(3)]
+        forest = Forest(trees)
+        assert forest.steps == forest.n_split == forest.counts.size == 0
+        assert_layout(forest, trees)
         assert np.array_equal(forest.sums(np.zeros((2, 5))), [[[0.75, 2.25]]] * 2)
+        for width in (1, 3):
+            assert_lone_rows_match(trees, np.zeros((2, 5)), width)
 
     def test_width_must_divide_the_tree_count(self):
         forest = Forest([Node(value=1.0)] * 3)
         with pytest.raises(ValueError, match="groups of 2"):
             forest.sums(np.zeros((1, 2)), width=2)
+
+    def test_rows_wider_than_the_split_features(self):
+        # Features 0 and 4 are constant, so no tree splits on them: counts
+        # starts with a 0 and is shorter than a row.
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(60, 5))
+        X[:, 0] = X[:, 4] = 1.0
+        r = rng.normal(size=60)
+        builder = RegressionTreeBuilder(X)
+        trees = [builder.build((k + 1) * r, depth, mean_leaf((k + 1) * r))
+                 for k, depth in enumerate([4, 2, 0, 3])]
+        forest = Forest(trees)
+        assert forest.counts[0] == 0 and forest.counts.size < X.shape[1]
+        assert_layout(forest, trees)
+        Q = np.vstack([on_thresholds(forest, 10, 5, rng), rng.normal(0.0, 9.0, (10, 5))])
+        for width in (1, 2, 4):
+            assert_lone_rows_match(trees, Q, width)
+
+    def test_scratch_does_not_grow_with_the_batch(self, blob_data):
+        # Routing a check's thousands of rows at once must not add to the
+        # peak memory: each row reuses the same scratch.
+        X, y = blob_data(n_classes=4, n_per=20, spread=1.5, seed=46)
+        forest = ExtraTreesClassifier(n_trees=30, seed=6).fit(X, y)._forest
+        rng = np.random.default_rng(14)
+
+        def scratch_bytes(n_rows):
+            Q = rng.normal(0.0, 3.0, size=(n_rows, X.shape[1]))
+            tracemalloc.start()
+            try:
+                out = forest.sums(Q)
+                return tracemalloc.get_traced_memory()[1] - out.nbytes
+            finally:
+                tracemalloc.stop()
+
+        scratch_bytes(64)  # numpy's one-time allocations
+        assert scratch_bytes(4096) <= scratch_bytes(64) + 1024
 
 
 def sequential_sums(trees, x, width):
@@ -794,10 +837,50 @@ def sequential_sums(trees, x, width):
     return np.array(out)
 
 
+def walk_order(trees):
+    """Every node of ``trees`` tree by tree, each in preorder."""
+    nodes = []
+    for root in trees:
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            nodes.append(node)
+            if node.feature >= 0:
+                stack += (node.right, node.left)
+    return nodes
+
+
+def assert_layout(forest, trees):
+    """The split nodes of ``trees`` hold the ids below ``n_split``, by
+    feature and then in walk order; the leaves follow in walk order, and
+    exactly they are their own next node. Every child and root id points
+    at its node."""
+    nodes = walk_order(trees)
+    splits = sorted((n for n in nodes if n.feature >= 0), key=lambda n: n.feature)
+    leaves = [n for n in nodes if n.feature < 0]
+    ids = {id(n): j for j, n in enumerate(splits + leaves)}
+    s = forest.n_split
+    assert s == len(splits) and forest.feature.size == len(nodes)
+    assert np.all(np.diff(forest.feature[:s]) >= 0)
+    assert np.array_equal(forest.feature[:s], [n.feature for n in splits])
+    assert np.array_equal(
+        np.repeat(np.arange(forest.counts.size), forest.counts), forest.feature[:s]
+    )
+    assert np.array_equal(forest.threshold[:s], [n.threshold for n in splits])
+    assert np.array_equal(forest.value[s:], [n.value for n in leaves])
+    everything = np.arange(len(nodes))
+    parked = (forest.delta == 0) & (forest.left == everything)
+    assert np.array_equal(parked, everything >= s)
+    assert np.array_equal(forest.left[:s], [ids[id(n.left)] for n in splits])
+    assert np.array_equal(
+        forest.left[:s] + forest.delta[:s], [ids[id(n.right)] for n in splits]
+    )
+    assert np.array_equal(forest.roots, [ids[id(t)] for t in trees])
+
+
 def assert_lone_rows_match(trees, Q, width):
-    """Each row of ``Q`` summed alone (the lone-row schedule) equals its
-    row of ``Q`` summed as a block, and the sequential reference, bit for
-    bit."""
+    """Each row of ``Q`` summed alone equals its row of ``Q`` summed in one
+    call, and the sequential reference, bit for bit."""
     assert len(Q) >= 2
     forest = Forest(trees)
     block = forest.sums(Q, width)
@@ -820,8 +903,8 @@ def on_thresholds(forest, n_rows, d, rng):
 
 
 class TestLoneRow:
-    """The lone-row schedule of ``Forest.sums`` against the block router
-    and ``apply_tree``."""
+    """A row passed to ``Forest.sums`` alone against the same row in a
+    batch and ``apply_tree``."""
 
     @pytest.fixture
     def et(self, blob_data):
@@ -879,6 +962,7 @@ class TestLoneRow:
                  for k, depth in enumerate([7, 0, 1, 4, 2, 0])]
         assert [Forest([t]).steps for t in trees][:3] == [7, 0, 1]
         forest = Forest(trees)
+        assert_layout(forest, trees)
         Q = np.vstack([on_thresholds(forest, 8, 3, rng), X[:8], [[1e300, -1e300, 1e300]]])
         for width in (1, 2, 3, 6):
             assert_lone_rows_match(trees, Q, width)
