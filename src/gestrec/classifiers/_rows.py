@@ -8,6 +8,7 @@ import inspect
 
 import numpy as np
 
+from ..data import real_array
 from ..errors import NonFiniteFeatureError
 
 
@@ -24,10 +25,11 @@ def training_rows(X, y) -> tuple[np.ndarray, np.ndarray]:
     """Return ``(X, y)``: the training matrix as a 2-D float64 array, and
     the labels as an array.
 
-    Raises ValueError unless ``X`` is ``(n, d)`` with ``n >= 2`` and one
-    label per row, and NonFiniteFeatureError on the first nan or inf.
+    Raises ValueError unless ``X`` is ``(n, d)`` real numbers with
+    ``n >= 2`` and one label per row, and NonFiniteFeatureError on the
+    first nan or inf.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = real_array(X, "X")
     y = np.asarray(y)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
         raise ValueError("X must be (n, d) with one label per row")
@@ -42,12 +44,13 @@ def feature_rows(X, n_features: int | None) -> tuple[np.ndarray, bool]:
     whether it was one vector.
 
     ``n_features`` is the fitted model's feature count, None before fit.
-    Raises ValueError on an unfitted model or a wrong feature count, and
-    NonFiniteFeatureError on the first nan or inf, in row-major order.
+    Raises ValueError on an unfitted model, values that are not real
+    numbers or a wrong feature count, and NonFiniteFeatureError on the
+    first nan or inf, in row-major order.
     """
     if n_features is None:
         raise ValueError("classifier is not fitted")
-    X = np.asarray(X, dtype=np.float64)
+    X = real_array(X, "X")
     single = X.ndim == 1
     if single:
         X = X[None, :]

@@ -202,10 +202,11 @@ def load_model(path, expect_feature_version: int = FEATURE_ORDER_VERSION):
     list that is empty, repeats a label, mixes JSON types or holds
     booleans, on a tree or stage count that does not match the
     hyperparameters, on a version, feature count or hyperparameter of
-    another JSON type than its declared one, on the first tree node in
-    file order that predict could not use (named by its tree), and on
-    parameter arrays of the wrong shape, with entries that are not finite
-    JSON numbers or a standard deviation <= 0 (named by the parameter).
+    another JSON type than its declared one, on a negative feature count,
+    on the first tree node in file order that predict could not use
+    (named by its tree), and on parameter arrays of the wrong shape, with
+    entries that are not finite JSON numbers or a standard deviation <= 0
+    (named by the parameter).
     """
     path = Path(path)
     if not path.is_file():
@@ -238,6 +239,8 @@ def load_model(path, expect_feature_version: int = FEATURE_ORDER_VERSION):
                 " of one JSON type, not booleans"
             )
         n_features = _typed(path, doc, "n_features", int)
+        if n_features < 0:
+            raise ModelFileError(f"{path}: n_features is {n_features}, expected >= 0")
         hyper = doc["hyperparams"]
         params = doc["params"]
         cls = _CLASSES.get(kind)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 import re
 import warnings
 from dataclasses import dataclass, fields
@@ -51,10 +52,40 @@ MANIFEST_HEADER = ["user", "gesture", "trial", "day", "file"]
 SAMPLE_HEADER = ["gx", "gy", "gz"]
 
 
+def real_array(values, what: str) -> np.ndarray:
+    """``values`` as a float64 array, the array itself when it is one.
+
+    ValueError naming ``what`` unless every value is a real number that a
+    float64 holds: numpy would keep only the real part of a complex
+    array, and Python raises TypeError for a complex value in a list and
+    OverflowError for an int too large for a float.
+    """
+    a = np.asarray(values)
+    if a.dtype != np.float64:
+        if a.dtype.kind == "c":
+            raise ValueError(f"{what} must be real numbers, got {a.dtype}")
+        try:
+            a = a.astype(np.float64)
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(
+                f"{what} must be real numbers that a float64 holds: {exc}"
+            ) from None
+    return a
+
+
+def check_integer(name: str, value) -> None:
+    """ValueError naming ``name`` unless ``value`` is an integer, a
+    Python or a numpy one."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_readings(readings) -> np.ndarray:
-    """Readings as an (n, 3) float64 array; ValueError unless n >= 4 and
-    every value is finite."""
-    r = np.asarray(readings, dtype=np.float64)
+    """Readings as an (n, 3) float64 array; ValueError unless they are
+    real numbers, n >= 4 and every value is finite."""
+    r = real_array(readings, "readings")
     if r.ndim != 2 or r.shape[1] != 3:
         raise ValueError(f"readings must have shape (n, 3), got {r.shape}")
     if r.shape[0] < MIN_READINGS:
@@ -68,7 +99,9 @@ def check_readings(readings) -> np.ndarray:
 class GestureSample:
     """One variable-length tri-axial gesture recording.
 
-    ``readings`` is checked by ``check_readings`` on every construction.
+    ``user``, ``gesture``, ``trial`` and ``day`` (when present) are
+    integers >= 1, and ``readings`` is checked by ``check_readings`` on
+    every construction; ValueError otherwise.
     An array nobody can write (C-contiguous float64 that owns its data
     and is not writeable) is adopted as it is, so re-labelling a sample
     shares its readings; anything else is copied and the copy made
@@ -87,11 +120,13 @@ class GestureSample:
             r = r.copy()
             r.flags.writeable = False
         object.__setattr__(self, "readings", r)
-        for name in ("user", "gesture", "trial"):
-            if getattr(self, name) < 1:
+        ids = {"user": self.user, "gesture": self.gesture, "trial": self.trial}
+        if self.day is not None:
+            ids["day"] = self.day
+        for name, value in ids.items():
+            check_integer(name, value)
+            if value < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.day is not None and self.day < 1:
-            raise ValueError("day must be >= 1 when present")
 
     @property
     def n(self) -> int:

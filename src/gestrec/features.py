@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -88,17 +87,6 @@ def _name(sample) -> str:
     return f"recording of {len(sample)} readings"
 
 
-@lru_cache(maxsize=64)
-def _layout(k: int) -> tuple[list[int], np.ndarray]:
-    """For a (3k, n) stack of k recordings: the row of each axis's pair
-    partner (the pairs xy, yz, zx of recording j are rows 3j + (0, 1, 2)
-    with rows 3j + (1, 2, 0)), and the index that turns eleven blocks of
-    3k values into k rows of 33."""
-    partner = [3 * j + a for j in range(k) for a in (1, 2, 0)]
-    order = np.arange(11 * 3 * k).reshape(11, k, 3).transpose(1, 0, 2)
-    return partner, order.reshape(k, N_FEATURES)
-
-
 def _values(r: np.ndarray) -> np.ndarray:
     """The (k, 33) rows of a C-contiguous (k, 3, n) stack of k recordings
     of one length: every row reduces along its contiguous last axis, so
@@ -117,8 +105,11 @@ def _values(r: np.ndarray) -> np.ndarray:
     unit = dsp.unit_rows(rows, np.concatenate((peak, peak)))
     d, d2, m2 = dsp.centred_rows(unit)
     skew = dsp.skews(d, d2, m2)
-    nxt, order = _layout(k)
-    # Eleven blocks of 3k values in FEATURE_NAMES order.
+    # The pairs xy, yz, zx of recording j: rows 3j + (0, 1, 2) with their
+    # partners 3j + (1, 2, 0).
+    nxt = [3 * j + p for j in range(k) for p in (1, 2, 0)]
+    # Eleven blocks of k recordings by 3 axes, turned into one row of 33
+    # values per recording in FEATURE_NAMES order.
     return np.array(
         mu[:a]
         + skew[:a]
@@ -132,7 +123,7 @@ def _values(r: np.ndarray) -> np.ndarray:
         + low[a:].tolist()
         + high[a:].tolist(),
         dtype=np.float64,
-    )[order]
+    ).reshape(11, k, 3).transpose(1, 0, 2).reshape(k, N_FEATURES)
 
 
 def _checked(sample, values: np.ndarray) -> np.ndarray:

@@ -28,14 +28,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, GestureSample
+from .data import Dataset, GestureSample, check_integer
 
 __all__ = ["SynthSpec", "EASY_SPEC", "generate"]
 
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """Parameters of a synthetic corpus."""
+    """Parameters of a synthetic corpus. ValueError at construction for a
+    value out of range, or a count, ``length_range`` end or ``seed`` that
+    is not an integer."""
 
     users: int
     gestures: int
@@ -48,6 +50,16 @@ class SynthSpec:
 
     def __post_init__(self):
         lo, hi = self.length_range
+        integers = {
+            "users": self.users,
+            "gestures": self.gestures,
+            "samples_per_gesture_per_user": self.samples_per_gesture_per_user,
+            "length_range min": lo,
+            "length_range max": hi,
+            "seed": self.seed,
+        }
+        for name, value in integers.items():
+            check_integer(name, value)
         if lo < 8:
             raise ValueError("minimum sample length must be >= 8")
         if hi < lo:

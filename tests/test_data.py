@@ -68,6 +68,37 @@ class TestGestureSample:
         with pytest.raises(ValueError):
             s.readings[0, 0] = 9.9
 
+    @pytest.mark.parametrize("field", ["user", "gesture", "trial", "day"])
+    def test_identity_must_be_an_integer(self, field):
+        ids = dict(user=np.int64(1), gesture=np.int32(1), trial=1, day=np.uint8(1))
+        # numpy integers pass as Python ones do, and make a dataset.
+        Dataset.from_samples([GestureSample(**ids, readings=np.zeros((4, 3)))])
+        # 1.5 used to construct, and Dataset.from_samples raised TypeError.
+        for value in (1.5, 2.0, "1"):
+            with pytest.raises(ValueError, match=rf"{field} must be an integer, "
+                                                 rf"got {re.escape(repr(value))}"):
+                GestureSample(**{**ids, field: value}, readings=np.zeros((4, 3)))
+
+
+class TestRealReadings:
+    @pytest.mark.parametrize("bad", [
+        lambda r: r + 1j,
+        lambda r: r.tolist()[:-1] + [[1.0, 2.0, 10**400]],
+        lambda r: r.tolist()[:-1] + [[1.0, 2.0, 1j]],
+    ], ids=["complex array", "int too large for a float", "complex in a list"])
+    def test_refused_with_value_error(self, bad):
+        # numpy's ComplexWarning is ignored: only the ValueError may pass.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ValueError, match="readings must be real numbers"):
+                GestureSample(user=1, gesture=1, trial=1, readings=bad(np.zeros((5, 3))))
+
+    def test_float64_array_is_checked_without_a_copy(self):
+        r = np.zeros((5, 3))
+        assert data.real_array(r, "readings") is r
+        assert data.check_readings(r) is r
+        assert data.real_array([[1, 2, 3]], "readings").dtype == np.float64
+
 
 def read_only(a):
     a.flags.writeable = False

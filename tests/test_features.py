@@ -707,6 +707,19 @@ class TestBoundaryCheck:
         with pytest.raises(ValueError, match="non-finite"):
             feature_set(r)
 
+    @pytest.mark.parametrize("bad", [
+        lambda r: r + 1j,
+        lambda r: r.tolist()[:-1] + [[1.0, 2.0, 10**400]],
+        lambda r: r.tolist()[:-1] + [[1.0, 2.0, 1j]],
+    ], ids=["complex array", "int too large for a float", "complex in a list"])
+    def test_raw_array_real(self, bad):
+        # numpy's ComplexWarning is ignored: only the ValueError may pass.
+        r = np.random.default_rng(1).normal(size=(8, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ValueError, match="readings must be real numbers"):
+                feature_set(bad(r))
+
     def test_readings_are_not_modified(self):
         r = np.random.default_rng(0).normal(size=(20, 3))
         before = r.copy()

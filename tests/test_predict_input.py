@@ -1,5 +1,8 @@
 """The fit and predict paths of all three classifiers reject non-finite
-feature vectors, single and batched, naming the first bad value."""
+feature vectors, single and batched, naming the first bad value, and
+values that are not real numbers."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -68,3 +71,35 @@ def test_fit_names_the_first_bad_row_and_feature(blob_data, kind, bad):
         MODELS[kind]().fit(X, y)
     assert (info.value.row, info.value.feature) == (17, 3)
 
+
+
+# numpy keeps only the real part of a complex array, with a
+# ComplexWarning (a RuntimeWarning), which is ignored here so that only
+# the ValueError of fit and predict can pass.
+NOT_REAL = {
+    "complex array": lambda X: X + 1j,
+    "int too large for a float": lambda X: [list(X[0][:-1]) + [10**400]] + X[1:].tolist(),
+    "complex in a list": lambda X: [list(X[0][:-1]) + [1j]] + X[1:].tolist(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_REAL))
+def test_predict_refuses_values_that_are_not_real(fitted, case):
+    model, X = fitted
+    bad = NOT_REAL[case](X[:4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ValueError, match="X must be real numbers"):
+            model.predict(bad)
+        with pytest.raises(ValueError, match="X must be real numbers"):
+            model.predict(bad[0])
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+@pytest.mark.parametrize("case", sorted(NOT_REAL))
+def test_fit_refuses_values_that_are_not_real(blob_data, kind, case):
+    X, y = blob_data(n_classes=2, n_per=5, d=3, seed=33)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ValueError, match="X must be real numbers"):
+            MODELS[kind]().fit(NOT_REAL[case](X), y)

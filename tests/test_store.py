@@ -291,6 +291,21 @@ class TestTreeStructure:
     """Well-formed JSON whose trees predict could not use is rejected at
     load, with the file and the tree named."""
 
+    @pytest.mark.parametrize("cls", [ExtraTreesClassifier, GradientBoostingClassifier])
+    def test_negative_feature_count(self, cls, tmp_path):
+        # One-class rows give trees that are all leaves, so no split
+        # feature bounds n_features; -3 used to load and fail every predict.
+        path = tmp_path / "m.json"
+        save_model(cls().fit(np.zeros((4, 2)), np.ones(4, dtype=int)), path)
+        doc = json.loads(path.read_text())
+        doc["n_features"] = -3
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFileError, match=r"m\.json: n_features is -3, expected >= 0"):
+            load_model(path)
+        # A fit on zero columns is supported, and its file loads.
+        save_model(cls().fit(np.zeros((4, 0)), np.array([1, 2, 1, 2])), path)
+        assert load_model(path).predict(np.zeros(0)) == 1
+
     def _saved(self, model, blob_data, tmp_path):
         X, y = blob_data(seed=25)
         path = tmp_path / "m.json"

@@ -265,3 +265,22 @@ class TestValidation:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be >= 0"):
             small_spec(seed=-1)
+
+    def test_integer_fields_must_be_integers(self):
+        # numpy integers generate the corpus Python ones do.
+        a = generate(small_spec(users=np.int64(2), length_range=(np.int32(20), 40),
+                                seed=np.uint64(5)))
+        b = generate(small_spec(users=2))
+        assert [s.readings.tobytes() for s in a.samples] == [
+            s.readings.tobytes() for s in b.samples]
+        # These used to construct, and generate raised TypeError.
+        for field, value, name in [
+            ("users", 2.0, "users"),
+            ("gestures", 1.5, "gestures"),
+            ("samples_per_gesture_per_user", "2", "samples_per_gesture_per_user"),
+            ("length_range", (20.0, 40), "length_range min"),
+            ("length_range", (20, np.float64(40)), "length_range max"),
+            ("seed", 1.5, "seed"),
+        ]:
+            with pytest.raises(ValueError, match=rf"{name} must be an integer, got "):
+                small_spec(**{field: value})
