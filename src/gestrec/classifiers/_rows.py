@@ -1,14 +1,15 @@
 """What every classifier shares: the input checks of its fit and predict
 paths, the argmax that turns scores into labels, and the list of its
-hyperparameters."""
+hyperparameters, with their type check."""
 
 from __future__ import annotations
 
 import inspect
+import numbers
 
 import numpy as np
 
-from ..data import real_array
+from ..data import check_integer, real_array
 from ..errors import NonFiniteFeatureError
 
 
@@ -69,7 +70,21 @@ def labels(classes: np.ndarray, scores: np.ndarray):
 def hyperparameters(cls) -> dict[str, type]:
     """``{name: type(default)}`` for each parameter of the classifier
     ``cls``'s constructor, in signature order: the one list of its
-    hyperparameters, which model files and ``gestrec eval`` flags name."""
+    hyperparameters, which model files and ``gestrec eval`` flags name
+    and ``check_hyperparameters`` checks."""
     return {
         name: type(p.default) for name, p in inspect.signature(cls).parameters.items()
     }
+
+
+def check_hyperparameters(model) -> None:
+    """ValueError naming the parameter unless each hyperparameter of
+    ``model`` has the type of its default: an ``int`` one an integer
+    (``data.check_integer``), a ``float`` one a real number, not a string
+    or None. Constructors call it before their range checks."""
+    for name, type_ in hyperparameters(type(model)).items():
+        value = getattr(model, name)
+        if type_ is int:
+            check_integer(name, value)
+        elif not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")

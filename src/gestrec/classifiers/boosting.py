@@ -20,8 +20,9 @@ node holds, never on the residuals, so the trees are bit-identical to
 building each one afresh. In a default fit on 480 rows of 8 gestures,
 91% of the nodes reuse their rows.
 
-Prediction flattens all stage trees, stage by stage and class by class,
-into one ``cart.Forest``, and the leaf values of each class are summed
+The fitted trees are one list, ``trees_``, stage by stage and class by
+class, the order of the model file's ``stages`` rows. Prediction routes
+them through one ``cart.Forest`` and sums the leaf values of each class
 in stage order. Each row is compared with every split node at once and
 then takes at most ``max_depth`` hops, one entry per tree.
 """
@@ -32,7 +33,7 @@ import numpy as np
 
 from ..errors import NumericError
 from .cart import Forest, Node, RegressionTreeBuilder
-from ._rows import feature_rows, labels, training_rows
+from ._rows import check_hyperparameters, feature_rows, labels, training_rows
 
 __all__ = ["GradientBoostingClassifier"]
 
@@ -76,6 +77,11 @@ class GradientBoostingClassifier:
         max_depth: int = 3,
         seed: int = 0,
     ):
+        self.n_stages = n_stages
+        self.learning_rate = learning_rate
+        self.max_depth = max_depth
+        self.seed = seed
+        check_hyperparameters(self)
         if n_stages < 1:
             raise ValueError("n_stages must be >= 1")
         if not 0.0 < learning_rate <= 1.0:
@@ -84,14 +90,10 @@ class GradientBoostingClassifier:
             raise ValueError("max_depth must be >= 1")
         if seed < 0:
             raise ValueError("seed must be >= 0")
-        self.n_stages = n_stages
-        self.learning_rate = learning_rate
-        self.max_depth = max_depth
-        self.seed = seed
         self.classes_: np.ndarray | None = None
         self.n_features_: int | None = None
         self.initial_scores_: np.ndarray | None = None
-        self.stages_: list[list[Node]] = []
+        self.trees_: list[Node] = []
         self._forest: Forest | None = None
 
     def fit(self, X, y) -> "GradientBoostingClassifier":
@@ -112,10 +114,9 @@ class GradientBoostingClassifier:
         builder = RegressionTreeBuilder(X)
         rows = [builder.rows() for _ in range(k)]
         fitted = np.empty(n)
-        self.stages_ = []
+        self.trees_ = []
         for stage in range(self.n_stages):
             residual = onehot - p
-            stage_trees: list[Node] = []
             for c in range(k):
                 r_c = residual[:, c]
                 pq = p[:, c] * (1.0 - p[:, c])
@@ -126,10 +127,10 @@ class GradientBoostingClassifier:
                         return 0.0
                     return r_c[idx].sum() / denom
 
-                tree = builder.build(r_c, self.max_depth, newton_leaf, fitted, rows[c])
-                stage_trees.append(tree)
+                self.trees_.append(
+                    builder.build(r_c, self.max_depth, newton_leaf, fitted, rows[c])
+                )
                 scores[:, c] += self.learning_rate * fitted
-            self.stages_.append(stage_trees)
             p, new_loss = _softmax_loss(scores, y_idx)
             if new_loss > loss + _LOSS_SLACK:
                 raise NumericError(
@@ -137,12 +138,8 @@ class GradientBoostingClassifier:
                     f"{loss:.12g} -> {new_loss:.12g}"
                 )
             loss = new_loss
-        self._rebuild_flat()
+        self._forest = Forest(self.trees_)
         return self
-
-    def _rebuild_flat(self):
-        trees = [t for stage in self.stages_ for t in stage]
-        self._forest = Forest(trees)
 
     def decision_function(self, X) -> np.ndarray:
         X, single = feature_rows(X, self.n_features_)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cart import Forest, Node, build_random_split_forest
-from ._rows import feature_rows, labels, training_rows
+from ._rows import check_hyperparameters, feature_rows, labels, training_rows
 
 __all__ = ["ExtraTreesClassifier", "DEFAULT_K_FEATURES"]
 
@@ -55,6 +55,11 @@ class ExtraTreesClassifier:
         min_samples_split: int = 2,
         seed: int = 0,
     ):
+        self.n_trees = n_trees
+        self.k_features = k_features
+        self.min_samples_split = min_samples_split
+        self.seed = seed
+        check_hyperparameters(self)
         if n_trees < 1:
             raise ValueError("n_trees must be >= 1")
         if k_features < 1:
@@ -63,10 +68,6 @@ class ExtraTreesClassifier:
             raise ValueError("min_samples_split must be >= 2")
         if seed < 0:
             raise ValueError("seed must be >= 0")
-        self.n_trees = n_trees
-        self.k_features = k_features
-        self.min_samples_split = min_samples_split
-        self.seed = seed
         self.classes_: np.ndarray | None = None
         self.n_features_: int | None = None
         self.trees_: list[Node] = []
@@ -83,11 +84,8 @@ class ExtraTreesClassifier:
         self.trees_ = build_random_split_forest(
             X, y_idx, n_classes, self.k_features, self.min_samples_split, rngs
         )
-        self._rebuild_flat()
-        return self
-
-    def _rebuild_flat(self):
         self._forest = Forest(self.trees_)
+        return self
 
     def predict_proba(self, X) -> np.ndarray:
         X, single = feature_rows(X, self.n_features_)

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..dsp import DEGENERATE_VARIANCE
 from ..errors import NumericError, SingularSystemError
-from ._rows import feature_rows, labels, training_rows
+from ._rows import check_hyperparameters, feature_rows, labels, training_rows
 
 __all__ = ["RidgeClassifier"]
 
@@ -34,12 +34,13 @@ class RidgeClassifier:
     kind = "ridge"
 
     def __init__(self, alpha: float = 1.0, seed: int = 0):
+        self.alpha = alpha
+        self.seed = seed  # recorded for provenance; the solve is deterministic
+        check_hyperparameters(self)
         if not (np.isfinite(alpha) and alpha >= 0):
             raise ValueError("alpha must be finite and >= 0")
         if seed < 0:
             raise ValueError("seed must be >= 0")
-        self.alpha = alpha
-        self.seed = seed  # recorded for provenance; the solve is deterministic
         self.classes_: np.ndarray | None = None
         self.n_features_: int | None = None
         self.mean_: np.ndarray | None = None

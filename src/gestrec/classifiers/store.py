@@ -21,7 +21,7 @@ from ..errors import ModelFileError, VersionMismatchError
 from ..features import FEATURE_ORDER_VERSION
 from ._rows import hyperparameters
 from .boosting import GradientBoostingClassifier
-from .cart import Node
+from .cart import Forest, Node
 from .extra_trees import ExtraTreesClassifier
 from .ridge import RidgeClassifier
 
@@ -71,9 +71,11 @@ def save_model(model, path) -> Path:
     if isinstance(model, ExtraTreesClassifier):
         params = {"trees": [node_to_dict(t) for t in model.trees_]}
     elif isinstance(model, GradientBoostingClassifier):
+        # The file keeps one row of K trees per stage.
+        trees, k = [node_to_dict(t) for t in model.trees_], len(model.classes_)
         params = {
             "initial_scores": model.initial_scores_.tolist(),
-            "stages": [[node_to_dict(t) for t in stage] for stage in model.stages_],
+            "stages": [trees[i:i + k] for i in range(0, len(trees), k)],
         }
     elif isinstance(model, RidgeClassifier):
         params = {
@@ -261,9 +263,6 @@ def load_model(path, expect_feature_version: int = FEATURE_ORDER_VERSION):
             if len(trees) != model.n_trees:
                 raise ModelFileError(f"{path}: {len(trees)} trees, "
                                      f"expected n_trees = {model.n_trees}")
-            model.trees_ = [
-                _tree(path, i, t, n_features, k) for i, t in enumerate(trees)
-            ]
         else:
             model.initial_scores_ = _param(path, params, "initial_scores", (k,))
             stages = params["stages"]
@@ -271,13 +270,13 @@ def load_model(path, expect_feature_version: int = FEATURE_ORDER_VERSION):
                 raise ModelFileError(f"{path}: stage layout does not match "
                                      "n_stages x n_classes")
             # Trees are numbered stage by stage, class by class.
-            model.stages_ = [
-                [_tree(path, s * k + c, t, n_features, None)
-                 for c, t in enumerate(stage)]
-                for s, stage in enumerate(stages)
-            ]
+            trees = chain.from_iterable(stages)
         if cls is not RidgeClassifier:
-            model._rebuild_flat()
+            leaf = k if cls is ExtraTreesClassifier else None
+            model.trees_ = [
+                _tree(path, i, t, n_features, leaf) for i, t in enumerate(trees)
+            ]
+            model._forest = Forest(model.trees_)
     except ModelFileError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

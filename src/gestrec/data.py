@@ -57,13 +57,17 @@ def real_array(values, what: str) -> np.ndarray:
 
     ValueError naming ``what`` unless every value is a real number that a
     float64 holds: numpy would keep only the real part of a complex
-    array, and Python raises TypeError for a complex value in a list and
-    OverflowError for an int too large for a float.
+    array and parse a string, and Python raises TypeError for a complex
+    value in a list and OverflowError for an int too large for a float.
     """
     a = np.asarray(values)
     if a.dtype != np.float64:
-        if a.dtype.kind == "c":
+        if a.dtype.kind in "cSU":
             raise ValueError(f"{what} must be real numbers, got {a.dtype}")
+        if a.dtype.kind == "O":
+            text = next((v for v in a.flat if isinstance(v, (str, bytes))), None)
+            if text is not None:
+                raise ValueError(f"{what} must be real numbers, got {text!r}")
         try:
             a = a.astype(np.float64)
         except (TypeError, OverflowError) as exc:

@@ -22,7 +22,8 @@ for ``sum``/``min``/``max``. Scalar square roots are ``math.sqrt``,
 correctly rounded like ``np.sqrt``.
 
 The 1-D functions (``skew``, ``pearson_corr``, ``hilbert_imag``, ...)
-check their series with ``_as_series`` and call the same kernels on it.
+check their series with ``_as_series``, real numbers by the rule of
+``data.real_array``, and call the same kernels on it.
 
 Portable arithmetic. The array arithmetic is IEEE products and sums,
 real FFTs and ``sqrt``: moments come from products of the centred
@@ -50,6 +51,8 @@ import math
 
 import numpy as np
 
+from .data import real_array
+
 __all__ = [
     "spectral_energy",
     "hilbert_rows",
@@ -76,9 +79,7 @@ DEGENERATE_VARIANCE = 1e-24
 
 
 def _as_series(x, min_len: int = 1) -> np.ndarray:
-    if np.iscomplexobj(x):
-        raise ValueError("expected a real-valued series")
-    a = np.asarray(x, dtype=np.float64)
+    a = real_array(x, "series")
     if a.ndim != 1:
         raise ValueError(f"expected a 1-D series, got shape {a.shape}")
     if a.size < min_len:

@@ -8,12 +8,15 @@ step per leaf, and learning-rate shrinkage. It shares no code with the
 package.
 """
 
+import json
+
 import numpy as np
 import pytest
 
-from gestrec import GradientBoostingClassifier
+from gestrec import ExtraTreesClassifier, GradientBoostingClassifier, load_model, save_model
 from gestrec.classifiers._rows import feature_rows
-from gestrec.classifiers.cart import Node
+from gestrec.classifiers.cart import Forest, Node
+from gestrec.classifiers.store import node_to_dict
 from gestrec.errors import NumericError
 
 # ---------------------------------------------------------------- oracle
@@ -157,10 +160,9 @@ class TestTrainingBehaviour:
         y = np.full(10, 7)
         model = GradientBoostingClassifier(n_stages=3).fit(X, y)
         assert model.initial_scores_.tolist() == [0.0]
-        for stage in model.stages_:
-            for tree in stage:
-                assert tree.feature == -1
-                assert tree.value == 0.0
+        for tree in model.trees_:
+            assert tree.feature == -1
+            assert tree.value == 0.0
         assert np.all(model.predict(X) == 7)
 
     def test_no_features_gives_leaves(self):
@@ -168,7 +170,7 @@ class TestTrainingBehaviour:
         # class frequencies alone.
         y = np.array([3, 5, 3, 5, 5, 5])
         model = GradientBoostingClassifier(n_stages=4).fit(np.empty((6, 0)), y)
-        assert all(tree.feature == -1 for stage in model.stages_ for tree in stage)
+        assert all(tree.feature == -1 for tree in model.trees_)
         assert model.predict(np.empty((2, 0))).tolist() == [5, 5]
 
     def test_training_log_loss_non_increasing(self, blob_data):
@@ -225,8 +227,8 @@ class TestPredictContract:
         model.classes_ = np.array([3, 5])
         model.n_features_ = 2
         model.initial_scores_ = np.zeros(2)
-        model.stages_ = [[Node(value=0.0), Node(value=0.0)]]
-        model._rebuild_flat()
+        model.trees_ = [Node(value=0.0), Node(value=0.0)]
+        model._forest = Forest(model.trees_)
         assert model.predict(np.zeros(2)) == 3
 
     def test_batch_equals_single(self, blob_data):
@@ -239,15 +241,32 @@ class TestPredictContract:
     def test_stage_layout(self, blob_data):
         X, y = blob_data(n_classes=3, seed=9)
         model = GradientBoostingClassifier(n_stages=4).fit(X, y)
-        assert len(model.stages_) == 4
-        assert all(len(stage) == 3 for stage in model.stages_)
+        assert len(model.trees_) == 4 * 3
+
+    def test_one_flat_tree_list_in_file_order(self, blob_data, tmp_path):
+        # A fit and a load both keep n_stages x K trees in one list, tree
+        # i being the file's stages[i // K][i % K]; neither ensemble keeps
+        # a list per stage, or a step that flattens one.
+        X, y = blob_data(n_classes=3, seed=9)
+        fitted = GradientBoostingClassifier(n_stages=4).fit(X, y)
+        path = save_model(fitted, tmp_path / "gb.json")
+        stages = json.loads(path.read_text())["params"]["stages"]
+        et = ExtraTreesClassifier(n_trees=3).fit(X, y)
+        et_path = save_model(et, tmp_path / "et.json")
+        for gb in (fitted, load_model(path)):
+            assert len(gb.trees_) == 4 * 3
+            for i, tree in enumerate(gb.trees_):
+                assert node_to_dict(tree) == stages[i // 3][i % 3]
+        for model in (fitted, load_model(path), et, load_model(et_path)):
+            assert not hasattr(model, "stages_")
+            assert not hasattr(model, "_rebuild_flat")
 
     def test_flat_routing_equals_nodewise(self, blob_data):
         from gestrec.classifiers.cart import apply_tree
 
         X, y = blob_data(n_classes=3, n_per=25, spread=1.0, seed=10)
         model = GradientBoostingClassifier(n_stages=8, max_depth=3).fit(X, y)
-        trees = [t for stage in model.stages_ for t in stage]
+        trees = model.trees_
         flat = model._forest.sums(X[:20], width=len(trees))
         for x, leaves in zip(X[:20], flat):
             slow = np.array([apply_tree(t, x) for t in trees])

@@ -386,7 +386,8 @@ class TestBoostingEqualsTreesBuiltOneAtATime:
         onehot = np.zeros((n, k))
         onehot[np.arange(n), y_idx] = 1.0
         scores = np.tile(model.initial_scores_, (n, 1))
-        for stage in model.stages_:
+        for s in range(0, len(model.trees_), k):
+            stage = model.trees_[s:s + k]
             p, _ = _softmax_loss(scores, y_idx)
             residual = onehot - p
             for c, got in enumerate(stage):
@@ -738,11 +739,10 @@ class TestForest:
         Q = np.random.default_rng(6).normal(0.0, 3.0, size=(n_rows, X.shape[1]))
         sums = np.zeros((n_rows, 3))
         for acc, q in zip(sums, Q):
-            for stage in model.stages_:
-                for c, tree in enumerate(stage):
-                    acc[c] += apply_tree(tree, q)
+            for i, tree in enumerate(model.trees_):
+                acc[i % 3] += apply_tree(tree, q)
         want = model.initial_scores_ + model.learning_rate * sums
-        assert_layout(model._forest, [t for stage in model.stages_ for t in stage])
+        assert_layout(model._forest, model.trees_)
         assert np.array_equal(model.decision_function(Q), want)
         assert np.array_equal(model.decision_function(Q[0]), want[0])
 
@@ -930,7 +930,7 @@ class TestLoneRow:
             assert np.array_equal(et.predict_proba(q), et.predict_proba(np.vstack([q, q]))[0])
 
     def test_gb(self, gb):
-        trees = [t for stage in gb.stages_ for t in stage]
+        trees = gb.trees_
         Q = self.queries(gb._forest, gb.n_features_, 2)
         assert_lone_rows_match(trees, Q, len(gb.classes_))
         assert_lone_rows_match(trees, Q, len(trees))

@@ -85,7 +85,14 @@ class TestRealReadings:
         lambda r: r + 1j,
         lambda r: r.tolist()[:-1] + [[1.0, 2.0, 10**400]],
         lambda r: r.tolist()[:-1] + [[1.0, 2.0, 1j]],
-    ], ids=["complex array", "int too large for a float", "complex in a list"])
+        lambda r: r.astype(str),
+        lambda r: r.astype(bytes),
+        lambda r: r.tolist()[:-1] + [[1.0, 2.0, "1.0"]],
+        lambda r: np.array(r.tolist()[:-1] + [[1.0, 2.0, "1.0"]], dtype=object),
+        lambda r: np.array(r.tolist()[:-1] + [[1.0, 2.0, b"1.0"]], dtype=object),
+    ], ids=["complex array", "int too large for a float", "complex in a list",
+            "strings", "bytes", "string in a list", "string in an object array",
+            "bytes in an object array"])
     def test_refused_with_value_error(self, bad):
         # numpy's ComplexWarning is ignored: only the ValueError may pass.
         with warnings.catch_warnings():
@@ -98,6 +105,17 @@ class TestRealReadings:
         assert data.real_array(r, "readings") is r
         assert data.check_readings(r) is r
         assert data.real_array([[1, 2, 3]], "readings").dtype == np.float64
+
+    def test_object_array_is_refused_only_for_text(self):
+        # An int too large for int64 but not for a float is a number;
+        # numpy's astype(float64) would parse the text.
+        ints = np.array([[1, 2, 2**70]] * 5, dtype=object)
+        assert data.real_array(ints, "readings")[0, 2] == 2.0**70
+        for text in ("1.0", b"1.0"):
+            bad = ints.copy()
+            bad[4, 2] = text
+            with pytest.raises(ValueError, match=rf"got {re.escape(repr(text))}"):
+                data.real_array(bad, "readings")
 
 
 def read_only(a):

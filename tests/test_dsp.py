@@ -270,6 +270,21 @@ class TestMoments:
         with pytest.raises(ValueError):
             dsp.kurtosis([1.0, 2.0, 3.0])
 
+    def test_one_series_per_call(self):
+        with pytest.raises(ValueError, match="expected a 1-D series"):
+            dsp.mean(np.ones((2, 4)))
+
+    @pytest.mark.parametrize("kernel,series", [
+        (dsp.skew, [1, 2, 10**400, 4]),
+        (dsp.mean, ["1", "2"]),
+        (dsp.hilbert_imag, [b"1", b"2", b"3"]),
+    ], ids=["int too large for a float", "strings", "bytes"])
+    def test_series_must_be_real_numbers(self, kernel, series):
+        # The rule of data.real_array: Python's OverflowError, and
+        # numpy's parsing of text, stay behind its ValueError.
+        with pytest.raises(ValueError, match="series must be real numbers"):
+            kernel(series)
+
 
 # ------------------------------------------------------------- pearson
 

@@ -24,7 +24,7 @@ from gestrec import (
     score,
     time_single_predictions,
 )
-from gestrec.classifiers import CLASSIFIER_KINDS
+from gestrec.classifiers import CLASSIFIER_KINDS, make_classifier
 from gestrec.features import N_FEATURES
 
 # ---------------------------------------------------------------- stubs
@@ -152,6 +152,13 @@ class TestStratifiedSplitSizes:
         with pytest.raises(ValueError, match="unknown user"):
             plan_user_dependent(matrix, user=9)
 
+    def test_empty_matrix_rejected(self):
+        matrix = FeatureMatrix(X=np.empty((0, N_FEATURES)),
+                               users=np.empty(0, dtype=np.int64),
+                               gestures=np.empty(0, dtype=np.int64))
+        with pytest.raises(ValueError, match="empty feature matrix"):
+            plan_mixed(matrix)
+
     def test_scarce_gesture_rejected(self):
         users = np.ones(5, dtype=np.int64)
         gestures = np.array([1, 1, 1, 1, 2])
@@ -235,6 +242,11 @@ class TestSplitPlanInvariants:
 
 
 class TestEvaluate:
+    def test_unknown_classifier_kind_rejected(self):
+        with pytest.raises(ValueError, match=r"unknown classifier 'xx', "
+                                             r"expected one of \['et', 'gb', 'rc'\]"):
+            make_classifier("xx")
+
     def test_perfect_stub_scores_100(self, stubs):
         matrix = label_matrix(n_users=2, n_gestures=8, per_cell=6)
         plan = plan_mixed(matrix, seed=1)

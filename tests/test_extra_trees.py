@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gestrec import ExtraTreesClassifier
-from gestrec.classifiers.cart import Node, apply_tree
+from gestrec.classifiers.cart import Forest, Node, apply_tree
 
 
 class TestTrainingBehaviour:
@@ -76,7 +76,7 @@ class TestPredictContract:
             Node(value=np.array([0.5, 0.5])),
             Node(value=np.array([0.5, 0.5])),
         ]
-        model._rebuild_flat()
+        model._forest = Forest(model.trees_)
         assert model.predict(np.zeros(3)) == 2
 
     def test_single_sample_shapes(self, blob_data):

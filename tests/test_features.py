@@ -711,7 +711,14 @@ class TestBoundaryCheck:
         lambda r: r + 1j,
         lambda r: r.tolist()[:-1] + [[1.0, 2.0, 10**400]],
         lambda r: r.tolist()[:-1] + [[1.0, 2.0, 1j]],
-    ], ids=["complex array", "int too large for a float", "complex in a list"])
+        lambda r: r.astype(str),
+        lambda r: r.astype(bytes),
+        lambda r: r.tolist()[:-1] + [[1.0, 2.0, "1.0"]],
+        lambda r: np.array(r.tolist()[:-1] + [[1.0, 2.0, "1.0"]], dtype=object),
+        lambda r: np.array(r.tolist()[:-1] + [[1.0, 2.0, b"1.0"]], dtype=object),
+    ], ids=["complex array", "int too large for a float", "complex in a list",
+            "strings", "bytes", "string in a list", "string in an object array",
+            "bytes in an object array"])
     def test_raw_array_real(self, bad):
         # numpy's ComplexWarning is ignored: only the ValueError may pass.
         r = np.random.default_rng(1).normal(size=(8, 3))

@@ -80,6 +80,14 @@ NOT_REAL = {
     "complex array": lambda X: X + 1j,
     "int too large for a float": lambda X: [list(X[0][:-1]) + [10**400]] + X[1:].tolist(),
     "complex in a list": lambda X: [list(X[0][:-1]) + [1j]] + X[1:].tolist(),
+    # numpy's astype(float64) would parse these.
+    "strings": lambda X: X.astype(str),
+    "bytes": lambda X: X.astype(bytes),
+    "string in a list": lambda X: [list(X[0][:-1]) + ["1.0"]] + X[1:].tolist(),
+    "string in an object array": lambda X: np.array(
+        [list(X[0][:-1]) + ["1.0"]] + X[1:].tolist(), dtype=object),
+    "bytes in an object array": lambda X: np.array(
+        [list(X[0][:-1]) + [b"1.0"]] + X[1:].tolist(), dtype=object),
 }
 
 

@@ -85,6 +85,15 @@ class TestBehaviour:
         with pytest.raises(SingularSystemError):
             RidgeClassifier(alpha=0.0).fit(X, y)
 
+    def test_singular_at_a_vanishing_alpha(self):
+        # alpha = 1e-300 is lost beside Z'Z, so the solve itself fails.
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(12, 3))
+        X = np.hstack([X, X[:, :1]])  # a repeated column
+        y = np.arange(12) % 3
+        with pytest.raises(SingularSystemError):
+            RidgeClassifier(alpha=1e-300).fit(X, y)
+
     def test_full_rank_alpha_zero_is_fine(self):
         rng = np.random.default_rng(9)
         X = rng.normal(size=(100, 5))

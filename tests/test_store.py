@@ -16,6 +16,7 @@ from gestrec import (
     load_model,
     save_model,
 )
+from gestrec.classifiers._rows import hyperparameters
 from gestrec.classifiers.store import FORMAT_TAG
 from gestrec.errors import ModelFileError, VersionMismatchError
 from gestrec.features import FEATURE_ORDER_VERSION
@@ -99,6 +100,14 @@ class TestRoundTrip:
             assert type(getattr(again, name)) is type(value)
             assert np.array_equal(again.predict(X), model.predict(X))
 
+    def test_unknown_model_type_rejected(self, tmp_path):
+        class Fitted:
+            classes_ = np.array([1, 2])
+
+        with pytest.raises(TypeError, match="unsupported model type: Fitted"):
+            save_model(Fitted(), tmp_path / "m.json")
+        assert not (tmp_path / "m.json").exists()
+
     def test_failed_save_leaves_the_old_file(self, blob_data, tmp_path):
         X, y = blob_data(seed=22)
         path = save_model(RidgeClassifier().fit(X, y), tmp_path / "m.json")
@@ -108,6 +117,41 @@ class TestRoundTrip:
         with pytest.raises(TypeError):
             save_model(model, path)
         assert path.read_bytes() == before
+
+
+class TestHyperparameterTypes:
+    """A constructor checks the type of each hyperparameter named by
+    ``hyperparameters(cls)`` before its range: an int one must be an
+    integer, a float one a real number. A float for an int used to be
+    saved truncated (max_depth 2.5 as 2) or fail at fit with TypeError."""
+
+    @pytest.mark.parametrize("cls,name,value", [
+        (GradientBoostingClassifier, "max_depth", 2.5),
+        (GradientBoostingClassifier, "n_stages", 2.5),
+        (ExtraTreesClassifier, "min_samples_split", 2.5),
+        (ExtraTreesClassifier, "n_trees", 2.5),
+        (ExtraTreesClassifier, "n_trees", -1.5),
+        (ExtraTreesClassifier, "k_features", 2.5),
+        (ExtraTreesClassifier, "seed", 1.5),
+        (RidgeClassifier, "seed", 0.5),
+        (ExtraTreesClassifier, "n_trees", "3"),
+        (GradientBoostingClassifier, "learning_rate", "0.5"),
+        (RidgeClassifier, "alpha", "1"),
+        (RidgeClassifier, "alpha", None),
+    ])
+    def test_wrong_type_is_named(self, cls, name, value):
+        kind = "an integer" if hyperparameters(cls)[name] is int else "a real number"
+        with pytest.raises(ValueError,
+                           match=rf"^{name} must be {kind}, got {re.escape(repr(value))}$"):
+            cls(**{name: value})
+
+    @pytest.mark.parametrize("cls", [
+        ExtraTreesClassifier, GradientBoostingClassifier, RidgeClassifier])
+    def test_every_hyperparameter_is_checked(self, cls):
+        for name, type_ in hyperparameters(cls).items():
+            for value in ("1", b"1", None, [1]) + ((1.0,) if type_ is int else ()):
+                with pytest.raises(ValueError, match=f"^{name} must be"):
+                    cls(**{name: value})
 
 
 class TestCorruption:
@@ -133,6 +177,13 @@ class TestCorruption:
         path = tmp_path / "m.json"
         path.write_text("u,g,t\n1,2,3\n")
         with pytest.raises(ModelFileError):
+            load_model(path)
+
+    @pytest.mark.parametrize("doc", [[], 3])
+    def test_json_that_is_not_an_object(self, tmp_path, doc):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFileError, match=f"is not a {FORMAT_TAG} file$"):
             load_model(path)
 
     def test_foreign_format_tag(self, blob_data, tmp_path):
