@@ -80,11 +80,20 @@ def hyperparameters(cls) -> dict[str, type]:
 def check_hyperparameters(model) -> None:
     """ValueError naming the parameter unless each hyperparameter of
     ``model`` has the type of its default: an ``int`` one an integer
-    (``data.check_integer``), a ``float`` one a real number, not a string
-    or None. Constructors call it before their range checks."""
+    (``data.check_integer``), a ``float`` one a real number that a float
+    holds, not a bool, a string or None, and stored as that float.
+    Constructors call it before their range checks."""
     for name, type_ in hyperparameters(type(model)).items():
         value = getattr(model, name)
         if type_ is int:
             check_integer(name, value)
-        elif not isinstance(value, numbers.Real):
+            continue
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValueError(f"{name} must be a real number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ValueError(
+                f"{name} must be a real number that a float holds, got {value!r}"
+            ) from None
+        setattr(model, name, value)

@@ -111,25 +111,15 @@ class GradientBoostingClassifier:
 
         scores = np.tile(self.initial_scores_, (n, 1))
         p, loss = _softmax_loss(scores, y_idx)
-        builder = RegressionTreeBuilder(X)
+        builder = RegressionTreeBuilder(X, self.max_depth)
         rows = [builder.rows() for _ in range(k)]
         fitted = np.empty(n)
         self.trees_ = []
         for stage in range(self.n_stages):
             residual = onehot - p
             for c in range(k):
-                r_c = residual[:, c]
-                pq = p[:, c] * (1.0 - p[:, c])
-
-                def newton_leaf(idx, r_c=r_c, pq=pq) -> float:
-                    denom = pq[idx].sum()
-                    if denom <= 0.0:
-                        return 0.0
-                    return r_c[idx].sum() / denom
-
-                self.trees_.append(
-                    builder.build(r_c, self.max_depth, newton_leaf, fitted, rows[c])
-                )
+                h = p[:, c] * (1.0 - p[:, c])
+                self.trees_.append(builder.build(residual[:, c], h, fitted, rows[c]))
                 scores[:, c] += self.learning_rate * fitted
             p, new_loss = _softmax_loss(scores, y_idx)
             if new_loss > loss + _LOSS_SLACK:

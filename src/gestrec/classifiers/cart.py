@@ -5,10 +5,10 @@ Two builders live here. The classification builder,
 (attribute subset plus one uniform threshold each) and keeps the best
 Gini decrease; it grows nodes until pure or unsplittable and stores
 class-probability leaves. The regression builder,
-``RegressionTreeBuilder(X).build``, scans every feature exactly,
-maximizing the least-squares gain with midpoint thresholds, up to a
-fixed depth; leaf values come from a caller-supplied function of the
-leaf's row indices.
+``RegressionTreeBuilder(X, max_depth).build``, scans every feature
+exactly, maximizing the least-squares gain with midpoint thresholds, up
+to its depth; each leaf takes one Newton step, the sum of the targets
+over the sum of the weights of its rows.
 
 Both make as few numpy calls as they can without changing a tree: a
 call costs microseconds whatever the size of a node. The
@@ -377,7 +377,8 @@ class NodeRows:
 
 
 class RegressionTreeBuilder:
-    """Exact greedy least-squares trees over one training matrix.
+    """Exact greedy least-squares trees of depth at most ``max_depth``
+    over one training matrix.
 
     The builder sorts the rows once (``presort``) and allocates its
     scratch buffers once, at the size of the root node; every tree it
@@ -400,9 +401,10 @@ class RegressionTreeBuilder:
     are bit-identical to building each one afresh.
     """
 
-    def __init__(self, X: np.ndarray):
+    def __init__(self, X: np.ndarray, max_depth: int):
         n, d = X.shape
         self.X = X
+        self.max_depth = max_depth
         # Row orders are most of what the kept NodeRows hold; half-width
         # indices halve that, and take() widens them at no measured cost.
         small = np.int32 if n <= np.iinfo(np.int32).max else np.intp
@@ -449,15 +451,10 @@ class RegressionTreeBuilder:
         return views
 
     def build(
-        self,
-        r: np.ndarray,
-        max_depth: int,
-        leaf_value,
-        fitted: np.ndarray | None = None,
-        rows: NodeRows | None = None,
+        self, r: np.ndarray, h: np.ndarray, fitted: np.ndarray, rows: NodeRows
     ) -> Node:
         """Grow an exact greedy least-squares regression tree fitted to
-        targets ``r``.
+        targets ``r``, with Newton leaves weighted by ``h``.
 
         Every feature is scanned in index order; within a feature every
         boundary between distinct consecutive sorted values is scored by
@@ -465,29 +462,29 @@ class RegressionTreeBuilder:
         Ties keep the lowest feature index and, within a feature, the
         smallest split position. Nodes with no strictly positive gain, or
         at ``max_depth``, become leaves with value
-        ``leaf_value(row_indices)``, the row indices ascending. When
-        ``fitted`` is given, each training row's leaf value is written to
-        it.
+        ``sum(r[idx]) / sum(h[idx])`` over their row indices ``idx``,
+        ascending, or 0.0 when that weight sum is <= 0; with ``h`` all
+        ones, the mean target. Each training row's leaf value is written
+        to ``fitted``.
 
         ``rows`` is the root ``NodeRows`` of an earlier tree of this
         builder, from ``rows()`` at first: the new tree reuses what it
-        can and leaves its own in it, for the next tree. Pass the same
-        ``max_depth`` each time.
+        can and leaves its own in it, for the next tree.
         """
         r = np.asarray(r, dtype=np.float64)  # the scratch buffers are float64
         X, XT, offsets = self.X, self._XT, self._offsets
         n_rows, d = X.shape
-        goes_left = self._goes_left
+        max_depth, goes_left = self.max_depth, self._goes_left
 
         def make_leaf(node: Node, idx: np.ndarray) -> None:
-            node.value = float(leaf_value(idx))
-            if fitted is not None:
-                fitted[idx] = node.value
+            weight = h[idx].sum()
+            node.value = 0.0 if weight <= 0.0 else float(r[idx].sum() / weight)
+            fitted[idx] = node.value
 
         # Depth-first with an explicit stack: a recursive closure would hold
         # this tree's nodes in a reference cycle until a full collection.
         root = Node()
-        stack = [(root, self.rows() if rows is None else rows, 0)]
+        stack = [(root, rows, 0)]
         while stack:
             node, here, depth = stack.pop()
             idx = here.idx

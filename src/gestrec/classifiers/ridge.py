@@ -37,7 +37,7 @@ class RidgeClassifier:
         self.alpha = alpha
         self.seed = seed  # recorded for provenance; the solve is deterministic
         check_hyperparameters(self)
-        if not (np.isfinite(alpha) and alpha >= 0):
+        if not (np.isfinite(self.alpha) and self.alpha >= 0):
             raise ValueError("alpha must be finite and >= 0")
         if seed < 0:
             raise ValueError("seed must be >= 0")

@@ -57,12 +57,14 @@ def real_array(values, what: str) -> np.ndarray:
 
     ValueError naming ``what`` unless every value is a real number that a
     float64 holds: numpy would keep only the real part of a complex
-    array and parse a string, and Python raises TypeError for a complex
-    value in a list and OverflowError for an int too large for a float.
+    array, parse a string, count a datetime or timedelta in its unit and
+    read a structured array's fields, and Python raises TypeError for a
+    complex value in a list and OverflowError for an int too large for a
+    float.
     """
     a = np.asarray(values)
     if a.dtype != np.float64:
-        if a.dtype.kind in "cSU":
+        if a.dtype.kind in "cSUMmV":
             raise ValueError(f"{what} must be real numbers, got {a.dtype}")
         if a.dtype.kind == "O":
             text = next((v for v in a.flat if isinstance(v, (str, bytes))), None)
@@ -79,11 +81,14 @@ def real_array(values, what: str) -> np.ndarray:
 
 def check_integer(name: str, value) -> None:
     """ValueError naming ``name`` unless ``value`` is an integer, a
-    Python or a numpy one."""
-    try:
-        operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    Python or a numpy one, and not a bool."""
+    if not isinstance(value, bool):
+        try:
+            operator.index(value)
+            return
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def check_readings(readings) -> np.ndarray:

@@ -7,6 +7,7 @@ trees, the peak memory of default fits, and the flat ``Forest`` router
 against one-row ``apply_tree`` routing."""
 
 import hashlib
+import inspect
 import json
 import tracemalloc
 from pathlib import Path
@@ -32,10 +33,12 @@ from gestrec.classifiers.store import _tree, node_to_dict
 from test_boosting import staged_scores
 
 
-def mean_leaf(r):
-    def value(idx):
-        return float(np.mean(r[idx]))
-    return value
+def regression_tree(X, r, max_depth, h=None):
+    """One tree from a builder of its own, on unit weights unless ``h`` is
+    given: with unit weights every leaf is its rows' mean target."""
+    builder = RegressionTreeBuilder(X, max_depth)
+    h = np.ones(len(r)) if h is None else h
+    return builder.build(r, h, np.empty(len(r)), builder.rows())
 
 
 def brute_force_best_split(X, r):
@@ -69,7 +72,7 @@ class TestRegressionTree:
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(30, 4))
         r = rng.normal(size=30)
-        tree = RegressionTreeBuilder(X).build(r, max_depth=1, leaf_value=mean_leaf(r))
+        tree = regression_tree(X, r, 1)
         gain, f, thr = brute_force_best_split(X, r)
         assert gain > 0
         assert tree.feature == f
@@ -78,7 +81,7 @@ class TestRegressionTree:
     def test_leaf_values_come_from_callback(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         r = np.array([1.0, 1.0, 5.0, 5.0])
-        tree = RegressionTreeBuilder(X).build(r, max_depth=1, leaf_value=mean_leaf(r))
+        tree = regression_tree(X, r, 1)
         assert apply_tree(tree, np.array([0.5])) == pytest.approx(1.0)
         assert apply_tree(tree, np.array([2.5])) == pytest.approx(5.0)
 
@@ -87,33 +90,33 @@ class TestRegressionTree:
         X = rng.normal(size=(200, 3))
         r = rng.normal(size=200)
         for depth in (1, 2, 3):
-            tree = RegressionTreeBuilder(X).build(r, depth, mean_leaf(r))
+            tree = regression_tree(X, r, depth)
             assert Forest([tree]).steps <= depth
 
     def test_constant_targets_make_a_leaf(self):
         X = np.arange(10.0)[:, None]
         r = np.full(10, 2.0)
-        tree = RegressionTreeBuilder(X).build(r, max_depth=3, leaf_value=mean_leaf(r))
+        tree = regression_tree(X, r, 3)
         assert tree.feature == -1
         assert tree.value == pytest.approx(2.0)
 
     def test_constant_features_make_a_leaf(self):
         X = np.ones((10, 2))
         r = np.arange(10.0)
-        tree = RegressionTreeBuilder(X).build(r, max_depth=3, leaf_value=mean_leaf(r))
+        tree = regression_tree(X, r, 3)
         assert tree.feature == -1
 
     def test_max_depth_zero_is_single_leaf(self):
         X = np.arange(6.0)[:, None]
         r = np.arange(6.0)
-        tree = RegressionTreeBuilder(X).build(r, max_depth=0, leaf_value=mean_leaf(r))
+        tree = regression_tree(X, r, 0)
         assert tree.feature == -1
 
     def test_children_partition_rows(self):
         rng = np.random.default_rng(11)
         X = rng.normal(size=(64, 5))
         r = rng.normal(size=64)
-        tree = RegressionTreeBuilder(X).build(r, 3, mean_leaf(r))
+        tree = regression_tree(X, r, 3)
 
         def check(node, rows):
             if node.feature < 0:
@@ -133,7 +136,7 @@ class TestRegressionTree:
         hi = np.nextafter(1.0, 2.0)
         X = np.array([[lo], [lo], [hi], [hi]])
         r = np.array([0.0, 0.0, 1.0, 1.0])
-        tree = RegressionTreeBuilder(X).build(r, 1, mean_leaf(r))
+        tree = regression_tree(X, r, 1)
         assert tree.feature == 0
         assert tree.threshold < hi
         assert apply_tree(tree, np.array([lo])) == pytest.approx(0.0)
@@ -146,7 +149,7 @@ class TestRegressionTree:
         assert (v1 + v2) / 2.0 == v2
         X = np.array([[v1], [v2]])
         r = np.array([0.0, 1.0])
-        tree = RegressionTreeBuilder(X).build(r, 1, mean_leaf(r))
+        tree = regression_tree(X, r, 1)
         assert tree.feature == 0
         assert tree.threshold == v1
         assert apply_tree(tree, X[0]) == 0.0
@@ -187,13 +190,21 @@ def reference_regression_tree(X, r, max_depth, leaf_value):
     return grow(np.arange(X.shape[0]), 0)
 
 
-def sum_leaf(r):
-    """Order-sensitive leaf value: a pairwise sum of the leaf's rows."""
+def newton_leaf(r, h):
+    """The builder's leaf value, for the reference builder. Order-sensitive:
+    pairwise sums of the leaf's rows, ascending."""
 
     def value(idx):
-        return float(np.sum(r[idx]) / (idx.size + 1.0))
+        weight = h[idx].sum()
+        return 0.0 if weight <= 0.0 else r[idx].sum() / weight
 
     return value
+
+
+def weights(n, seed=0):
+    """Positive, non-uniform Newton weights, as p * (1 - p) would give."""
+    p = np.random.default_rng(seed).uniform(0.01, 0.99, size=n)
+    return p * (1.0 - p)
 
 
 def bits(value) -> bytes:
@@ -214,6 +225,45 @@ def assert_same_tree(got: Node, want: Node) -> None:
             stack += ((g.left, w.left), (g.right, w.right))
 
 
+class TestNewtonLeaves:
+    """The builder's depth is fixed when it is made, and each leaf takes
+    one Newton step: its rows' target sum over their weight sum, or 0.0
+    where the weights sum to <= 0."""
+
+    def test_depth_is_the_builders_and_build_takes_targets_and_weights(self):
+        params = inspect.signature(RegressionTreeBuilder.build).parameters
+        assert list(params) == ["self", "r", "h", "fitted", "rows"]
+        assert RegressionTreeBuilder(np.zeros((3, 2)), 4).max_depth == 4
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_uneven_weights_equal_the_reference_bit_for_bit(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        X = rng.normal(size=(120, 4)).round(1)
+        r = rng.normal(size=120)
+        # Weights over six decades, as p * (1 - p) has late in a fit.
+        h = 10.0 ** rng.uniform(-6.0, 0.0, size=120)
+        builder = RegressionTreeBuilder(X, 4)
+        fitted = np.full(120, np.nan)
+        tree = builder.build(r, h, fitted, builder.rows())
+        assert_same_tree(tree, reference_regression_tree(X, r, 4, newton_leaf(r, h)))
+        assert np.array_equal(fitted, [apply_tree(tree, x) for x in X])
+        # The weights moved the leaves off the unit-weight means.
+        means = regression_tree(X, r, 4)
+        assert not np.array_equal(fitted, [apply_tree(means, x) for x in X])
+
+    def test_a_weight_sum_at_or_below_zero_makes_a_zero_leaf(self):
+        X = np.array([[0.0], [1.0], [2.0], [3.0]])
+        r = np.array([1.0, 1.0, 5.0, 5.0])
+        for h in ([0.0, 0.0, 0.5, 1.5], [-1.0, 0.5, 0.5, 1.5]):
+            fitted = np.full(4, np.nan)
+            builder = RegressionTreeBuilder(X, 1)
+            tree = builder.build(r, np.array(h), fitted, builder.rows())
+            assert (tree.feature, tree.threshold) == (0, 1.5)
+            assert bits(tree.left.value) == bits(0.0)
+            assert tree.right.value == 5.0
+            assert fitted.tolist() == [0.0, 0.0, 5.0, 5.0]
+
+
 class TestPresortedBuilderIsBitIdentical:
     @pytest.mark.parametrize("seed", range(12))
     def test_heavy_ties(self, seed):
@@ -224,9 +274,10 @@ class TestPresortedBuilderIsBitIdentical:
         X = rng.normal(size=(n, d)).round(1) * rng.integers(1, 4, size=d)
         X[:, 0] = rng.integers(0, 3, size=n)
         r = rng.choice([0.1, 0.7, -0.3, 1e-3], size=n)
+        h = weights(n, seed)
         for depth in (1, 3, 5):
-            want = reference_regression_tree(X, r, depth, sum_leaf(r))
-            got = RegressionTreeBuilder(X).build(r, depth, sum_leaf(r))
+            want = reference_regression_tree(X, r, depth, newton_leaf(r, h))
+            got = regression_tree(X, r, depth, h)
             assert node_to_dict(got) == node_to_dict(want)
 
     def test_near_zero_gains(self):
@@ -238,8 +289,9 @@ class TestPresortedBuilderIsBitIdentical:
             rng = np.random.default_rng(100 + seed)
             X = rng.integers(0, 4, size=(64, 5)).astype(np.float64)
             r = 0.1 + rng.choice([0.0, 1e-16, -1e-16, 3e-17], size=64)
-            want = reference_regression_tree(X, r, 4, sum_leaf(r))
-            got = RegressionTreeBuilder(X).build(r, 4, sum_leaf(r))
+            h = weights(64, seed)
+            want = reference_regression_tree(X, r, 4, newton_leaf(r, h))
+            got = regression_tree(X, r, 4, h)
             assert node_to_dict(got) == node_to_dict(want)
             splits += got.feature >= 0
         assert splits >= 4, "too few fits split at all to test anything"
@@ -249,9 +301,10 @@ class TestPresortedBuilderIsBitIdentical:
         X = rng.normal(size=(70, 6)).round(1)
         fitted = np.full(70, np.nan)
         for depth in (2, 3):
-            r = rng.normal(size=70)
-            tree = RegressionTreeBuilder(X).build(r, depth, sum_leaf(r), fitted=fitted)
-            want = reference_regression_tree(X, r, depth, sum_leaf(r))
+            r, h = rng.normal(size=70), weights(70, depth)
+            builder = RegressionTreeBuilder(X, depth)
+            tree = builder.build(r, h, fitted, builder.rows())
+            want = reference_regression_tree(X, r, depth, newton_leaf(r, h))
             assert node_to_dict(tree) == node_to_dict(want)
             routed = np.array([apply_tree(tree, x) for x in X])
             assert np.array_equal(fitted, routed)
@@ -262,14 +315,15 @@ class TestPresortedBuilderIsBitIdentical:
         # one, at any depth or target.
         rng = np.random.default_rng(9)
         X = rng.normal(size=(80, 5)).round(1)
-        builder = RegressionTreeBuilder(X)
         fitted = np.full(80, np.nan)
         for depth in (5, 1, 3, 6, 2, 4):
-            r = rng.normal(size=80)
-            tree = builder.build(r, depth, sum_leaf(r), fitted)
-            want = reference_regression_tree(X, r, depth, sum_leaf(r))
-            assert node_to_dict(tree) == node_to_dict(want)
-            assert np.array_equal(fitted, [apply_tree(tree, x) for x in X])
+            builder = RegressionTreeBuilder(X, depth)
+            for t in range(3):
+                r, h = rng.normal(size=80), weights(80, t)
+                tree = builder.build(r, h, fitted, builder.rows())
+                want = reference_regression_tree(X, r, depth, newton_leaf(r, h))
+                assert node_to_dict(tree) == node_to_dict(want)
+                assert np.array_equal(fitted, [apply_tree(tree, x) for x in X])
 
     def test_presort_is_stable_per_feature(self):
         X = np.array([[1.0, 0.0], [0.0, -0.0], [1.0, 0.0], [0.0, 2.0]])
@@ -321,14 +375,16 @@ class TestRowReuse:
         """Build a tree per target through one ``NodeRows``; return how
         many splits were kept from the previous tree and how many were
         made afresh after the first tree."""
-        builder = RegressionTreeBuilder(X)
+        builder = RegressionTreeBuilder(X, depth)
         rows = builder.rows()
         fitted = np.full(len(X), np.nan)
         kept = made = 0
         for t, r in enumerate(targets):
             before = split_records(rows)
-            tree = builder.build(r, depth, sum_leaf(r), fitted, rows)
-            assert_same_tree(tree, reference_regression_tree(X, r, depth, sum_leaf(r)))
+            h = weights(len(X), t)
+            tree = builder.build(r, h, fitted, rows)
+            want = reference_regression_tree(X, r, depth, newton_leaf(r, h))
+            assert_same_tree(tree, want)
             assert np.array_equal(fitted, [apply_tree(tree, x) for x in X])
             for split in split_records(rows):
                 if any(split is b for b in before):
@@ -358,16 +414,41 @@ class TestRowReuse:
         targets = 0.1 + rng.choice([0.0, 1e-16, -1e-16, 3e-17], size=(8, 64))
         self.run(X, targets, depth)
 
+    def test_one_builder_keeps_every_split_across_targets_and_weights(self):
+        # A boosting fit's case: each stage brings new targets and new
+        # weights to one builder. Targets scaled by a power of two, or
+        # negated, choose the same splits, so every later tree keeps
+        # each split record of the first, and only its leaves move.
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=(60, 4)).round(1)
+        r = rng.normal(size=60)
+        builder = RegressionTreeBuilder(X, 3)
+        rows, fitted = builder.rows(), np.full(60, np.nan)
+        first, leaves = None, set()
+        for t, scale in enumerate((1.0, 0.5, -2.0, 4.0)):
+            target, h = scale * r, weights(60, t)
+            tree = builder.build(target, h, fitted, rows)
+            want = reference_regression_tree(X, target, 3, newton_leaf(target, h))
+            assert_same_tree(tree, want)
+            assert np.array_equal(fitted, [apply_tree(tree, x) for x in X])
+            splits = split_records(rows)
+            first = splits if first is None else first
+            assert len(splits) == len(first) >= 3
+            assert all(a is b for a, b in zip(splits, first))
+            leaves.add(fitted.tobytes())
+        assert len(leaves) == 4
+
     def test_a_changed_root_split_makes_new_children(self):
         rng = np.random.default_rng(12)
         X = rng.normal(size=(50, 2))
         on_0, on_1 = (X[:, 0] > 0.0) * 1.0, (X[:, 1] > 0.5) * 1.0
-        builder = RegressionTreeBuilder(X)
-        rows = builder.rows()
+        builder = RegressionTreeBuilder(X, 3)
+        rows, ones = builder.rows(), np.ones(50)
         features = []
         for r in (on_0, on_1, on_0):
-            tree = builder.build(r, 3, mean_leaf(r), rows=rows)
-            assert_same_tree(tree, reference_regression_tree(X, r, 3, mean_leaf(r)))
+            tree = builder.build(r, ones, np.empty(50), rows)
+            want = reference_regression_tree(X, r, 3, newton_leaf(r, ones))
+            assert_same_tree(tree, want)
             features.append(tree.feature)
         assert features == [0, 1, 0]
 
@@ -689,7 +770,7 @@ class TestNodeSerialization:
         rng = np.random.default_rng(5)
         X = rng.normal(size=(32, 3))
         r = rng.normal(size=32)
-        tree = RegressionTreeBuilder(X).build(r, 3, mean_leaf(r))
+        tree = regression_tree(X, r, 3)
         back = self.round_trip(tree, 3, None)
         for x in X:
             assert apply_tree(back, x) == apply_tree(tree, x)
@@ -750,8 +831,8 @@ class TestForest:
         rng = np.random.default_rng(7)
         X = rng.normal(size=(60, 4))
         r = rng.normal(size=60)
-        deep = RegressionTreeBuilder(X).build(r, 6, mean_leaf(r))
-        shallow = RegressionTreeBuilder(X).build(-r, 1, mean_leaf(-r))
+        deep = regression_tree(X, r, 6)
+        shallow = regression_tree(X, -r, 1)
         trees = [Node(value=1.5), deep, Node(value=-0.25), shallow]
         forest = Forest(trees)
         assert forest.steps == Forest([deep]).steps > Forest([shallow]).steps == 1
@@ -798,9 +879,8 @@ class TestForest:
         X = rng.normal(size=(60, 5))
         X[:, 0] = X[:, 4] = 1.0
         r = rng.normal(size=60)
-        builder = RegressionTreeBuilder(X)
-        trees = [builder.build((k + 1) * r, depth, mean_leaf((k + 1) * r))
-                 for k, depth in enumerate([4, 2, 0, 3])]
+        depths = [4, 2, 0, 3]
+        trees = [regression_tree(X, (k + 1) * r, d) for k, d in enumerate(depths)]
         forest = Forest(trees)
         assert forest.counts[0] == 0 and forest.counts.size < X.shape[1]
         assert_layout(forest, trees)
@@ -957,9 +1037,8 @@ class TestLoneRow:
         rng = np.random.default_rng(9)
         X = rng.normal(size=(80, 3))
         r = rng.normal(size=80)
-        builder = RegressionTreeBuilder(X)
-        trees = [builder.build((k + 1) * r, depth, mean_leaf((k + 1) * r))
-                 for k, depth in enumerate([7, 0, 1, 4, 2, 0])]
+        depths = [7, 0, 1, 4, 2, 0]
+        trees = [regression_tree(X, (k + 1) * r, d) for k, d in enumerate(depths)]
         assert [Forest([t]).steps for t in trees][:3] == [7, 0, 1]
         forest = Forest(trees)
         assert_layout(forest, trees)

@@ -22,9 +22,9 @@ from gestrec.data import (
     load_sample_tree,
     save_manifest,
 )
-from gestrec import data
+from gestrec import data, dsp
 from gestrec.errors import DataError
-from gestrec.features import N_FEATURES, load_features
+from gestrec.features import N_FEATURES, feature_set, load_features
 from gestrec.synth import EASY_SPEC, generate
 
 
@@ -79,6 +79,16 @@ class TestGestureSample:
                                                  rf"got {re.escape(repr(value))}"):
                 GestureSample(**{**ids, field: value}, readings=np.zeros((4, 3)))
 
+    @pytest.mark.parametrize("field", ["user", "gesture", "trial", "day"])
+    def test_identity_must_not_be_a_bool(self, field):
+        # True used to construct, and save_manifest then wrote a row
+        # "True,1,1,..." that load_manifest refused.
+        ids = dict(user=1, gesture=1, trial=1, day=1)
+        for value in (True, False):
+            with pytest.raises(ValueError, match=rf"{field} must be an integer, "
+                                                 rf"got {value}"):
+                GestureSample(**{**ids, field: value}, readings=np.zeros((4, 3)))
+
 
 class TestRealReadings:
     @pytest.mark.parametrize("bad", [
@@ -99,6 +109,22 @@ class TestRealReadings:
             warnings.simplefilter("ignore")
             with pytest.raises(ValueError, match="readings must be real numbers"):
                 GestureSample(user=1, gesture=1, trial=1, readings=bad(np.zeros((5, 3))))
+
+    @pytest.mark.parametrize("make", [
+        lambda: np.arange(24).reshape(8, 3).astype("M8[s]"),
+        lambda: np.arange(24).reshape(8, 3).astype("m8[s]"),
+        lambda: np.zeros((8, 3), dtype=[("v", "f8")]),
+    ], ids=["datetime64", "timedelta64", "structured"])
+    def test_dates_durations_and_records_are_refused(self, make):
+        # numpy would count a date or a duration in its unit, and read a
+        # one-field record as its field, so each gave 33 values.
+        a = make()
+        with pytest.raises(ValueError, match="readings must be real numbers"):
+            feature_set(a)
+        with pytest.raises(ValueError, match="readings must be real numbers"):
+            GestureSample(user=1, gesture=1, trial=1, readings=a)
+        with pytest.raises(ValueError, match="series must be real numbers"):
+            dsp.skew(a[:, 0])
 
     def test_float64_array_is_checked_without_a_copy(self):
         r = np.zeros((5, 3))
@@ -353,6 +379,20 @@ class TestManifestRoundTrip:
             assert (tmp_path / "a" / rel).read_bytes() == (
                 tmp_path / "b" / rel
             ).read_bytes()
+
+    def test_numpy_integer_identities_round_trip(self, tmp_path):
+        ids = [(np.int64(u), np.uint8(g), np.int32(t), np.int16(1))
+               for u in (1, 2) for g in (1, 2) for t in (1, 2)]
+        readings = np.random.default_rng(3).normal(size=(4, 3))
+        ds = Dataset.from_samples(
+            GestureSample(u, g, t, readings, day=d) for u, g, t, d in ids)
+        plain = Dataset.from_samples(
+            GestureSample(*map(int, i[:3]), readings, day=int(i[3])) for i in ids)
+        manifest = save_manifest(ds, tmp_path / "numpy")
+        assert manifest.read_bytes() == save_manifest(plain, tmp_path / "int").read_bytes()
+        back = load_manifest(manifest)
+        assert [s.identity for s in back.samples] == ids
+        assert all(np.array_equal(s.readings, readings) for s in back.samples)
 
     def test_day_column_round_trip(self, tmp_path):
         ds = Dataset.from_samples([sample(trial=t, day=d)

@@ -1,11 +1,15 @@
 """Every name a module exports or the traced benchmark patches exists, the
 benchmark's tree walk agrees with the loaded models, one function reads
-CSV tables, and one module knows the model file's feature-order field."""
+CSV tables, one module knows the model file's feature-order field, and
+the ``test`` extra brings every module the tests import."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
 import pkgutil
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,6 +29,36 @@ def test_all_names_only_what_exists(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", []) if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names missing attributes {missing}"
+
+
+def test_the_test_extra_names_every_third_party_test_import():
+    """After ``pip install -e ".[test]"`` every module the tests import is
+    there: each top-level module imported under ``tests/`` is the
+    standard library's, the package's, a test module, a runtime
+    dependency (numpy) or named in the ``test`` extra. scipy, the oracle
+    of the dsp and feature tests, was missing from it."""
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+    project = tomllib.loads(pyproject)["project"]
+
+    def names(requirements):
+        return {re.match(r"[\w.-]+", req).group().lower() for req in requirements}
+
+    tests = root / "tests"
+    imported = set()
+    for path in tests.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.partition(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    local = {"gestrec"} | {path.stem for path in tests.rglob("*.py")}
+    third_party = imported - set(sys.stdlib_module_names) - local
+    assert {"numpy", "pytest", "scipy"} <= third_party
+    declared = names(project["dependencies"]) | names(
+        project["optional-dependencies"]["test"])
+    assert third_party <= declared
 
 
 def test_one_csv_table_reader():

@@ -103,6 +103,32 @@ def test_predict_refuses_values_that_are_not_real(fitted, case):
             model.predict(bad[0])
 
 
+# numpy would count a date or a duration in its unit, and read a
+# one-field record as its field.
+NOT_NUMBERS = {
+    "datetime64": lambda X: (X * 1000).astype(np.int64).astype("M8[ms]"),
+    "timedelta64": lambda X: (X * 1000).astype(np.int64).astype("m8[ms]"),
+    "structured": lambda X: np.rec.fromarrays([X], dtype=[("v", "f8")]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_NUMBERS))
+def test_predict_refuses_dates_durations_and_records(fitted, case):
+    model, X = fitted
+    with pytest.raises(ValueError, match="X must be real numbers"):
+        model.predict(NOT_NUMBERS[case](X[:4]))
+    with pytest.raises(ValueError, match="X must be real numbers"):
+        model.predict(NOT_NUMBERS[case](X[0]))
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+@pytest.mark.parametrize("case", sorted(NOT_NUMBERS))
+def test_fit_refuses_dates_durations_and_records(blob_data, kind, case):
+    X, y = blob_data(n_classes=2, n_per=5, d=3, seed=34)
+    with pytest.raises(ValueError, match="X must be real numbers"):
+        MODELS[kind]().fit(NOT_NUMBERS[case](X), y)
+
+
 @pytest.mark.parametrize("kind", sorted(MODELS))
 @pytest.mark.parametrize("case", sorted(NOT_REAL))
 def test_fit_refuses_values_that_are_not_real(blob_data, kind, case):

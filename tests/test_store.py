@@ -5,6 +5,7 @@ import json
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -152,6 +153,49 @@ class TestHyperparameterTypes:
             for value in ("1", b"1", None, [1]) + ((1.0,) if type_ is int else ()):
                 with pytest.raises(ValueError, match=f"^{name} must be"):
                     cls(**{name: value})
+
+
+    @pytest.mark.parametrize("cls", [
+        ExtraTreesClassifier, GradientBoostingClassifier, RidgeClassifier])
+    def test_bools_are_refused(self, cls):
+        # True is an int to Python: n_stages=True used to fit one stage
+        # and save as 1.
+        for name, type_ in hyperparameters(cls).items():
+            kind = "an integer" if type_ is int else "a real number"
+            for value in (True, False):
+                with pytest.raises(ValueError,
+                                   match=rf"^{name} must be {kind}, got {value}$"):
+                    cls(**{name: value})
+
+
+class TestFloatHyperparameters:
+    """A float hyperparameter is stored as the Python float of its value,
+    so any real number fits and saves as that float does."""
+
+    @pytest.mark.parametrize("cls,name,value", [
+        (RidgeClassifier, "alpha", Fraction(1, 2)),
+        (RidgeClassifier, "alpha", 2),
+        (GradientBoostingClassifier, "learning_rate", Fraction(1, 2)),
+        (GradientBoostingClassifier, "learning_rate", 1),
+    ])
+    def test_stored_as_a_float(self, blob_data, tmp_path, cls, name, value):
+        # Fraction(1, 2) used to raise TypeError from np.isfinite (alpha)
+        # or from the score update at fit (learning_rate).
+        X, y = blob_data(seed=23)
+        stages = {"n_stages": 3} if cls is GradientBoostingClassifier else {}
+        model = cls(**stages, **{name: value})
+        assert type(getattr(model, name)) is float
+        got = save_model(model.fit(X, y), tmp_path / "got.json")
+        want = cls(**stages, **{name: float(value)}).fit(X, y)
+        assert got.read_bytes() == save_model(want, tmp_path / "want.json").read_bytes()
+
+    @pytest.mark.parametrize("cls,name", [
+        (RidgeClassifier, "alpha"), (GradientBoostingClassifier, "learning_rate")])
+    def test_a_value_no_float_holds_is_named(self, cls, name):
+        for value in (Fraction(10**400), 10**400):
+            with pytest.raises(ValueError,
+                               match=rf"^{name} must be a real number that a float holds"):
+                cls(**{name: value})
 
 
 class TestCorruption:

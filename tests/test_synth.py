@@ -284,3 +284,15 @@ class TestValidation:
         ]:
             with pytest.raises(ValueError, match=rf"{name} must be an integer, got "):
                 small_spec(**{field: value})
+
+    @pytest.mark.parametrize("field,value,name", [
+        ("users", True, "users"),
+        ("gestures", True, "gestures"),
+        ("samples_per_gesture_per_user", True, "samples_per_gesture_per_user"),
+        ("length_range", (20, True), "length_range max"),
+        ("seed", False, "seed"),
+    ])
+    def test_bools_are_not_integers(self, field, value, name):
+        # True used to generate a corpus of one user.
+        with pytest.raises(ValueError, match=rf"{name} must be an integer, got "):
+            small_spec(**{field: value})
