@@ -5,11 +5,10 @@ hyperparameters, with their type check."""
 from __future__ import annotations
 
 import inspect
-import numbers
 
 import numpy as np
 
-from ..data import check_integer, real_array
+from ..data import check_integer, check_real, real_array
 from ..errors import NonFiniteFeatureError
 
 
@@ -27,13 +26,14 @@ def training_rows(X, y) -> tuple[np.ndarray, np.ndarray]:
     the labels as an array.
 
     Raises ValueError unless ``X`` is ``(n, d)`` real numbers with
-    ``n >= 2`` and one label per row, and NonFiniteFeatureError on the
-    first nan or inf.
+    ``n >= 2`` and ``y`` one label per row, and NonFiniteFeatureError on
+    the first nan or inf.
     """
     X = real_array(X, "X")
     y = np.asarray(y)
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise ValueError("X must be (n, d) with one label per row")
+    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
+        raise ValueError("X must be (n, d) with one label per row in a 1-D y, "
+                         f"got X {X.shape} and y {y.shape}")
     if X.shape[0] < 2:
         raise ValueError("need at least 2 training rows")
     _check_finite(X, single=False)
@@ -46,12 +46,15 @@ def feature_rows(X, n_features: int | None) -> tuple[np.ndarray, bool]:
 
     ``n_features`` is the fitted model's feature count, None before fit.
     Raises ValueError on an unfitted model, values that are not real
-    numbers or a wrong feature count, and NonFiniteFeatureError on the
-    first nan or inf, in row-major order.
+    numbers, an ``X`` that is neither one vector nor a 2-D batch or a
+    wrong feature count, and NonFiniteFeatureError on the first nan or
+    inf, in row-major order.
     """
     if n_features is None:
         raise ValueError("classifier is not fitted")
     X = real_array(X, "X")
+    if X.ndim not in (1, 2):
+        raise ValueError(f"X must be one vector or a 2-D batch, got shape {X.shape}")
     single = X.ndim == 1
     if single:
         X = X[None, :]
@@ -78,22 +81,10 @@ def hyperparameters(cls) -> dict[str, type]:
 
 
 def check_hyperparameters(model) -> None:
-    """ValueError naming the parameter unless each hyperparameter of
-    ``model`` has the type of its default: an ``int`` one an integer
-    (``data.check_integer``), a ``float`` one a real number that a float
-    holds, not a bool, a string or None, and stored as that float.
+    """Store each hyperparameter of ``model`` as the type of its default:
+    an ``int`` one by ``data.check_integer``, a ``float`` one by
+    ``data.check_real``, each a ValueError naming the parameter.
     Constructors call it before their range checks."""
     for name, type_ in hyperparameters(type(model)).items():
-        value = getattr(model, name)
-        if type_ is int:
-            check_integer(name, value)
-            continue
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{name} must be a real number, got {value!r}")
-        try:
-            value = float(value)
-        except OverflowError:
-            raise ValueError(
-                f"{name} must be a real number that a float holds, got {value!r}"
-            ) from None
-        setattr(model, name, value)
+        check = check_integer if type_ is int else check_real
+        setattr(model, name, check(name, getattr(model, name)))

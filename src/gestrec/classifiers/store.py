@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..data import check_integer, check_real, real_array
 from ..errors import ModelFileError, VersionMismatchError
 from ..features import FEATURE_ORDER_VERSION
 from ._rows import hyperparameters
@@ -61,8 +62,8 @@ def save_model(model, path) -> Path:
     """Serialize a fitted classifier to a self-describing JSON file.
 
     ``hyperparams`` holds the constructor's parameters, by name and in
-    signature order, each as the type of its default (the type
-    ``load_model`` requires). The whole document is encoded before the
+    signature order, each as the constructor stored it: the type of its
+    default, which ``load_model`` requires. The whole document is encoded before the
     file is opened, so a model that cannot be saved leaves ``path`` as
     it was.
     """
@@ -93,8 +94,7 @@ def save_model(model, path) -> Path:
         "n_features": model.n_features_,
         "classes": np.asarray(model.classes_).tolist(),
         "hyperparams": {
-            name: type_(getattr(model, name))
-            for name, type_ in hyperparameters(type(model)).items()
+            name: getattr(model, name) for name in hyperparameters(type(model))
         },
         "params": params,
     }
@@ -150,25 +150,15 @@ def _tree(path, i: int, obj, n_features: int, k: int | None) -> Node:
 
 
 def _param(path, params, name: str, shape: tuple, positive: bool = False):
-    """``params[name]`` as a float64 array, or ModelFileError unless it has
-    ``shape`` and finite entries that are JSON numbers, all of them > 0
-    when ``positive``. numpy would read ``"1.5"`` or ``true`` as a float."""
-    value = params[name]
+    """``params[name]`` as a float64 array, or ModelFileError unless it is
+    real numbers (``data.real_array``) of ``shape``, all finite and all
+    > 0 when ``positive``."""
     try:
-        a = np.array(value, dtype=np.float64)
-    except OverflowError:  # an integer too large for a float
-        a = np.array(value, dtype=object)
+        a = real_array(params[name], name)
+    except ValueError as exc:
+        raise ModelFileError(f"{path}: {exc}") from None
     if a.shape != shape:
         raise ModelFileError(f"{path}: {name} has shape {a.shape}, expected {shape}")
-    # With the shape checked, ``value`` is a list of entries, or of rows.
-    entries = list(value if len(shape) == 1 else chain.from_iterable(value))
-    bad = [v for v in entries if type(v) not in _NUMBERS]
-    if bad:
-        raise ModelFileError(f"{path}: {name} has entry {bad[0]!r}, expected a number")
-    if a.dtype == object:
-        huge = next(v for v in entries if not _finite(v))
-        raise ModelFileError(f"{path}: {name} has entry {huge!r}, "
-                             "expected a finite float")
     if not np.isfinite(a).all():
         raise ModelFileError(f"{path}: {name} has non-finite entries")
     if positive and not (a > 0.0).all():
@@ -176,23 +166,16 @@ def _param(path, params, name: str, shape: tuple, positive: bool = False):
     return a
 
 
-def _typed(path, section: dict, name: str, type_: type, what: str = ""):
-    """``section[name]`` as ``type_``, or ModelFileError (naming ``what``
-    and ``name``) unless it is a JSON integer, or for a float any JSON
-    number. ``save_model`` writes the declared type, so nothing else is
-    coerced: ``2.9`` or ``true`` would load as a different model."""
-    value = section[name]
-    if type(value) not in (_NUMBERS if type_ is float else (type_,)):
-        expected = "a number" if type_ is float else "an integer"
-        raise ModelFileError(
-            f"{path}: {what}{name} is {value!r}, expected {expected}"
-        )
+def _typed(path, section: dict, name: str, type_: type):
+    """``section[name]`` as ``type_``, or ModelFileError naming ``name``
+    unless ``data.check_integer`` (for an int) or ``data.check_real``
+    takes it. ``save_model`` writes the declared type, so nothing else
+    is coerced: ``2.9`` or ``true`` would load as a different model."""
+    check = check_integer if type_ is int else check_real
     try:
-        return type_(value)
-    except OverflowError:  # an integer too large for a float
-        raise ModelFileError(
-            f"{path}: {what}{name} is {value!r}, expected a finite float"
-        ) from None
+        return check(name, section[name])
+    except ValueError as exc:
+        raise ModelFileError(f"{path}: {exc}") from None
 
 
 def load_model(path, expect_feature_version: int = FEATURE_ORDER_VERSION):
@@ -203,12 +186,12 @@ def load_model(path, expect_feature_version: int = FEATURE_ORDER_VERSION):
     Raises ModelFileError on missing, corrupt or foreign files, on a class
     list that is empty, repeats a label, mixes JSON types or holds
     booleans, on a tree or stage count that does not match the
-    hyperparameters, on a version, feature count or hyperparameter of
-    another JSON type than its declared one, on a negative feature count,
-    on the first tree node in file order that predict could not use
-    (named by its tree), and on parameter arrays of the wrong shape, with
-    entries that are not finite JSON numbers or a standard deviation <= 0
-    (named by the parameter).
+    hyperparameters, on a version, feature count or hyperparameter that
+    ``data.check_integer`` or ``data.check_real`` refuses, on a negative
+    feature count, on the first tree node in file order that predict
+    could not use (named by its tree), and on parameter arrays of the
+    wrong shape, with entries that ``data.real_array`` refuses or that
+    are not finite, or a standard deviation <= 0 (named by the parameter).
     """
     path = Path(path)
     if not path.is_file():
@@ -249,7 +232,7 @@ def load_model(path, expect_feature_version: int = FEATURE_ORDER_VERSION):
         if cls is None:
             raise ModelFileError(f"{path}: unknown model kind {kind!r}")
         model = cls(**{
-            name: _typed(path, hyper, name, type_, "hyperparameter ")
+            name: _typed(path, hyper, name, type_)
             for name, type_ in hyperparameters(cls).items()
         })
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 import operator
 import re
 import warnings
@@ -53,39 +54,52 @@ SAMPLE_HEADER = ["gx", "gy", "gz"]
 
 
 def real_array(values, what: str) -> np.ndarray:
-    """``values`` as a float64 array, the array itself when it is one.
+    """``values`` as a float64 array, the array itself when it is a
+    float64 ``ndarray``.
 
-    ValueError naming ``what`` unless every value is a real number that a
-    float64 holds: numpy would keep only the real part of a complex
-    array, parse a string, count a datetime or timedelta in its unit and
-    read a structured array's fields, and Python raises TypeError for a
-    complex value in a list and OverflowError for an int too large for a
-    float.
+    The rule for "real numbers" at every array boundary, an allowlist: a
+    base ``ndarray`` of kind ``f``, ``i`` or ``u`` is converted, and an
+    object array or anything that is not an ``ndarray`` (a list, a tuple,
+    a scalar) is read element by element, each a ``numbers.Real`` that is
+    not a bool and that a float64 holds (``Fraction`` is one; ``Decimal``,
+    ``np.bool_``, ``None``, ``str`` and ``bytes`` are not). ValueError
+    naming ``what`` and the first refused value or dtype otherwise, and
+    for any ``ndarray`` subclass: ``np.asarray`` would drop a mask.
     """
-    a = np.asarray(values)
-    if a.dtype != np.float64:
-        if a.dtype.kind in "cSUMmV":
-            raise ValueError(f"{what} must be real numbers, got {a.dtype}")
-        if a.dtype.kind == "O":
-            text = next((v for v in a.flat if isinstance(v, (str, bytes))), None)
-            if text is not None:
-                raise ValueError(f"{what} must be real numbers, got {text!r}")
-        try:
-            a = a.astype(np.float64)
-        except (TypeError, OverflowError) as exc:
-            raise ValueError(
-                f"{what} must be real numbers that a float64 holds: {exc}"
-            ) from None
-    return a
+    if type(values) is np.ndarray:
+        if values.dtype == np.float64:
+            return values
+        if values.dtype.kind in "fiu":
+            return values.astype(np.float64)
+        if values.dtype.kind != "O":
+            raise ValueError(f"{what} must be real numbers, got {values.dtype}")
+    elif isinstance(values, np.ndarray):
+        raise ValueError(f"{what} must be real numbers, got {type(values).__name__}, "
+                         "an ndarray subclass")
+    a = np.asarray(values, dtype=object)
+    floats = [check_real(what, v, "real numbers") for v in a.flat]
+    return np.array(floats, dtype=np.float64).reshape(a.shape)
 
 
-def check_integer(name: str, value) -> None:
-    """ValueError naming ``name`` unless ``value`` is an integer, a
-    Python or a numpy one, and not a bool."""
+def check_real(name: str, value, noun: str = "a real number") -> float:
+    """``value`` as a float; ValueError naming ``name`` and ``value``
+    unless it is a ``numbers.Real``, Python or numpy, that is not a bool
+    and that a float holds. ``noun`` is what the message asks for."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be {noun} that a float holds, got {value!r}"
+                         ) from None
+
+
+def check_integer(name: str, value) -> int:
+    """``value`` as an int; ValueError naming ``name`` unless it is an
+    integer, Python or numpy, and not a bool."""
     if not isinstance(value, bool):
         try:
-            operator.index(value)
-            return
+            return operator.index(value)
         except TypeError:
             pass
     raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -109,8 +123,8 @@ class GestureSample:
     """One variable-length tri-axial gesture recording.
 
     ``user``, ``gesture``, ``trial`` and ``day`` (when present) are
-    integers >= 1, and ``readings`` is checked by ``check_readings`` on
-    every construction; ValueError otherwise.
+    integers >= 1, stored as ``int``, and ``readings`` is checked by
+    ``check_readings`` on every construction; ValueError otherwise.
     An array nobody can write (C-contiguous float64 that owns its data
     and is not writeable) is adopted as it is, so re-labelling a sample
     shares its readings; anything else is copied and the copy made
@@ -133,9 +147,10 @@ class GestureSample:
         if self.day is not None:
             ids["day"] = self.day
         for name, value in ids.items():
-            check_integer(name, value)
+            value = check_integer(name, value)
             if value < 1:
                 raise ValueError(f"{name} must be >= 1")
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, GestureSample, check_integer
+from .data import Dataset, GestureSample, check_integer, check_real
 
 __all__ = ["SynthSpec", "EASY_SPEC", "generate"]
 
@@ -36,8 +36,10 @@ __all__ = ["SynthSpec", "EASY_SPEC", "generate"]
 @dataclass(frozen=True)
 class SynthSpec:
     """Parameters of a synthetic corpus. ValueError at construction for a
-    value out of range, or a count, ``length_range`` end or ``seed`` that
-    is not an integer."""
+    value out of range, a count or ``seed`` that is not an integer
+    (``data.check_integer``), a ``length_range`` that is not a pair of
+    integers, or a float field that is not a real number
+    (``data.check_real``). Each field is stored as its declared type."""
 
     users: int
     gestures: int
@@ -49,32 +51,32 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        lo, hi = self.length_range
-        integers = {
-            "users": self.users,
-            "gestures": self.gestures,
-            "samples_per_gesture_per_user": self.samples_per_gesture_per_user,
-            "length_range min": lo,
-            "length_range max": hi,
-            "seed": self.seed,
-        }
-        for name, value in integers.items():
-            check_integer(name, value)
+        for name, least in (("users", 1), ("gestures", 1),
+                            ("samples_per_gesture_per_user", 1), ("seed", 0)):
+            value = check_integer(name, getattr(self, name))
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}")
+            object.__setattr__(self, name, value)
+        try:
+            lo, hi = self.length_range
+        except (TypeError, ValueError):
+            raise ValueError(f"length_range must be a pair (min, max), "
+                             f"got {self.length_range!r}") from None
+        lo = check_integer("length_range min", lo)
+        hi = check_integer("length_range max", hi)
+        object.__setattr__(self, "length_range", (lo, hi))
         if lo < 8:
-            raise ValueError("minimum sample length must be >= 8")
+            raise ValueError("length_range min must be >= 8")
         if hi < lo:
             raise ValueError("length_range max must be >= min")
-        if min(self.users, self.gestures, self.samples_per_gesture_per_user) < 1:
-            raise ValueError("users, gestures and samples counts must be >= 1")
         for name in ("user_speed_jitter", "noise_sigma", "user_style_offset"):
-            value = getattr(self, name)
+            value = check_real(name, getattr(self, name))
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0")
+            object.__setattr__(self, name, value)
         # Below 1 every speed is positive; at 1 or more some are not.
         if self.user_speed_jitter >= 1:
             raise ValueError("user_speed_jitter must be < 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
     @property
     def total_samples(self) -> int:

@@ -22,10 +22,12 @@ from gestrec.data import (
     load_sample_tree,
     save_manifest,
 )
-from gestrec import data, dsp
+from gestrec import data
 from gestrec.errors import DataError
-from gestrec.features import N_FEATURES, feature_set, load_features
+from gestrec.features import N_FEATURES, load_features
 from gestrec.synth import EASY_SPEC, generate
+from test_real_numbers import (BOUNDARIES, NOT_NUMBERS, NOT_REAL, check_array,
+                               check_scalar, values_at)
 
 
 def sample(user=1, gesture=1, trial=1, day=None, n=6, seed=0):
@@ -70,61 +72,28 @@ class TestGestureSample:
 
     @pytest.mark.parametrize("field", ["user", "gesture", "trial", "day"])
     def test_identity_must_be_an_integer(self, field):
-        ids = dict(user=np.int64(1), gesture=np.int32(1), trial=1, day=np.uint8(1))
-        # numpy integers pass as Python ones do, and make a dataset.
-        Dataset.from_samples([GestureSample(**ids, readings=np.zeros((4, 3)))])
-        # 1.5 used to construct, and Dataset.from_samples raised TypeError.
-        for value in (1.5, 2.0, "1"):
-            with pytest.raises(ValueError, match=rf"{field} must be an integer, "
-                                                 rf"got {re.escape(repr(value))}"):
-                GestureSample(**{**ids, field: value}, readings=np.zeros((4, 3)))
+        for _, value in values_at(field):
+            check_scalar(field, value)
 
     @pytest.mark.parametrize("field", ["user", "gesture", "trial", "day"])
     def test_identity_must_not_be_a_bool(self, field):
         # True used to construct, and save_manifest then wrote a row
         # "True,1,1,..." that load_manifest refused.
-        ids = dict(user=1, gesture=1, trial=1, day=1)
         for value in (True, False):
-            with pytest.raises(ValueError, match=rf"{field} must be an integer, "
-                                                 rf"got {value}"):
-                GestureSample(**{**ids, field: value}, readings=np.zeros((4, 3)))
+            check_scalar(field, value)
 
 
 class TestRealReadings:
-    @pytest.mark.parametrize("bad", [
-        lambda r: r + 1j,
-        lambda r: r.tolist()[:-1] + [[1.0, 2.0, 10**400]],
-        lambda r: r.tolist()[:-1] + [[1.0, 2.0, 1j]],
-        lambda r: r.astype(str),
-        lambda r: r.astype(bytes),
-        lambda r: r.tolist()[:-1] + [[1.0, 2.0, "1.0"]],
-        lambda r: np.array(r.tolist()[:-1] + [[1.0, 2.0, "1.0"]], dtype=object),
-        lambda r: np.array(r.tolist()[:-1] + [[1.0, 2.0, b"1.0"]], dtype=object),
-    ], ids=["complex array", "int too large for a float", "complex in a list",
-            "strings", "bytes", "string in a list", "string in an object array",
-            "bytes in an object array"])
-    def test_refused_with_value_error(self, bad):
-        # numpy's ComplexWarning is ignored: only the ValueError may pass.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(ValueError, match="readings must be real numbers"):
-                GestureSample(user=1, gesture=1, trial=1, readings=bad(np.zeros((5, 3))))
+    """The rows of ``test_real_numbers``'s table that these ids name."""
 
-    @pytest.mark.parametrize("make", [
-        lambda: np.arange(24).reshape(8, 3).astype("M8[s]"),
-        lambda: np.arange(24).reshape(8, 3).astype("m8[s]"),
-        lambda: np.zeros((8, 3), dtype=[("v", "f8")]),
-    ], ids=["datetime64", "timedelta64", "structured"])
-    def test_dates_durations_and_records_are_refused(self, make):
-        # numpy would count a date or a duration in its unit, and read a
-        # one-field record as its field, so each gave 33 values.
-        a = make()
-        with pytest.raises(ValueError, match="readings must be real numbers"):
-            feature_set(a)
-        with pytest.raises(ValueError, match="readings must be real numbers"):
-            GestureSample(user=1, gesture=1, trial=1, readings=a)
-        with pytest.raises(ValueError, match="series must be real numbers"):
-            dsp.skew(a[:, 0])
+    @pytest.mark.parametrize("row", NOT_REAL)
+    def test_refused_with_value_error(self, row):
+        check_array(row, *BOUNDARIES["GestureSample"])
+
+    @pytest.mark.parametrize("row", NOT_NUMBERS)
+    def test_dates_durations_and_records_are_refused(self, row):
+        for boundary in ("feature_set", "GestureSample", "dsp.skew"):
+            check_array(row, *BOUNDARIES[boundary])
 
     def test_float64_array_is_checked_without_a_copy(self):
         r = np.zeros((5, 3))
@@ -133,15 +102,9 @@ class TestRealReadings:
         assert data.real_array([[1, 2, 3]], "readings").dtype == np.float64
 
     def test_object_array_is_refused_only_for_text(self):
-        # An int too large for int64 but not for a float is a number;
-        # numpy's astype(float64) would parse the text.
-        ints = np.array([[1, 2, 2**70]] * 5, dtype=object)
-        assert data.real_array(ints, "readings")[0, 2] == 2.0**70
-        for text in ("1.0", b"1.0"):
-            bad = ints.copy()
-            bad[4, 2] = text
-            with pytest.raises(ValueError, match=rf"got {re.escape(repr(text))}"):
-                data.real_array(bad, "readings")
+        for row in ("object holding 2**70", "string in an object array",
+                    "bytes in an object array"):
+            check_array(row, *BOUNDARIES["GestureSample"])
 
 
 def read_only(a):

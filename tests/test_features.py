@@ -51,6 +51,7 @@ from gestrec.features import (
     save_features,
     time_features,
 )
+from test_real_numbers import BOUNDARIES, NOT_REAL, check_array
 
 EXPECTED_NAMES = (
     "mean_x", "mean_y", "mean_z",
@@ -707,25 +708,9 @@ class TestBoundaryCheck:
         with pytest.raises(ValueError, match="non-finite"):
             feature_set(r)
 
-    @pytest.mark.parametrize("bad", [
-        lambda r: r + 1j,
-        lambda r: r.tolist()[:-1] + [[1.0, 2.0, 10**400]],
-        lambda r: r.tolist()[:-1] + [[1.0, 2.0, 1j]],
-        lambda r: r.astype(str),
-        lambda r: r.astype(bytes),
-        lambda r: r.tolist()[:-1] + [[1.0, 2.0, "1.0"]],
-        lambda r: np.array(r.tolist()[:-1] + [[1.0, 2.0, "1.0"]], dtype=object),
-        lambda r: np.array(r.tolist()[:-1] + [[1.0, 2.0, b"1.0"]], dtype=object),
-    ], ids=["complex array", "int too large for a float", "complex in a list",
-            "strings", "bytes", "string in a list", "string in an object array",
-            "bytes in an object array"])
-    def test_raw_array_real(self, bad):
-        # numpy's ComplexWarning is ignored: only the ValueError may pass.
-        r = np.random.default_rng(1).normal(size=(8, 3))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(ValueError, match="readings must be real numbers"):
-                feature_set(bad(r))
+    @pytest.mark.parametrize("row", NOT_REAL)
+    def test_raw_array_real(self, row):
+        check_array(row, *BOUNDARIES["feature_set"])
 
     def test_readings_are_not_modified(self):
         r = np.random.default_rng(0).normal(size=(20, 3))

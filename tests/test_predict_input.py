@@ -2,8 +2,6 @@
 feature vectors, single and batched, naming the first bad value, and
 values that are not real numbers."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -14,6 +12,7 @@ from gestrec import (
     NonFiniteFeatureError,
     RidgeClassifier,
 )
+from test_real_numbers import NOT_NUMBERS, NOT_REAL, check_array
 
 MODELS = {
     "et": lambda: ExtraTreesClassifier(n_trees=5, seed=1),
@@ -73,67 +72,41 @@ def test_fit_names_the_first_bad_row_and_feature(blob_data, kind, bad):
 
 
 
-# numpy keeps only the real part of a complex array, with a
-# ComplexWarning (a RuntimeWarning), which is ignored here so that only
-# the ValueError of fit and predict can pass.
-NOT_REAL = {
-    "complex array": lambda X: X + 1j,
-    "int too large for a float": lambda X: [list(X[0][:-1]) + [10**400]] + X[1:].tolist(),
-    "complex in a list": lambda X: [list(X[0][:-1]) + [1j]] + X[1:].tolist(),
-    # numpy's astype(float64) would parse these.
-    "strings": lambda X: X.astype(str),
-    "bytes": lambda X: X.astype(bytes),
-    "string in a list": lambda X: [list(X[0][:-1]) + ["1.0"]] + X[1:].tolist(),
-    "string in an object array": lambda X: np.array(
-        [list(X[0][:-1]) + ["1.0"]] + X[1:].tolist(), dtype=object),
-    "bytes in an object array": lambda X: np.array(
-        [list(X[0][:-1]) + [b"1.0"]] + X[1:].tolist(), dtype=object),
-}
+# The rows of test_real_numbers's table that these ids name.
 
 
-@pytest.mark.parametrize("case", sorted(NOT_REAL))
+@pytest.mark.parametrize("case", NOT_REAL)
 def test_predict_refuses_values_that_are_not_real(fitted, case):
     model, X = fitted
-    bad = NOT_REAL[case](X[:4])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with pytest.raises(ValueError, match="X must be real numbers"):
-            model.predict(bad)
-        with pytest.raises(ValueError, match="X must be real numbers"):
-            model.predict(bad[0])
+    check_array(case, "X", X[:4], model.predict)
+    check_array(case, "X", X[0], model.predict)
 
 
-# numpy would count a date or a duration in its unit, and read a
-# one-field record as its field.
-NOT_NUMBERS = {
-    "datetime64": lambda X: (X * 1000).astype(np.int64).astype("M8[ms]"),
-    "timedelta64": lambda X: (X * 1000).astype(np.int64).astype("m8[ms]"),
-    "structured": lambda X: np.rec.fromarrays([X], dtype=[("v", "f8")]),
-}
-
-
-@pytest.mark.parametrize("case", sorted(NOT_NUMBERS))
+@pytest.mark.parametrize("case", NOT_NUMBERS)
 def test_predict_refuses_dates_durations_and_records(fitted, case):
     model, X = fitted
-    with pytest.raises(ValueError, match="X must be real numbers"):
-        model.predict(NOT_NUMBERS[case](X[:4]))
-    with pytest.raises(ValueError, match="X must be real numbers"):
-        model.predict(NOT_NUMBERS[case](X[0]))
+    check_array(case, "X", X[:4], model.predict)
+    check_array(case, "X", X[0], model.predict)
 
 
 @pytest.mark.parametrize("kind", sorted(MODELS))
-@pytest.mark.parametrize("case", sorted(NOT_NUMBERS))
+@pytest.mark.parametrize("case", NOT_NUMBERS)
 def test_fit_refuses_dates_durations_and_records(blob_data, kind, case):
     X, y = blob_data(n_classes=2, n_per=5, d=3, seed=34)
-    with pytest.raises(ValueError, match="X must be real numbers"):
-        MODELS[kind]().fit(NOT_NUMBERS[case](X), y)
+    check_array(case, "X", X, lambda a: MODELS[kind]().fit(a, y))
 
 
 @pytest.mark.parametrize("kind", sorted(MODELS))
-@pytest.mark.parametrize("case", sorted(NOT_REAL))
+@pytest.mark.parametrize("case", NOT_REAL)
 def test_fit_refuses_values_that_are_not_real(blob_data, kind, case):
     X, y = blob_data(n_classes=2, n_per=5, d=3, seed=33)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with pytest.raises(ValueError, match="X must be real numbers"):
-            MODELS[kind]().fit(NOT_REAL[case](X), y)
+    check_array(case, "X", X, lambda a: MODELS[kind]().fit(a, y))
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+def test_fit_refuses_labels_that_are_not_one_per_row(blob_data, kind):
+    # An (n, 2) y used to raise IndexError (rc) or numpy's "object too
+    # deep for desired array" (et, gb).
+    X, y = blob_data(n_classes=2, n_per=5, d=3, seed=35)
+    with pytest.raises(ValueError, match=r"1-D y, got X \(10, 3\) and y \(10, 2\)"):
+        MODELS[kind]().fit(X, np.stack([y, y], axis=1))

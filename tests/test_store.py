@@ -267,8 +267,8 @@ class TestCorruption:
         hyper = name in doc["hyperparams"]
         (doc["hyperparams"] if hyper else doc)[name] = value
         path.write_text(json.dumps(doc))
-        what = "hyperparameter " if hyper else ""
-        with pytest.raises(ModelFileError, match=rf"m\.json: {what}{name} is"):
+        with pytest.raises(ModelFileError, match=rf"m\.json: {name} must be .+, "
+                                                 rf"got {re.escape(repr(value))}$"):
             load_model(path)
 
     def test_integral_float_hyperparameter_loads_and_resaves(self, blob_data, tmp_path):
@@ -373,8 +373,8 @@ class TestCorruption:
                 tree["p"][0] = 10**400
         path.write_text(json.dumps(doc))
         message = {
-            "alpha": r"hyperparameter alpha is 10+, expected a finite float",
-            "mean": r"mean has entry 10+, expected a finite float",
+            "alpha": r"alpha must be a real number that a float holds, got 10+",
+            "mean": r"mean must be real numbers that a float holds, got 10+",
             "threshold": r"tree 0 splits at threshold 10+, expected a finite float",
             "leaf": r"tree 0 has leaf value \[10+, .*\], expected 2 class probabilities",
         }[where]
@@ -566,23 +566,23 @@ class TestParameterArrays:
     def test_rc_mean_of_strings(self, blob_data, tmp_path):
         path, doc = self._saved(RidgeClassifier(), blob_data, tmp_path)
         doc["params"]["mean"] = [repr(v) for v in doc["params"]["mean"]]
-        self._rejected(path, doc, r"m\.json: mean has entry '.*', expected a number")
+        self._rejected(path, doc, r"m\.json: mean must be real numbers, got '.*'")
 
     @pytest.mark.parametrize("flag", [True, False])
     def test_rc_std_of_a_boolean(self, blob_data, tmp_path, flag):
         path, doc = self._saved(RidgeClassifier(), blob_data, tmp_path)
         doc["params"]["std"][0] = flag
-        self._rejected(path, doc, rf"m\.json: std has entry {flag}, expected a number")
+        self._rejected(path, doc, rf"m\.json: std must be real numbers, got {flag}")
 
     def test_rc_weights_with_a_nested_string(self, blob_data, tmp_path):
         path, doc = self._saved(RidgeClassifier(), blob_data, tmp_path)
         doc["params"]["weights"][2][5] = "0.25"
-        self._rejected(path, doc, r"m\.json: weights has entry '0\.25', expected a number")
+        self._rejected(path, doc, r"m\.json: weights must be real numbers, got '0\.25'")
 
     def test_gb_initial_scores_of_strings(self, blob_data, tmp_path):
         path, doc = self._saved(GradientBoostingClassifier(n_stages=2), blob_data, tmp_path)
         doc["params"]["initial_scores"] = [repr(v) for v in doc["params"]["initial_scores"]]
-        self._rejected(path, doc, r"m\.json: initial_scores has entry '.*', expected a number")
+        self._rejected(path, doc, r"m\.json: initial_scores must be real numbers, got '.*'")
 
     def test_integral_entries_load(self, blob_data, tmp_path):
         # A JSON integer is a JSON number: 1 loads as 1.0.

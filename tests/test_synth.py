@@ -1,6 +1,7 @@
 """Synthetic corpus generator: determinism, structure, separability."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from gestrec import (
     generate,
 )
 from gestrec.synth import _class_template
+from test_real_numbers import SYNTH_INTS, check_scalar, values_at
 
 
 def small_spec(**overrides):
@@ -273,17 +275,11 @@ class TestValidation:
         b = generate(small_spec(users=2))
         assert [s.readings.tobytes() for s in a.samples] == [
             s.readings.tobytes() for s in b.samples]
-        # These used to construct, and generate raised TypeError.
-        for field, value, name in [
-            ("users", 2.0, "users"),
-            ("gestures", 1.5, "gestures"),
-            ("samples_per_gesture_per_user", "2", "samples_per_gesture_per_user"),
-            ("length_range", (20.0, 40), "length_range min"),
-            ("length_range", (20, np.float64(40)), "length_range max"),
-            ("seed", 1.5, "seed"),
-        ]:
-            with pytest.raises(ValueError, match=rf"{name} must be an integer, got "):
-                small_spec(**{field: value})
+        # 2.0 users or a "2" count used to construct, and generate raised
+        # TypeError; test_real_numbers's table holds every case.
+        for field in SYNTH_INTS:
+            for _, value in values_at(f"SynthSpec {field}"):
+                check_scalar(f"SynthSpec {field}", value)
 
     @pytest.mark.parametrize("field,value,name", [
         ("users", True, "users"),
@@ -294,5 +290,12 @@ class TestValidation:
     ])
     def test_bools_are_not_integers(self, field, value, name):
         # True used to generate a corpus of one user.
-        with pytest.raises(ValueError, match=rf"{name} must be an integer, got "):
-            small_spec(**{field: value})
+        check_scalar(f"SynthSpec {name}", value[1] if field == "length_range" else value)
+
+    @pytest.mark.parametrize("value", [5, None, (20, 30, 40), (20,)])
+    def test_length_range_must_be_a_pair(self, value):
+        # 5 and None used to raise a bare TypeError from the unpacking,
+        # and a triple "too many values to unpack".
+        with pytest.raises(ValueError, match=rf"^length_range must be a pair \(min, max\), "
+                                             rf"got {re.escape(repr(value))}$"):
+            small_spec(length_range=value)
